@@ -7,7 +7,6 @@ from .azimuthal import (
     overlap_integral,
     overlap_integral_quadrature,
     spp_phase,
-    spp_state_overlap,
     wrap_angle,
     wrap_signed,
 )
@@ -19,7 +18,6 @@ from .chtest import (
     canonical_settings,
     ch_parameter,
     ch_violated,
-    marginal_probabilities,
 )
 from .coincidence import (
     AmplitudeMatrix,
@@ -30,9 +28,8 @@ from .coincidence import (
     amplitude_matrix_quadrature,
     closed_form_probabilities,
     normalized_amplitudes,
-    sigma_coeff,
 )
-from .interferometer import MzConfig, arm_amplitude, mz_unitary, rotation_matrix
+from .interferometer import MzConfig, arm_amplitude, mz_unitary
 from .montecarlo import (
     ChEstimate,
     CountRecord,
@@ -73,19 +70,15 @@ __all__ = [
     "closed_form_probabilities",
     "estimate_S",
     "frequency",
-    "marginal_probabilities",
     "mz_unitary",
     "normalized_amplitudes",
     "optimize_thetas",
     "overlap_integral",
     "overlap_integral_quadrature",
-    "rotation_matrix",
     "sample_run",
     "scan_alpha_beta",
-    "sigma_coeff",
     "simulate_ch_runs",
     "spp_phase",
-    "spp_state_overlap",
     "wrap_angle",
     "wrap_signed",
 ]

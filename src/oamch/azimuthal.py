@@ -183,12 +183,3 @@ def overlap_integral_quadrature(
     vals = spp_phase(m, x, step_index) * np.conjugate(spp_phase(n, x, step_index))
     return complex(np.sum(w * vals))
 
-
-def spp_state_overlap(a: float, b: float, step_index: StepIndex) -> complex:
-    """Normalized overlap of the fiber-mode states prepared by two plates.
-
-    The radial mode factor is common to both states and cancels, leaving the
-    azimuthal overlap divided by the full turn.  Equals 1 at a == b and 0 for
-    orientations a half-turn apart when the step index is half-integer.
-    """
-    return overlap_integral(a, b, step_index) / TAU

@@ -98,18 +98,6 @@ def ch_from_probabilities(
     ) / p_total
 
 
-def marginal_probabilities(
-    settings: ExperimentSettings, amplitude_fn=amplitude_matrix
-) -> tuple[float, float, float]:
-    """(P(theta_a, inf), P(inf, theta_b), P(inf, inf)) for one setting."""
-    p = amplitude_fn(settings).p
-    return (
-        float(p[0, 0] + p[0, 1]),
-        float(p[0, 0] + p[1, 0]),
-        float(p.sum()),
-    )
-
-
 def ch_parameter(cfg: ChSettings, amplitude_fn=amplitude_matrix) -> ChResult:
     """Evaluate the six CH probabilities and S for one experiment.
 

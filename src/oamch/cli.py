@@ -21,12 +21,10 @@ import numpy as np
 
 from .chtest import ch_parameter, ch_violated
 from .coincidence import amplitude_matrix, closed_form_from_settings, normalized_amplitudes
-from .config import ConfigError, RunConfig, load_config
+from .config import SCHEMA_VERSION, ConfigError, RunConfig, load_config
 from .montecarlo import RNG_ALGORITHM, estimate_S, frequency, simulate_ch_runs
 from .search import scan_alpha_beta
 from .validate import SUITE_NAMES, run_suites
-
-SCHEMA_VERSION = 1
 
 
 def _g9(x: float) -> str:

@@ -48,13 +48,6 @@ class DegenerateStateError(ValueError):
     """All four coincidence amplitudes vanish; nothing to normalize."""
 
 
-def sigma_coeff(i: int, j: int) -> complex:
-    """Channel-pair phase factor for arms (i, j), i, j in {1, 2}."""
-    if i not in (1, 2) or j not in (1, 2):
-        raise ValueError(f"arm indices must be 1 or 2, got ({i!r}, {j!r})")
-    return complex(3 - i - j, 3 * i + 3 * j - 2 * i * j - 4)
-
-
 @dataclass(frozen=True)
 class ExperimentSettings:
     """One full apparatus configuration.

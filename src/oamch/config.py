@@ -59,6 +59,8 @@ def _number(section: str, data: dict, key: str, default):
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     return value
 
 

@@ -54,16 +54,11 @@ class MzConfig:
         return wrap_angle(self.plate_orientation + math.pi)
 
 
-def rotation_matrix(theta: float) -> np.ndarray:
-    """Real 2x2 rotation through theta, as a complex array."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def mz_unitary(theta: float, aux_phase_1: float = 0.0, aux_phase_2: float = 0.0) -> np.ndarray:
     """Output-splitter transfer matrix with per-arm azimuth-independent phases.
 
-    Reduces to `rotation_matrix` when both phases vanish.
+    Reduces to the real rotation [[cos, -sin], [sin, cos]] when both phases
+    vanish.
     """
     c, s = math.cos(theta), math.sin(theta)
     p1 = cmath.exp(1j * aux_phase_1)

@@ -3,9 +3,9 @@
 With the plates fixed, the four pairwise plate overlaps fully determine the
 dependence of every coincidence probability on the splitter angles, so S can
 be evaluated in a handful of complex multiplies per angle quadruple.  The
-scan walks an alpha x beta grid; the per-point optimizer is a deterministic
-coarse grid followed by cyclic coordinate-wise golden-section refinement,
-chosen over stochastic search so results are bit-reproducible.
+scan walks an alpha x beta grid; the per-point optimum over the splitter
+angles is exact, read off the x-z block of the state's correlation tensor
+(Horodecki criterion for coplanar settings).
 """
 
 from __future__ import annotations
@@ -17,10 +17,6 @@ import numpy as np
 
 from .azimuthal import TAU, StepIndex, overlap_integral, wrap_angle
 from .chtest import CANONICAL_THETAS
-
-COARSE_POINTS = 9
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-_MAX_SWEEPS = 200
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 
@@ -145,63 +141,31 @@ class ChLandscape:
         return s / self.p_total
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = 1e-9) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
 def optimize_thetas(
-    alpha: float, beta: float, step_index: StepIndex, tol: float = 1e-6
+    alpha: float, beta: float, step_index: StepIndex
 ) -> tuple[tuple[float, float, float, float], float]:
-    """Deterministic maximization of S over the four splitter angles.
+    """Maximum of S over the four splitter angles, in closed form.
 
-    Coarse lattice (COARSE_POINTS per axis, plus the canonical quadruple as
-    one extra seed), then cyclic coordinate-wise golden-section refinement
-    until a full sweep improves S by less than tol.  Never returns less than
-    the best coarse-lattice value.
+    Splitter angle t measures the Bloch direction (-sin 2t, cos 2t) in the
+    x-z plane, so S = (CHSH - 2) / 4 peaks at the Horodecki optimum for
+    coplanar settings, (sqrt(s1^2 + s2^2) - 1) / 2, where s1 and s2 are the
+    singular values of the x-z block of the correlation tensor of the
+    normalized state vec(K).  The overlap depends only on the relative plate
+    orientation, so K11 = K22 and K12 = K21, and that block is diag(1, t)
+    with t = (|K11|^2 - |K12|^2) / (|K11|^2 + |K12|^2): its singular vectors
+    are the x and z axes.  The optimal directions are a = z, a' = x and
+    b, b' = cos(psi) x +/- sin(psi) z with psi = atan(t); the direction at
+    angle d from x towards z is splitter angle d / 2 - pi / 4.  The returned
+    S is evaluated at the returned angles.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     land = ChLandscape(alpha, beta, step_index)
-    coarse = np.linspace(0.0, TAU, COARSE_POINTS, endpoint=False)
-    s4 = land.grid(coarse)
-    idx = np.unravel_index(int(np.argmax(s4)), s4.shape)
-    best_x = [float(coarse[i]) for i in idx]
-    best_s = float(s4[idx])
-    canonical_s = land.value(*CANONICAL_THETAS)
-    if canonical_s > best_s:
-        best_x = list(CANONICAL_THETAS)
-        best_s = canonical_s
-
-    half_width = TAU / COARSE_POINTS
-    for _ in range(_MAX_SWEEPS):
-        improved = 0.0
-        for k in range(4):
-            def along(v: float, _k: int = k) -> float:
-                args = best_x.copy()
-                args[_k] = v
-                return land.value(*args)
-
-            x, s = _golden_max(along, best_x[k] - half_width, best_x[k] + half_width)
-            if s > best_s:
-                improved += s - best_s
-                best_x[k] = x
-                best_s = s
-        if improved < tol:
-            break
-    return tuple(wrap_angle(x) for x in best_x), best_s
+    same, opposite = abs(land.k11) ** 2, abs(land.k12) ** 2
+    psi = math.atan2(same - opposite, same + opposite)
+    quarter = math.pi / 4.0
+    thetas = tuple(
+        wrap_angle(t) for t in (0.0, -quarter, psi / 2.0 - quarter, -psi / 2.0 - quarter)
+    )
+    return thetas, land.value(*thetas)
 
 
 def scan_alpha_beta(grid: ScanGrid, step_index: StepIndex) -> ScanResult:

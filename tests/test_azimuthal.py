@@ -11,7 +11,6 @@ from oamch.azimuthal import (
     overlap_integral_opposite_phase,
     overlap_integral_quadrature,
     spp_phase,
-    spp_state_overlap,
     wrap_angle,
     wrap_signed,
 )
@@ -97,9 +96,10 @@ def test_overlap_equal_orientations_is_full_turn():
 
 def test_overlap_half_turn_orthogonality():
     for alpha in (0.0, 0.7, 2.9, 5.5):
-        for l in (0, 1, 3):
+        for l in (0, 1, 2, 3):
             ell = StepIndex.half_integer(l)
             assert abs(overlap_integral(alpha + math.pi, alpha, ell)) <= 1e-12
+            assert abs(overlap_integral(alpha, alpha + math.pi, ell)) <= 1e-12
             assert abs(overlap_integral_quadrature(alpha + math.pi, alpha, ell)) <= 1e-10
 
 
@@ -109,6 +109,8 @@ def test_overlap_quarter_turn_value_adjudicated_by_quadrature():
     oracle = overlap_integral_quadrature(math.pi / 2, 0.0, HALF)
     assert oracle == pytest.approx(expected, abs=1e-10)
     assert overlap_integral(math.pi / 2, 0.0, HALF) == pytest.approx(oracle, abs=1e-12)
+    # swapping the arguments conjugates
+    assert overlap_integral(0.0, math.pi / 2, HALF) == pytest.approx(oracle.conjugate(), abs=1e-12)
 
 
 def test_overlap_conjugate_symmetry():
@@ -164,19 +166,3 @@ def test_opposite_phase_variant_fails_against_oracle():
     oracle = overlap_integral_quadrature(2.0, 0.5, HALF)
     assert abs(overlap_integral(2.0, 0.5, HALF) - oracle) <= 1e-12
     assert abs(overlap_integral_opposite_phase(2.0, 0.5, HALF) - oracle) > 0.1
-
-
-def test_state_overlap_normalization_and_orthogonality():
-    assert spp_state_overlap(1.2, 1.2, StepIndex(2.5)) == pytest.approx(1.0, abs=1e-14)
-    for l in (0, 2):
-        assert abs(spp_state_overlap(0.9, 0.9 + math.pi, StepIndex.half_integer(l))) <= 1e-13
-
-
-def test_state_overlap_quarter_turn_conjugate_pair():
-    # frozen from the quadrature oracle: swapping arguments conjugates
-    oracle = overlap_integral_quadrature(0.0, math.pi / 2, HALF) / TAU
-    assert oracle == pytest.approx(0.5 * cmath.exp(1j * math.pi / 4), abs=1e-10)
-    assert spp_state_overlap(0.0, math.pi / 2, HALF) == pytest.approx(oracle, abs=1e-12)
-    assert spp_state_overlap(math.pi / 2, 0.0, HALF) == pytest.approx(
-        0.5 * cmath.exp(-1j * math.pi / 4), abs=1e-12
-    )

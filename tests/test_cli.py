@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import oamch
 from oamch.cli import main
 
 
@@ -110,6 +115,30 @@ def test_mc_is_byte_deterministic(tmp_path, capsys):
 def test_mc_zero_trials_exits_2(tmp_path, capsys):
     config = _write_config(tmp_path, **{"mc.trials": 0})
     assert main(["mc", "--config", config]) == 2
+
+
+@pytest.mark.parametrize(
+    "tweaks, overrides",
+    [
+        ({"mc.trials": math.inf}, []),
+        ({}, ["--set", "mc.seed=1e400"]),
+        ({}, ["--set", "mc.trials=NaN"]),
+    ],
+)
+def test_non_finite_number_exits_2_without_traceback(tmp_path, tweaks, overrides):
+    config = _write_config(tmp_path, **tweaks)
+    env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oamch.cli", "mc", "--config", config, *overrides],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error:")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_mc_json_document(tmp_path, capsys):

@@ -13,8 +13,9 @@ from oamch.coincidence import (
     closed_form_from_settings,
     closed_form_probabilities,
     normalized_amplitudes,
-    sigma_coeff,
+    plate_overlap_matrix,
 )
+from oamch.interferometer import mz_unitary
 
 HALF = StepIndex(0.5)
 
@@ -38,15 +39,6 @@ def _random_settings(rng, with_aux=False, half_integer=True):
     )
 
 
-def test_sigma_coeff_values():
-    assert sigma_coeff(1, 1) == 1
-    assert sigma_coeff(1, 2) == 1j
-    assert sigma_coeff(2, 1) == 1j
-    assert sigma_coeff(2, 2) == -1
-    with pytest.raises(ValueError):
-        sigma_coeff(0, 1)
-
-
 def test_delta_wraps_to_signed_interval():
     assert _settings(alpha=0.1, beta=6.2).delta() == pytest.approx(0.1 - 6.2 + TAU)
     assert _settings(alpha=math.pi, beta=0.0).delta() == pytest.approx(math.pi)
@@ -54,9 +46,13 @@ def test_delta_wraps_to_signed_interval():
 
 
 def test_probability_matrix_consistency():
-    m = amplitude_matrix(_settings(alpha=1.0, beta=0.2, theta_a=0.7, theta_b=1.9))
+    s = _settings(alpha=1.0, beta=0.2, theta_a=0.7, theta_b=1.9)
+    m = amplitude_matrix(s)
     np.testing.assert_allclose(m.p, np.abs(m.c) ** 2, atol=1e-14)
     assert np.all(m.p >= 0.0)
+    # channel-pair factors sigma_11 = 1, sigma_12 = sigma_21 = i, sigma_22 = -1
+    rotated = 0.5 * mz_unitary(s.theta_a) @ plate_overlap_matrix(s) @ mz_unitary(s.theta_b).T
+    np.testing.assert_allclose(m.c, np.array([[1, 1j], [1j, -1]]) * rotated, atol=1e-14)
 
 
 def test_aligned_probabilities_follow_cosine_law():

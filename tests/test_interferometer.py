@@ -4,26 +4,20 @@ import numpy as np
 import pytest
 
 from oamch.azimuthal import TAU, StepIndex, spp_phase
-from oamch.interferometer import MzConfig, arm_amplitude, mz_unitary, rotation_matrix
+from oamch.interferometer import MzConfig, arm_amplitude, mz_unitary
 
 HALF = StepIndex(0.5)
 SQRT2 = math.sqrt(2.0)
 
 
-def test_rotation_matrix_values():
-    np.testing.assert_allclose(rotation_matrix(0.0), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(
-        rotation_matrix(math.pi / 4),
-        np.array([[1, -1], [1, 1]]) / SQRT2,
-        atol=1e-15,
-    )
-    np.testing.assert_allclose(
-        rotation_matrix(math.pi / 2), np.array([[0, -1], [1, 0]]), atol=1e-15
-    )
-
-
 def test_mz_unitary_reduces_to_rotation():
-    np.testing.assert_allclose(mz_unitary(math.pi / 6), rotation_matrix(math.pi / 6), atol=1e-15)
+    np.testing.assert_allclose(mz_unitary(0.0), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(
+        mz_unitary(math.pi / 4), np.array([[1, -1], [1, 1]]) / SQRT2, atol=1e-15
+    )
+    np.testing.assert_allclose(mz_unitary(math.pi / 2), np.array([[0, -1], [1, 0]]), atol=1e-15)
+    c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
+    np.testing.assert_allclose(mz_unitary(math.pi / 6), np.array([[c, -s], [s, c]]), atol=1e-15)
 
 
 def test_mz_unitary_phase_substitution():

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oamch.azimuthal import TAU, StepIndex
+from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.chtest import CANONICAL_THETAS, MAX_CH_VIOLATION, ChSettings, ch_parameter
 from oamch.coincidence import amplitude_matrix_quadrature
 from oamch.search import (
-    COARSE_POINTS,
     ChLandscape,
     ScanGrid,
     ScanResult,
@@ -17,6 +16,20 @@ from oamch.search import (
 )
 
 HALF = StepIndex(0.5)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def _random_points(seed, count=12):
+    """Fixed-seed (alpha, beta, step index), alternating half-integer and general L."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        alpha, beta = rng.uniform(0.0, TAU, size=2)
+        if k % 2:
+            step = StepIndex(rng.uniform(0.1, 4.0))
+        else:
+            step = StepIndex.half_integer(int(rng.integers(0, 4)))
+        yield alpha, beta, step
 
 
 def _s_via_ch_parameter(alpha, beta, step, thetas, amplitude_fn=None):
@@ -53,26 +66,54 @@ def test_landscape_grid_matches_scalar_path():
 
 def test_optimizer_reaches_maximum_on_aligned_plates():
     for alpha in (0.0, 0.8, 3.9):
-        thetas, s = optimize_thetas(alpha, alpha, HALF, tol=1e-6)
-        assert s == pytest.approx(MAX_CH_VIOLATION, abs=1e-6)
+        thetas, s = optimize_thetas(alpha, alpha, HALF)
+        assert s == pytest.approx(MAX_CH_VIOLATION, abs=1e-12)
         # reported quadruple reproduces the reported value
-        assert _s_via_ch_parameter(alpha, alpha, HALF, thetas) == pytest.approx(s, abs=1e-10)
+        assert _s_via_ch_parameter(alpha, alpha, HALF, thetas) == pytest.approx(s, abs=1e-12)
 
 
 def test_optimizer_never_below_coarse_grid():
-    rng = np.random.default_rng(51)
-    for _ in range(5):
-        alpha, beta = rng.uniform(0.0, TAU, size=2)
-        land = ChLandscape(alpha, beta, HALF)
-        coarse_best = float(np.max(land.grid(np.linspace(0.0, TAU, COARSE_POINTS, endpoint=False))))
-        _, s = optimize_thetas(alpha, beta, HALF)
-        assert s >= coarse_best - 1e-12
+    lattice = np.linspace(0.0, TAU, 12, endpoint=False)
+    for alpha, beta, step in _random_points(51, count=6):
+        lattice_best = float(np.max(ChLandscape(alpha, beta, step).grid(lattice)))
+        _, s = optimize_thetas(alpha, beta, step)
+        assert lattice_best <= s + 1e-12
 
 
-def test_optimizer_tolerance_consistency():
-    _, s_loose = optimize_thetas(1.0, 0.4, HALF, tol=1e-3)
-    _, s_tight = optimize_thetas(1.0, 0.4, HALF, tol=1e-6)
-    assert abs(s_loose - s_tight) <= 1e-3
+def test_optimizer_matches_horodecki_closed_form():
+    # (sqrt(s1^2 + s2^2) - 1) / 2 from a numpy SVD of the x-z correlation block
+    for alpha, beta, step in _random_points(52, count=40):
+        plates_a = (alpha, alpha + math.pi)
+        plates_b = (beta, beta + math.pi)
+        k = np.array([[overlap_integral(pa, pb, step) for pb in plates_b] for pa in plates_a])
+        block = np.array(
+            [[np.vdot(k, si @ k @ sj).real for sj in (SIGMA_X, SIGMA_Z)] for si in (SIGMA_X, SIGMA_Z)]
+        ) / np.vdot(k, k).real
+        s1, s2 = np.linalg.svd(block, compute_uv=False)
+        thetas, s = optimize_thetas(alpha, beta, step)
+        assert s == pytest.approx((math.hypot(s1, s2) - 1.0) / 2.0, abs=1e-12)
+        assert _s_via_ch_parameter(alpha, beta, step, thetas) == pytest.approx(s, abs=1e-12)
+
+
+def test_optimizer_is_locally_optimal():
+    for alpha, beta, step in _random_points(53):
+        thetas, s = optimize_thetas(alpha, beta, step)
+        land = ChLandscape(alpha, beta, step)
+        for k in range(4):
+            for shift in (-1e-4, 1e-4):
+                moved = list(thetas)
+                moved[k] += shift
+                # S sums O(1) terms, so a flat direction may still move it by rounding
+                assert land.value(*moved) <= s + 1e-15
+
+
+def test_optimizer_matches_quadrature_ch_parameter():
+    for alpha, beta, step in _random_points(54, count=6):
+        thetas, s = optimize_thetas(alpha, beta, step)
+        s_quad = _s_via_ch_parameter(
+            alpha, beta, step, thetas, amplitude_fn=amplitude_matrix_quadrature
+        )
+        assert s_quad == pytest.approx(s, abs=1e-8)
 
 
 def test_optimizer_half_turn_misalignment_cross_check():
@@ -87,11 +128,6 @@ def test_optimizer_half_turn_misalignment_cross_check():
 def test_optimizer_finds_violation_next_to_diagonal():
     _, s = optimize_thetas(TAU / 33.0, 0.0, HALF)
     assert s > 0.204
-
-
-def test_optimizer_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        optimize_thetas(0.0, 0.0, HALF, tol=0.0)
 
 
 def test_scan_grid_validation():
