@@ -212,28 +212,27 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("scan needs an output path (--out or output.path)")
     fmt = args.format or config.output.format
 
-    result = scan_alpha_beta(grid, settings.step_index)
-
-    if fmt == "json":
-        artifact = _document(
-            "scan",
-            config,
-            {"rows": [_row_dict(r) for r in result.rows], "best": _row_dict(result.best)},
-        )
-        Path(out_path).write_text(
-            json.dumps(artifact, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-    else:
-        lines = [_CSV_HEADER]
-        for r in result.rows:
-            lines.append(
-                ",".join(
-                    [_g9(r.alpha), _g9(r.beta)]
-                    + [_g9(t) for t in r.thetas]
-                    + [_g9(r.s), "true" if r.exceeds_threshold else "false"]
-                )
+    # open first, so an unwritable path fails before the landscape is computed
+    with open(out_path, "w", encoding="utf-8") as fh:
+        result = scan_alpha_beta(grid, settings.step_index)
+        if fmt == "json":
+            artifact = _document(
+                "scan",
+                config,
+                {"rows": [_row_dict(r) for r in result.rows], "best": _row_dict(result.best)},
             )
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            fh.write(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+        else:
+            lines = [_CSV_HEADER]
+            for r in result.rows:
+                lines.append(
+                    ",".join(
+                        [_g9(r.alpha), _g9(r.beta)]
+                        + [_g9(t) for t in r.thetas]
+                        + [_g9(r.s), "true" if r.exceeds_threshold else "false"]
+                    )
+                )
+            fh.write("\n".join(lines) + "\n")
 
     summary = _document(
         "scan-summary",

@@ -89,17 +89,14 @@ def _build_experiment(data: dict) -> ExperimentSettings:
     aux = data.get("aux_phases", (0.0, 0.0, 0.0, 0.0))
     if not isinstance(aux, (list, tuple)) or len(aux) != 4:
         raise ConfigError("experiment.aux_phases must be a list of four angles")
-    try:
-        return ExperimentSettings(
-            alpha=parse_angle(data.get("alpha", 0.0)),
-            beta=parse_angle(data.get("beta", 0.0)),
-            theta_a=parse_angle(data.get("theta_a", 0.0)),
-            theta_b=parse_angle(data.get("theta_b", 0.0)),
-            step_index=StepIndex(_number("experiment", data, "step_index", 0.5)),
-            aux_phases=tuple(parse_angle(p) for p in aux),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ExperimentSettings(
+        alpha=parse_angle(data.get("alpha", 0.0)),
+        beta=parse_angle(data.get("beta", 0.0)),
+        theta_a=parse_angle(data.get("theta_a", 0.0)),
+        theta_b=parse_angle(data.get("theta_b", 0.0)),
+        step_index=StepIndex(_number("experiment", data, "step_index", 0.5)),
+        aux_phases=tuple(parse_angle(p) for p in aux),
+    )
 
 
 def _build_ch(data: dict, experiment: ExperimentSettings | None) -> ChSettings:
@@ -109,31 +106,25 @@ def _build_ch(data: dict, experiment: ExperimentSettings | None) -> ChSettings:
         raise ConfigError(f"ch section must provide all four angles; missing {', '.join(missing)}")
     if experiment is None:
         raise ConfigError("ch section requires an experiment section for plates and step index")
-    try:
-        return ChSettings(
-            theta_a=parse_angle(data["theta_a"]),
-            theta_a_prime=parse_angle(data["theta_a_prime"]),
-            theta_b=parse_angle(data["theta_b"]),
-            theta_b_prime=parse_angle(data["theta_b_prime"]),
-            alpha=experiment.alpha,
-            beta=experiment.beta,
-            step_index=experiment.step_index,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ChSettings(
+        theta_a=parse_angle(data["theta_a"]),
+        theta_a_prime=parse_angle(data["theta_a_prime"]),
+        theta_b=parse_angle(data["theta_b"]),
+        theta_b_prime=parse_angle(data["theta_b_prime"]),
+        alpha=experiment.alpha,
+        beta=experiment.beta,
+        step_index=experiment.step_index,
+    )
 
 
 def _build_mc(data: dict) -> McConfig:
     _require_keys("mc", data, ("trials", "efficiency_a", "efficiency_b", "seed"))
-    try:
-        return McConfig(
-            trials=_number("mc", data, "trials", 0),
-            efficiency_a=_number("mc", data, "efficiency_a", 1.0),
-            efficiency_b=_number("mc", data, "efficiency_b", 1.0),
-            seed=_number("mc", data, "seed", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return McConfig(
+        trials=_number("mc", data, "trials", 0),
+        efficiency_a=_number("mc", data, "efficiency_a", 1.0),
+        efficiency_b=_number("mc", data, "efficiency_b", 1.0),
+        seed=_number("mc", data, "seed", 0),
+    )
 
 
 def _build_scan(data: dict) -> ScanGrid:
@@ -141,15 +132,12 @@ def _build_scan(data: dict) -> ScanGrid:
     policy = data.get("theta_policy", "fixed-canonical")
     if not isinstance(policy, str):
         raise ConfigError(f"scan.theta_policy must be a string, got {policy!r}")
-    try:
-        return ScanGrid(
-            alpha_steps=_number("scan", data, "alpha_steps", 0),
-            beta_steps=_number("scan", data, "beta_steps", 0),
-            theta_policy=policy,
-            threshold=_number("scan", data, "threshold", 0.204),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return ScanGrid(
+        alpha_steps=_number("scan", data, "alpha_steps", 0),
+        beta_steps=_number("scan", data, "beta_steps", 0),
+        theta_policy=policy,
+        threshold=_number("scan", data, "threshold", 0.204),
+    )
 
 
 def _build_output(data: dict) -> OutputConfig:
@@ -172,15 +160,20 @@ def validate_config(raw: dict) -> RunConfig:
         raise ConfigError(
             f"unsupported schema_version {raw['schema_version']!r}; expected {SCHEMA_VERSION}"
         )
-    experiment = _build_experiment(raw["experiment"]) if "experiment" in raw else None
-    return RunConfig(
-        raw=raw,
-        experiment=experiment,
-        ch=_build_ch(raw["ch"], experiment) if "ch" in raw else None,
-        mc=_build_mc(raw["mc"]) if "mc" in raw else None,
-        scan=_build_scan(raw["scan"]) if "scan" in raw else None,
-        output=_build_output(raw["output"]) if "output" in raw else OutputConfig(),
-    )
+    # A ValueError from a library constructor (bad step index, trial count,
+    # ...) is a config error here; a ConfigError keeps its message.
+    try:
+        experiment = _build_experiment(raw["experiment"]) if "experiment" in raw else None
+        return RunConfig(
+            raw=raw,
+            experiment=experiment,
+            ch=_build_ch(raw["ch"], experiment) if "ch" in raw else None,
+            mc=_build_mc(raw["mc"]) if "mc" in raw else None,
+            scan=_build_scan(raw["scan"]) if "scan" in raw else None,
+            output=_build_output(raw["output"]) if "output" in raw else OutputConfig(),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:

@@ -40,8 +40,9 @@ class McConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.trials) != self.trials or self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials!r}")
+        # numpy's multinomial takes the trial count as a C long
+        if not 1 <= self.trials < 2**63 or int(self.trials) != self.trials:
+            raise ValueError(f"trials must be an integer in [1, 2**63), got {self.trials!r}")
         object.__setattr__(self, "trials", int(self.trials))
         for name in ("efficiency_a", "efficiency_b"):
             eta = getattr(self, name)

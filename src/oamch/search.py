@@ -1,11 +1,12 @@
 """Mapping the CH-violation landscape over plate orientations.
 
-With the plates fixed, the four pairwise plate overlaps fully determine the
-dependence of every coincidence probability on the splitter angles, so S can
-be evaluated in a handful of complex multiplies per angle quadruple.  The
-scan walks an alpha x beta grid; the per-point optimum over the splitter
-angles is exact, read off the x-z block of the state's correlation tensor
-(Horodecki criterion for coplanar settings).
+With the plates fixed, two plate overlaps, k = I(alpha, beta) and
+q = I(alpha, beta + pi), fully determine the dependence of every
+coincidence probability on the splitter angles, so S is one closed formula
+in the four angles (`ChLandscape`).  The scan walks an alpha x beta grid;
+the per-point optimum over the splitter angles is exact, read off the x-z
+block of the state's correlation tensor (Horodecki criterion for coplanar
+settings).
 """
 
 from __future__ import annotations
@@ -68,77 +69,44 @@ class ScanResult:
 class ChLandscape:
     """S as a function of the four splitter angles at fixed plates.
 
-    Precomputes the plate-overlap matrix once; `value` then costs a few
-    complex multiplies, and `grid` broadcasts over a whole angle lattice.
-    Matches `ch_parameter` on the zero-auxiliary-phase path.
+    The plate overlap depends only on the relative plate orientation, so the
+    2x2 overlap matrix is K = [[k, q], [q, k]] with k = I(alpha, beta) and
+    q = I(alpha, beta + pi): K11 = K22 and K12 = K21.  On the
+    zero-auxiliary-phase path of `ch_parameter`, with n = |k|^2 + |q|^2 and
+    r = 2 Re(k conj(q)), the unnormalized probabilities are
+
+        4 p11(ta, tb) = |k cos(ta - tb) - q sin(ta + tb)|^2
+        4 P(t, inf) = 4 P(inf, t) = n - r sin 2t
+        4 P(inf, inf) = 2 n
+
+    `value` takes scalars or numpy arrays of angles and broadcasts them.
     """
 
     def __init__(self, alpha: float, beta: float, step_index: StepIndex):
-        a = wrap_angle(alpha)
-        b = wrap_angle(beta)
-        a2 = wrap_angle(a + math.pi)
-        b2 = wrap_angle(b + math.pi)
-        self.k11 = overlap_integral(a, b, step_index)
-        self.k12 = overlap_integral(a, b2, step_index)
-        self.k21 = overlap_integral(a2, b, step_index)
-        self.k22 = overlap_integral(a2, b2, step_index)
-        self.p_total = (
-            abs(self.k11) ** 2 + abs(self.k12) ** 2 + abs(self.k21) ** 2 + abs(self.k22) ** 2
-        ) / 4.0
+        self.k = overlap_integral(alpha, beta, step_index)
+        self.q = overlap_integral(alpha, beta + math.pi, step_index)
 
-    def _a_row(self, theta_a: float) -> tuple[complex, complex]:
-        ca, sa = math.cos(theta_a), math.sin(theta_a)
-        return ca * self.k11 - sa * self.k21, ca * self.k12 - sa * self.k22
+    def value(self, theta_a, theta_a_prime, theta_b, theta_b_prime):
+        k, q = self.k, self.q
 
-    def joint(self, theta_a: float, theta_b: float) -> float:
-        """Unnormalized p11 at one angle pair."""
-        r1, r2 = self._a_row(theta_a)
-        cb, sb = math.cos(theta_b), math.sin(theta_b)
-        g = 0.5 * (cb * r1 - sb * r2)
-        return g.real * g.real + g.imag * g.imag
+        def joint(ta, tb):
+            return abs(k * np.cos(ta - tb) - q * np.sin(ta + tb)) ** 2
 
-    def marginal_a(self, theta_a: float) -> float:
-        """Unnormalized p11 + p12; independent of theta_b."""
-        r1, r2 = self._a_row(theta_a)
-        return 0.25 * (abs(r1) ** 2 + abs(r2) ** 2)
-
-    def marginal_b(self, theta_b: float) -> float:
-        """Unnormalized p11 + p21; independent of theta_a."""
-        cb, sb = math.cos(theta_b), math.sin(theta_b)
-        c1 = cb * self.k11 - sb * self.k12
-        c2 = cb * self.k21 - sb * self.k22
-        return 0.25 * (abs(c1) ** 2 + abs(c2) ** 2)
-
-    def value(self, theta_a: float, theta_a_prime: float, theta_b: float, theta_b_prime: float) -> float:
-        return (
-            self.joint(theta_a, theta_b)
-            - self.joint(theta_a, theta_b_prime)
-            + self.joint(theta_a_prime, theta_b)
-            + self.joint(theta_a_prime, theta_b_prime)
-            - self.marginal_a(theta_a_prime)
-            - self.marginal_b(theta_b)
-        ) / self.p_total
+        n = abs(k) ** 2 + abs(q) ** 2
+        r = 2.0 * (k * q.conjugate()).real
+        joints = (
+            joint(theta_a, theta_b)
+            - joint(theta_a, theta_b_prime)
+            + joint(theta_a_prime, theta_b)
+            + joint(theta_a_prime, theta_b_prime)
+        )
+        marginals = 2.0 * n - r * (np.sin(2.0 * theta_a_prime) + np.sin(2.0 * theta_b))
+        return (joints - marginals) / (2.0 * n)
 
     def grid(self, thetas: np.ndarray) -> np.ndarray:
         """S over the full 4-axis lattice thetas^4, indexed (a, a', b, b')."""
         t = np.asarray(thetas, dtype=float)
-        rows = np.stack([np.cos(t), -np.sin(t)], axis=1)
-        k = np.array([[self.k11, self.k12], [self.k21, self.k22]])
-        g = 0.5 * np.einsum("ak,km,bm->ab", rows, k, rows)
-        joint = np.abs(g) ** 2
-        rk = rows @ k
-        marg_a = 0.25 * np.sum(np.abs(rk) ** 2, axis=1)
-        ck = rows @ k.T
-        marg_b = 0.25 * np.sum(np.abs(ck) ** 2, axis=1)
-        s = (
-            joint[:, None, :, None]
-            - joint[:, None, None, :]
-            + joint[None, :, :, None]
-            + joint[None, :, None, :]
-            - marg_a[None, :, None, None]
-            - marg_b[None, None, :, None]
-        )
-        return s / self.p_total
+        return self.value(*np.ix_(t, t, t, t))
 
 
 def optimize_thetas(
@@ -150,16 +118,15 @@ def optimize_thetas(
     x-z plane, so S = (CHSH - 2) / 4 peaks at the Horodecki optimum for
     coplanar settings, (sqrt(s1^2 + s2^2) - 1) / 2, where s1 and s2 are the
     singular values of the x-z block of the correlation tensor of the
-    normalized state vec(K).  The overlap depends only on the relative plate
-    orientation, so K11 = K22 and K12 = K21, and that block is diag(1, t)
-    with t = (|K11|^2 - |K12|^2) / (|K11|^2 + |K12|^2): its singular vectors
-    are the x and z axes.  The optimal directions are a = z, a' = x and
-    b, b' = cos(psi) x +/- sin(psi) z with psi = atan(t); the direction at
-    angle d from x towards z is splitter angle d / 2 - pi / 4.  The returned
-    S is evaluated at the returned angles.
+    normalized state vec(K).  For the symmetric K of `ChLandscape` that
+    block is diag(1, t) with t = (|k|^2 - |q|^2) / (|k|^2 + |q|^2): its
+    singular vectors are the x and z axes.  The optimal directions are
+    a = z, a' = x and b, b' = cos(psi) x +/- sin(psi) z with psi = atan(t);
+    the direction at angle d from x towards z is splitter angle d / 2 - pi / 4.
+    The returned S is evaluated at the returned angles.
     """
     land = ChLandscape(alpha, beta, step_index)
-    same, opposite = abs(land.k11) ** 2, abs(land.k12) ** 2
+    same, opposite = abs(land.k) ** 2, abs(land.q) ** 2
     psi = math.atan2(same - opposite, same + opposite)
     quarter = math.pi / 4.0
     thetas = tuple(

@@ -123,6 +123,8 @@ def test_mc_zero_trials_exits_2(tmp_path, capsys):
         ({"mc.trials": math.inf}, []),
         ({}, ["--set", "mc.seed=1e400"]),
         ({}, ["--set", "mc.trials=NaN"]),
+        # finite, but beyond the C long that numpy's multinomial takes
+        ({}, ["--set", "mc.trials=1e19"]),
     ],
 )
 def test_non_finite_number_exits_2_without_traceback(tmp_path, tweaks, overrides):
@@ -194,7 +196,11 @@ def test_scan_needs_output_path(tmp_path, capsys):
     assert main(["scan", "--config", _write_config(tmp_path)]) == 2
 
 
-def test_scan_unwritable_path_exits_3(tmp_path, capsys):
+def test_scan_unwritable_path_exits_3(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        pytest.fail("scan computed the landscape before opening its output")
+
+    monkeypatch.setattr("oamch.cli.scan_alpha_beta", never)
     config = _write_config(tmp_path)
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory", encoding="utf-8")

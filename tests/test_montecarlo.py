@@ -31,6 +31,9 @@ def test_mc_config_validation():
         McConfig(trials=10, efficiency_b=1.5)
     with pytest.raises(ValueError):
         McConfig(trials=10, seed=-1)
+    with pytest.raises(ValueError):
+        McConfig(trials=2**63)
+    assert McConfig(trials=2**63 - 1).trials == 2**63 - 1
 
 
 def test_sample_run_is_deterministic():

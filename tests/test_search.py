@@ -40,10 +40,9 @@ def _s_via_ch_parameter(alpha, beta, step, thetas, amplitude_fn=None):
 
 
 def test_landscape_matches_full_evaluation():
+    # general L matters: at half-integer L, Re(k conj(q)) = 0 hides the marginal term
     rng = np.random.default_rng(50)
-    for _ in range(25):
-        alpha, beta = rng.uniform(0.0, TAU, size=2)
-        step = StepIndex.half_integer(int(rng.integers(0, 3)))
+    for alpha, beta, step in _random_points(55, count=26):
         thetas = tuple(rng.uniform(0.0, TAU, size=4))
         land = ChLandscape(alpha, beta, step)
         assert land.value(*thetas) == pytest.approx(
