@@ -189,19 +189,31 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 _CSV_HEADER = "alpha,beta,theta_a,theta_a_prime,theta_b,theta_b_prime,S,exceeds_threshold"
+_ROW_KEYS = ("alpha", "beta", "theta_a", "theta_a_prime", "theta_b", "theta_b_prime", "s",
+             "exceeds_threshold")
 
 
-def _row_dict(row) -> dict:
-    return {
-        "alpha": row.alpha,
-        "beta": row.beta,
-        "theta_a": row.thetas[0],
-        "theta_a_prime": row.thetas[1],
-        "theta_b": row.thetas[2],
-        "theta_b_prime": row.thetas[3],
-        "s": row.s,
-        "exceeds_threshold": row.exceeds_threshold,
-    }
+def _columns(result) -> list:
+    """The scan's columns in CSV order: alpha, beta, the four thetas, S, flag."""
+    return [result.alpha, result.beta, *result.thetas.T, result.s, result.exceeds_threshold]
+
+
+def _row_dicts(result) -> list[dict]:
+    return [dict(zip(_ROW_KEYS, row)) for row in zip(*(c.tolist() for c in _columns(result)))]
+
+
+def _g9_column(values) -> list[str]:
+    """`_g9` of every entry, formatting each distinct value once."""
+    distinct, index = np.unique(values, return_inverse=True)
+    text = np.array([_g9(v) for v in distinct.tolist()], dtype=object)
+    return text[index].tolist()
+
+
+def _csv_lines(result) -> list[str]:
+    *numbers, flags = _columns(result)
+    fields = [_g9_column(c) for c in numbers]
+    fields.append(["true" if f else "false" for f in flags.tolist()])
+    return [_CSV_HEADER] + [",".join(row) for row in zip(*fields)]
 
 
 def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
@@ -216,34 +228,23 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     with open(out_path, "w", encoding="utf-8") as fh:
         result = scan_alpha_beta(grid, settings.step_index)
         if fmt == "json":
-            artifact = _document(
-                "scan",
-                config,
-                {"rows": [_row_dict(r) for r in result.rows], "best": _row_dict(result.best)},
-            )
+            rows = _row_dicts(result)
+            artifact = _document("scan", config, {"rows": rows, "best": rows[result.best]})
             fh.write(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
         else:
-            lines = [_CSV_HEADER]
-            for r in result.rows:
-                lines.append(
-                    ",".join(
-                        [_g9(r.alpha), _g9(r.beta)]
-                        + [_g9(t) for t in r.thetas]
-                        + [_g9(r.s), "true" if r.exceeds_threshold else "false"]
-                    )
-                )
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(_csv_lines(result)) + "\n")
 
+    best = dict(zip(_ROW_KEYS, (c[result.best].item() for c in _columns(result))))
     summary = _document(
         "scan-summary",
         config,
         {
             "artifact": str(out_path),
             "format": fmt,
-            "rows": len(result.rows),
+            "rows": int(result.s.size),
             "threshold": grid.threshold,
-            "exceeding": sum(1 for r in result.rows if r.exceeds_threshold),
-            "best": _row_dict(result.best),
+            "exceeding": int(result.exceeds_threshold.sum()),
+            "best": best,
         },
     )
     sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -3,10 +3,14 @@
 With the plates fixed, two plate overlaps, k = I(alpha, beta) and
 q = I(alpha, beta + pi), fully determine the dependence of every
 coincidence probability on the splitter angles, so S is one closed formula
-in the four angles (`ChLandscape`).  The scan walks an alpha x beta grid;
-the per-point optimum over the splitter angles is exact, read off the x-z
-block of the state's correlation tensor (Horodecki criterion for coplanar
-settings).
+in the four angles (`ChLandscape`).  The per-point optimum over the
+splitter angles is exact, read off the x-z block of the state's
+correlation tensor (Horodecki criterion for coplanar settings).
+
+The landscape, the optimum and the overlaps all take numpy arrays of plate
+angles, so the alpha x beta scan is one array evaluation over the
+flattened grid, and its result is a set of columns (`ScanResult`), not one
+object per point.
 """
 
 from __future__ import annotations
@@ -16,10 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .azimuthal import TAU, StepIndex, overlap_integral, wrap_angle
+from .azimuthal import TAU, StepIndex, overlap_integral
 from .chtest import CANONICAL_THETAS
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
+
+# A scan holds its columns as arrays: alpha, beta, four thetas, S (56 bytes
+# a point) and the flag, and while evaluating, the overlaps k, q (32 bytes)
+# and a few float temporaries; its CSV text adds about 340 bytes a point and
+# its indented JSON about 2.4 kB.  At 2^20 points, 16 times the 256 x 256
+# scan, a CSV scan peaks near 0.4 GB of memory and a JSON scan near 2.5 GB.
+MAX_SCAN_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,9 @@ class ScanGrid:
             if int(value) != value or value < 2:
                 raise ValueError(f"{name} must be an integer >= 2")
             object.__setattr__(self, name, int(value))
+        points = self.alpha_steps * self.beta_steps
+        if points > MAX_SCAN_POINTS:
+            raise ValueError(f"the grid has {points} points; at most {MAX_SCAN_POINTS} (2^20) are allowed")
         if self.theta_policy not in THETA_POLICIES:
             raise ValueError(f"theta_policy must be one of {THETA_POLICIES}, got {self.theta_policy!r}")
         if not math.isfinite(self.threshold):
@@ -44,26 +58,32 @@ class ScanGrid:
         object.__setattr__(self, "threshold", float(self.threshold))
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    alpha: float
-    beta: float
-    thetas: tuple[float, float, float, float]
-    s: float
-    exceeds_threshold: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
-    """All scanned rows in (alpha index, beta index) order, plus the best row."""
+    """The scanned lattice as columns, in (alpha index, beta index) order.
 
-    rows: list[ScanRow]
-    best: ScanRow = field(init=False)
+    Row i has plates alpha[i], beta[i], splitter angles thetas[i] =
+    (theta_a, theta_a', theta_b, theta_b'), S = s[i] and the flag
+    exceeds_threshold[i]; `best` is the index of the first row with the
+    largest S.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    thetas: np.ndarray
+    s: np.ndarray
+    exceeds_threshold: np.ndarray
+    best: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.rows:
+        if self.s.size == 0:
             raise ValueError("scan produced no rows")
-        object.__setattr__(self, "best", max(self.rows, key=lambda r: r.s))
+        object.__setattr__(self, "best", int(np.argmax(self.s)))
+
+
+def _sq_modulus(z):
+    """|z|^2 through hypot, which rounds as CPython's abs(complex) does."""
+    return np.hypot(z.real, z.imag) ** 2
 
 
 class ChLandscape:
@@ -79,21 +99,25 @@ class ChLandscape:
         4 P(t, inf) = 4 P(inf, t) = n - r sin 2t
         4 P(inf, inf) = 2 n
 
-    `value` takes scalars or numpy arrays of angles and broadcasts them.
+    alpha and beta may be numpy arrays; then k, q and `value` hold one entry
+    per plate pair.  `value` takes scalars or numpy arrays of angles and
+    broadcasts them against the plates.
     """
 
-    def __init__(self, alpha: float, beta: float, step_index: StepIndex):
+    def __init__(self, alpha, beta, step_index: StepIndex):
         self.k = overlap_integral(alpha, beta, step_index)
         self.q = overlap_integral(alpha, beta + math.pi, step_index)
 
     def value(self, theta_a, theta_a_prime, theta_b, theta_b_prime):
         k, q = self.k, self.q
 
+        # complex products written in reals, as in `overlap_integral`
         def joint(ta, tb):
-            return abs(k * np.cos(ta - tb) - q * np.sin(ta + tb)) ** 2
+            c, s = np.cos(ta - tb), np.sin(ta + tb)
+            return np.hypot(k.real * c - q.real * s, k.imag * c - q.imag * s) ** 2
 
-        n = abs(k) ** 2 + abs(q) ** 2
-        r = 2.0 * (k * q.conjugate()).real
+        n = _sq_modulus(k) + _sq_modulus(q)
+        r = 2.0 * (k.real * q.real + k.imag * q.imag)
         joints = (
             joint(theta_a, theta_b)
             - joint(theta_a, theta_b_prime)
@@ -109,9 +133,7 @@ class ChLandscape:
         return self.value(*np.ix_(t, t, t, t))
 
 
-def optimize_thetas(
-    alpha: float, beta: float, step_index: StepIndex
-) -> tuple[tuple[float, float, float, float], float]:
+def optimize_thetas(alpha, beta, step_index: StepIndex):
     """Maximum of S over the four splitter angles, in closed form.
 
     Splitter angle t measures the Bloch direction (-sin 2t, cos 2t) in the
@@ -123,41 +145,41 @@ def optimize_thetas(
     singular vectors are the x and z axes.  The optimal directions are
     a = z, a' = x and b, b' = cos(psi) x +/- sin(psi) z with psi = atan(t);
     the direction at angle d from x towards z is splitter angle d / 2 - pi / 4.
-    The returned S is evaluated at the returned angles.
+
+    Returns the angles (theta_a, theta_a', theta_b, theta_b') in [0, 2*pi)
+    and S evaluated at them; alpha and beta may be numpy arrays, and then
+    theta_b, theta_b' and S are arrays too.
     """
     land = ChLandscape(alpha, beta, step_index)
-    same, opposite = abs(land.k) ** 2, abs(land.q) ** 2
-    psi = math.atan2(same - opposite, same + opposite)
+    same, opposite = _sq_modulus(land.k), _sq_modulus(land.q)
+    psi = np.arctan2(same - opposite, same + opposite)
+    # |t| <= 1 puts psi in [-pi/4, pi/4]: the b angles are negative, and
+    # one added turn wraps them into [0, 2*pi) as `wrap_angle` would
     quarter = math.pi / 4.0
-    thetas = tuple(
-        wrap_angle(t) for t in (0.0, -quarter, psi / 2.0 - quarter, -psi / 2.0 - quarter)
-    )
+    thetas = (0.0, TAU - quarter, psi / 2.0 - quarter + TAU, -psi / 2.0 - quarter + TAU)
     return thetas, land.value(*thetas)
 
 
 def scan_alpha_beta(grid: ScanGrid, step_index: StepIndex) -> ScanResult:
     """Evaluate S over the alpha x beta lattice covering [0, 2*pi)^2.
 
-    Rows come out in (alpha index, beta index) order; each is flagged when
-    its S exceeds the grid threshold.
+    The whole lattice is one array evaluation.  Rows come out in
+    (alpha index, beta index) order; each is flagged when its S exceeds the
+    grid threshold.
     """
     alphas = np.linspace(0.0, TAU, grid.alpha_steps, endpoint=False)
     betas = np.linspace(0.0, TAU, grid.beta_steps, endpoint=False)
-    rows = []
-    for a in alphas:
-        for b in betas:
-            if grid.theta_policy == "optimize-per-point":
-                thetas, s = optimize_thetas(float(a), float(b), step_index)
-            else:
-                thetas = CANONICAL_THETAS
-                s = ChLandscape(float(a), float(b), step_index).value(*thetas)
-            rows.append(
-                ScanRow(
-                    alpha=float(a),
-                    beta=float(b),
-                    thetas=tuple(thetas),
-                    s=float(s),
-                    exceeds_threshold=bool(s > grid.threshold),
-                )
-            )
-    return ScanResult(rows=rows)
+    alpha = np.repeat(alphas, grid.beta_steps)
+    beta = np.tile(betas, grid.alpha_steps)
+    if grid.theta_policy == "optimize-per-point":
+        thetas, s = optimize_thetas(alpha, beta, step_index)
+    else:
+        thetas = CANONICAL_THETAS
+        s = ChLandscape(alpha, beta, step_index).value(*thetas)
+    return ScanResult(
+        alpha=alpha,
+        beta=beta,
+        thetas=np.column_stack([np.broadcast_to(t, s.shape) for t in thetas]),
+        s=s,
+        exceeds_threshold=s > grid.threshold,
+    )

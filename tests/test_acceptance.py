@@ -116,12 +116,12 @@ def test_criterion_4_integral_sign_adjudication():
 def test_criterion_5_search_finds_off_diagonal_violations():
     grid = ScanGrid(alpha_steps=33, beta_steps=33, theta_policy="optimize-per-point")
     result = scan_alpha_beta(grid, HALF)
-    hits = [r for r in result.rows if r.alpha != r.beta and r.s > 0.204]
+    hits = result.s[(result.alpha != result.beta) & (result.s > 0.204)]
     assert _report(
         "criterion 5 (off-diagonal violations above 0.204, 33x33 optimized)",
-        len(hits) > 0,
-        f"{len(hits)} off-diagonal rows exceed 0.204; best off-diagonal S = "
-        f"{max((r.s for r in hits), default=float('nan')):.7f}",
+        hits.size > 0,
+        f"{hits.size} off-diagonal rows exceed 0.204; best off-diagonal S = "
+        f"{max(hits, default=float('nan')):.7f}",
     )
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oamch.azimuthal import (
+    MAX_STEP_INDEX,
     TAU,
     StepIndex,
     overlap_integral,
@@ -33,6 +34,21 @@ def test_step_index_rejects_nonpositive():
             StepIndex(bad)
     with pytest.raises(ValueError):
         StepIndex.half_integer(-1)
+
+
+def test_step_index_bound_keeps_closed_form_within_oracle_tolerance():
+    # just below the bound, float64 phases still carry the closed form to 1e-9
+    rng = np.random.default_rng(9)
+    ell = StepIndex(0.999 * MAX_STEP_INDEX)
+    worst = 0.0
+    for _ in range(200):
+        mu, nu = rng.uniform(0.0, TAU, size=2)
+        worst = max(worst, abs(overlap_integral(mu, nu, ell) - overlap_integral_quadrature(mu, nu, ell)))
+    assert worst <= 1e-9
+    assert StepIndex(MAX_STEP_INDEX).value == MAX_STEP_INDEX
+    for beyond in (1.001 * MAX_STEP_INDEX, 1e17, 1e300):
+        with pytest.raises(ValueError, match="step index must be in"):
+            StepIndex(beyond)
 
 
 def test_wrap_angle_basic():
@@ -160,6 +176,24 @@ def test_overlap_periodic_inputs_are_canonicalized():
         assert overlap_integral(mu + TAU, nu, ell) == pytest.approx(
             overlap_integral(mu, nu, ell), abs=1e-12
         )
+
+
+def test_overlap_array_matches_scalar_bit_for_bit():
+    rng = np.random.default_rng(10)
+    for value in (0.3, 0.5, 1.7, 2.5458, 3.5, 7.5, 123.25):
+        ell = StepIndex(value)
+        # angles outside [0, 2*pi), both argument orders
+        mu, nu = rng.uniform(-2.0 * TAU, 3.0 * TAU, size=(2, 400))
+        array = overlap_integral(mu, nu, ell)
+        assert array.shape == (400,)
+        for m, n, z in zip(mu.tolist(), nu.tolist(), array.tolist()):
+            assert z == overlap_integral(m, n, ell)
+    # broadcasting: one scalar against an array, and a 2-d grid
+    rows = np.linspace(0.0, TAU, 3)[:, None]
+    grid = overlap_integral(rows, np.linspace(-1.0, 8.0, 4), HALF)
+    assert grid.shape == (3, 4)
+    assert grid[2, 1] == overlap_integral(float(rows[2, 0]), 2.0, HALF)
+    assert overlap_integral(1.3, np.array([0.2]), HALF)[0] == overlap_integral(1.3, 0.2, HALF)
 
 
 def test_opposite_phase_variant_fails_against_oracle():

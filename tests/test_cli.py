@@ -9,6 +9,8 @@ import pytest
 
 import oamch
 from oamch.cli import main
+from oamch.config import load_config
+from oamch.search import scan_alpha_beta
 
 
 def _write_config(tmp_path, **tweaks):
@@ -128,15 +130,39 @@ def test_mc_zero_trials_exits_2(tmp_path, capsys):
     ],
 )
 def test_non_finite_number_exits_2_without_traceback(tmp_path, tweaks, overrides):
-    config = _write_config(tmp_path, **tweaks)
+    _assert_one_line_config_error(_run_cli("mc", "--config", _write_config(tmp_path, **tweaks), *overrides))
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        # float64 phases L*2*pi carry no significant digits
+        ("probe", ["--set", "experiment.step_index=1e300"]),
+        ("ch", ["--set", "experiment.step_index=1e17"]),
+        # 10^12 grid points; rejected before anything is allocated
+        ("scan", ["--set", "scan.alpha_steps=1000000", "--set", "scan.beta_steps=1000000"]),
+    ],
+)
+def test_out_of_range_input_exits_2_without_traceback(tmp_path, command, overrides):
+    out = tmp_path / "scan.csv"
+    _assert_one_line_config_error(
+        _run_cli(command, "--config", _write_config(tmp_path), "--out", str(out), *overrides)
+    )
+    assert not out.exists()
+
+
+def _run_cli(*argv):
     env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "oamch.cli", "mc", "--config", config, *overrides],
+    return subprocess.run(
+        [sys.executable, "-m", "oamch.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def _assert_one_line_config_error(proc):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error:")
@@ -181,6 +207,25 @@ def test_scan_csv_artifact(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["results"]["rows"] == 25
     assert summary["results"]["best"]["s"] == pytest.approx(0.2071067811865475, abs=1e-9)
+
+
+@pytest.mark.parametrize("policy", ["fixed-canonical", "optimize-per-point"])
+def test_scan_csv_lines_format_the_library_columns(tmp_path, capsys, policy):
+    config = _write_config(
+        tmp_path,
+        **{"scan.alpha_steps": 4, "scan.beta_steps": 6, "scan.theta_policy": policy,
+           "experiment.step_index": 1.7},
+    )
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", config, "--out", str(out)]) == 0
+    loaded = load_config(config)
+    result = scan_alpha_beta(loaded.scan, loaded.experiment.step_index)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 24
+    for i, line in enumerate(lines[1:]):
+        values = [result.alpha[i], result.beta[i], *result.thetas[i], result.s[i]]
+        flag = "true" if result.exceeds_threshold[i] else "false"
+        assert line == ",".join([format(float(v), ".9g") for v in values] + [flag])
 
 
 def test_scan_json_artifact(tmp_path, capsys):

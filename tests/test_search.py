@@ -7,10 +7,10 @@ from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.chtest import CANONICAL_THETAS, MAX_CH_VIOLATION, ChSettings, ch_parameter
 from oamch.coincidence import amplitude_matrix_quadrature
 from oamch.search import (
+    MAX_SCAN_POINTS,
     ChLandscape,
     ScanGrid,
     ScanResult,
-    ScanRow,
     optimize_thetas,
     scan_alpha_beta,
 )
@@ -138,51 +138,88 @@ def test_scan_grid_validation():
         ScanGrid(alpha_steps=4, beta_steps=4, threshold=math.inf)
 
 
+def test_scan_grid_size_is_bounded():
+    assert ScanGrid(alpha_steps=1024, beta_steps=1024).alpha_steps == 1024
+    assert 1024 * 1024 == MAX_SCAN_POINTS
+    for steps in ((1024, 1025), (2, MAX_SCAN_POINTS), (10**9, 10**9)):
+        with pytest.raises(ValueError, match="points"):
+            ScanGrid(alpha_steps=steps[0], beta_steps=steps[1])
+
+
 def test_scan_bookkeeping_2x2():
     result = scan_alpha_beta(ScanGrid(alpha_steps=2, beta_steps=2), HALF)
-    assert len(result.rows) == 4
-    assert [(r.alpha, r.beta) for r in result.rows] == [
+    assert result.s.shape == (4,)
+    assert result.thetas.shape == (4, 4)
+    assert list(zip(result.alpha.tolist(), result.beta.tolist())) == [
         (0.0, 0.0),
         (0.0, math.pi),
         (math.pi, 0.0),
         (math.pi, math.pi),
     ]
-    assert result.best.s == max(r.s for r in result.rows)
+    assert result.s[result.best] == result.s.max()
+
+
+@pytest.mark.parametrize("policy", ["fixed-canonical", "optimize-per-point"])
+@pytest.mark.parametrize("step", [StepIndex(0.5), StepIndex(2.5), StepIndex(1.7), StepIndex(3.21)])
+def test_scan_columns_match_scalar_reference(policy, step):
+    # a non-square grid, so swapping the alpha-major repeat and tile fails
+    grid = ScanGrid(alpha_steps=5, beta_steps=7, theta_policy=policy, threshold=0.1)
+    result = scan_alpha_beta(grid, step)
+    land = ChLandscape(result.alpha, result.beta, step)
+    alphas = np.linspace(0.0, TAU, 5, endpoint=False)
+    betas = np.linspace(0.0, TAU, 7, endpoint=False)
+    rows = [(a, b) for a in alphas.tolist() for b in betas.tolist()]
+    assert list(zip(result.alpha.tolist(), result.beta.tolist())) == rows
+    for i, (a, b) in enumerate(rows):
+        point = ChLandscape(a, b, step)
+        assert (land.k[i], land.q[i]) == (point.k, point.q)
+        if policy == "optimize-per-point":
+            thetas, s = optimize_thetas(a, b, step)
+        else:
+            thetas, s = CANONICAL_THETAS, point.value(*CANONICAL_THETAS)
+        assert tuple(result.thetas[i].tolist()) == tuple(float(t) for t in thetas)
+        assert abs(result.s[i] - s) <= 2e-15
+    np.testing.assert_array_equal(result.exceeds_threshold, result.s > 0.1)
+    assert result.best == int(np.argmax(result.s))
 
 
 def test_scan_diagonal_plateau():
     result = scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=5), HALF)
-    for row in result.rows:
-        assert row.thetas == CANONICAL_THETAS
-        if row.alpha == row.beta:
-            assert row.s == pytest.approx(MAX_CH_VIOLATION, abs=1e-9)
-            assert row.exceeds_threshold
+    assert (result.thetas == np.array(CANONICAL_THETAS)).all()
+    diagonal = result.alpha == result.beta
+    assert diagonal.sum() == 5
+    np.testing.assert_allclose(result.s[diagonal], MAX_CH_VIOLATION, rtol=0.0, atol=1e-9)
+    assert result.exceeds_threshold[diagonal].all()
 
 
 def test_scan_origin_shift_invariance():
     result = scan_alpha_beta(ScanGrid(alpha_steps=3, beta_steps=3), HALF)
     shift = 0.37
-    for row in result.rows:
-        shifted = ChLandscape(row.alpha + shift, row.beta + shift, HALF).value(*row.thetas)
-        assert shifted == pytest.approx(row.s, abs=1e-8)
+    for alpha, beta, thetas, s in zip(result.alpha, result.beta, result.thetas, result.s):
+        shifted = ChLandscape(alpha + shift, beta + shift, HALF).value(*thetas)
+        assert shifted == pytest.approx(s, abs=1e-8)
 
 
 def test_scan_threshold_flags():
     result = scan_alpha_beta(ScanGrid(alpha_steps=4, beta_steps=4, threshold=0.1), HALF)
-    for row in result.rows:
-        assert row.exceeds_threshold == (row.s > 0.1)
+    assert result.exceeds_threshold.dtype == bool
+    np.testing.assert_array_equal(result.exceeds_threshold, result.s > 0.1)
 
 
 def test_scan_reproducibility():
     grid = ScanGrid(alpha_steps=3, beta_steps=4, theta_policy="optimize-per-point")
     first = scan_alpha_beta(grid, HALF)
     second = scan_alpha_beta(grid, HALF)
-    assert first.rows == second.rows
+    for name in ("alpha", "beta", "thetas", "s", "exceeds_threshold"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
     assert first.best == second.best
 
 
 def test_scan_result_requires_rows():
+    empty = np.zeros(0)
     with pytest.raises(ValueError):
-        ScanResult(rows=[])
-    row = ScanRow(alpha=0.0, beta=0.0, thetas=CANONICAL_THETAS, s=0.2, exceeds_threshold=False)
-    assert ScanResult(rows=[row]).best == row
+        ScanResult(alpha=empty, beta=empty, thetas=np.zeros((0, 4)), s=empty, exceeds_threshold=empty > 0)
+    s = np.array([0.1, 0.2, 0.2, -0.3])
+    zeros = np.zeros(4)
+    result = ScanResult(alpha=zeros, beta=zeros, thetas=np.zeros((4, 4)), s=s, exceeds_threshold=s > 0.15)
+    assert result.best == 1
