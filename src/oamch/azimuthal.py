@@ -100,20 +100,23 @@ def wrap_signed(raw: float) -> float:
 
 def _wrap_array(phi) -> np.ndarray:
     ph = np.asarray(phi, dtype=float)
+    if ph.size and 0.0 <= ph.min() and ph.max() < TAU:
+        return ph  # already canonical (quadrature nodes are); np.mod is the slow part
     if not np.all(np.isfinite(ph)):
         raise ValueError("azimuth angles must be finite")
     ph = np.mod(ph, TAU)
     return np.where(ph >= TAU, 0.0, ph)
 
 
-def spp_phase(chi: float, phi, step_index: StepIndex):
+def spp_phase(chi, phi, step_index: StepIndex):
     """Unit-modulus transmission factor of a plate oriented at chi.
 
-    Accepts a scalar or array azimuth phi.  On the dislocation itself
-    (phi == chi exactly) the phi >= chi branch wins, so the factor stays
-    unit-modulus everywhere.
+    chi and phi are scalars or arrays that broadcast against each other,
+    such as a column of n orientations against n rows of azimuths.  On the
+    dislocation itself (phi == chi exactly) the phi >= chi branch wins, so
+    the factor stays unit-modulus everywhere.
     """
-    c = wrap_angle(chi)
+    c = _wrap_array(chi)
     ph = _wrap_array(phi)
     ell = step_index.value
     exponent = ell * (ph - c) + (TAU * ell) * (ph < c)
@@ -176,39 +179,43 @@ _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def gauss_segments(cut_points, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights over [0, 2*pi) split at cut_points.
+    """Gauss-Legendre nodes and weights over [0, 2*pi) split at cut points.
 
-    The cuts are wrapped into [0, 2*pi); every returned node is interior to
-    a segment, so integrands that are smooth between dislocations are seen
-    as smooth everywhere.
+    `cut_points` holds k angles, giving nodes and weights of shape
+    ((k + 1) * order,), or is an array of shape (n, k) whose rows are cut
+    independently, giving shape (n, (k + 1) * order).  The cuts are wrapped
+    into [0, 2*pi) and sorted, so every row has k + 1 segments.  A segment
+    between coincident cuts (equal angles, or a cut at 0) has zero width and
+    zero weight; every node of nonzero weight is interior to a segment, so
+    integrands that are smooth between dislocations are seen as smooth
+    everywhere.
     """
     if order not in _GAUSS_CACHE:
         _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
     base_x, base_w = _GAUSS_CACHE[order]
-    cuts = sorted({0.0, TAU} | {wrap_angle(c) for c in cut_points})
-    nodes = []
-    weights = []
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 0.0:
-            continue
-        half = 0.5 * (b - a)
-        nodes.append(half * base_x + 0.5 * (a + b))
-        weights.append(half * base_w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    cuts = np.sort(_wrap_array(cut_points), axis=-1)
+    rows = cuts.shape[:-1]
+    edges = np.concatenate((np.zeros(rows + (1,)), cuts, np.full(rows + (1,), TAU)), axis=-1)
+    a = edges[..., :-1, np.newaxis]
+    b = edges[..., 1:, np.newaxis]
+    half = 0.5 * (b - a)
+    nodes = half * base_x + 0.5 * (a + b)
+    return nodes.reshape(rows + (-1,)), (half * base_w).reshape(rows + (-1,))
 
 
-def overlap_integral_quadrature(
-    mu: float, nu: float, step_index: StepIndex, order: int = 64
-) -> complex:
+def overlap_integral_quadrature(mu, nu, step_index: StepIndex, order: int = 64):
     """Numerical oracle for `overlap_integral`.
 
     Integrates exp(i*(f(mu, phi) - f(nu, phi))) directly, splitting [0, 2*pi)
     at the two dislocation angles so each Gauss-Legendre panel sees a smooth
-    integrand.  Absolute error is far below 1e-10.
+    integrand.  Absolute error is far below 1e-10.  Scalar mu and nu give a
+    complex; arrays broadcast and give a complex array, each element equal
+    to the scalar call on its pair.
     """
-    m = wrap_angle(mu)
-    n = wrap_angle(nu)
-    x, w = gauss_segments((m, n), order=order)
-    vals = spp_phase(m, x, step_index) * np.conjugate(spp_phase(n, x, step_index))
-    return complex(np.sum(w * vals))
-
+    m, n = np.broadcast_arrays(_wrap_array(mu), _wrap_array(nu))
+    x, w = gauss_segments(np.stack((m, n), axis=-1), order=order)
+    vals = spp_phase(m[..., np.newaxis], x, step_index) * np.conjugate(
+        spp_phase(n[..., np.newaxis], x, step_index)
+    )
+    out = np.sum(w * vals, axis=-1)
+    return complex(out) if out.ndim == 0 else out

@@ -24,7 +24,7 @@ from .coincidence import amplitude_matrix, closed_form_from_settings, normalized
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, load_config
 from .montecarlo import RNG_ALGORITHM, estimate_S, frequency, simulate_ch_runs
 from .search import scan_alpha_beta
-from .validate import SUITE_NAMES, run_suites
+from .validate import SUITE_NAMES, run_suites, select_suites
 
 
 def _g9(x: float) -> str:
@@ -253,12 +253,13 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     names = None
-    if args.suites:
+    if args.suites is not None:
         names = [n.strip() for n in args.suites.split(",") if n.strip()]
     try:
-        results = run_suites(names)
+        select_suites(names)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    results = run_suites(names)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(

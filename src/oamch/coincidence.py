@@ -103,7 +103,11 @@ class ExperimentSettings:
 
 @dataclass(frozen=True)
 class AmplitudeMatrix:
-    """The four complex coincidence amplitudes C_ij."""
+    """The four complex coincidence amplitudes C_ij.
+
+    c has shape (2, 2), or (n, 2, 2) for the quadrature oracle evaluated on
+    a sequence of settings; `p_total` sums over everything it holds.
+    """
 
     c: np.ndarray
 
@@ -145,26 +149,36 @@ def amplitude_matrix(settings: ExperimentSettings, overlap=overlap_integral) -> 
     return AmplitudeMatrix(c=SIGMA * (0.5 * ua @ k @ ub.T))
 
 
-def amplitude_matrix_quadrature(settings: ExperimentSettings, order: int = 64) -> AmplitudeMatrix:
+def amplitude_matrix_quadrature(settings, order: int = 64) -> AmplitudeMatrix:
     """Numerical oracle for `amplitude_matrix`.
 
     Integrates the arm-amplitude products directly over azimuth, splitting
     at the four plate dislocations; shares no code with the closed-form
-    overlap path beyond the phase profile itself.
+    overlap path beyond the phase profile itself.  `settings` is one
+    ExperimentSettings, giving c of shape (2, 2), or a sequence of n of them
+    sharing one step index, giving c of shape (n, 2, 2) whose row r equals
+    the one-settings call on settings r.
     """
-    cfg_a = settings.analyzer_a()
-    cfg_b = settings.analyzer_b()
-    cuts = (
-        cfg_a.plate_orientation,
-        cfg_a.second_plate_orientation,
-        cfg_b.plate_orientation,
-        cfg_b.second_plate_orientation,
-    )
+    rows = (settings,) if isinstance(settings, ExperimentSettings) else tuple(settings)
+    if not rows:
+        raise ValueError("no settings to evaluate")
+    cfg_a = [s.analyzer_a() for s in rows]
+    cfg_b = [s.analyzer_b() for s in rows]
+    cuts = [
+        (
+            a.plate_orientation,
+            a.second_plate_orientation,
+            b.plate_orientation,
+            b.second_plate_orientation,
+        )
+        for a, b in zip(cfg_a, cfg_b)
+    ]
     x, w = gauss_segments(cuts, order=order)
     a = [arm_amplitude(cfg_a, i, x) for i in (1, 2)]
     b = [arm_amplitude(cfg_b, j, x) for j in (1, 2)]
-    g = np.array([[np.sum(w * a[i] * b[j]) for j in (0, 1)] for i in (0, 1)])
-    return AmplitudeMatrix(c=SIGMA * g)
+    g = np.array([[np.sum(w * a[i] * b[j], axis=-1) for j in (0, 1)] for i in (0, 1)])
+    c = SIGMA * np.moveaxis(g, -1, 0)
+    return AmplitudeMatrix(c=c[0] if isinstance(settings, ExperimentSettings) else c)
 
 
 def normalized_amplitudes(m: AmplitudeMatrix) -> NormalizedState:

@@ -66,19 +66,45 @@ def mz_unitary(theta: float, aux_phase_1: float = 0.0, aux_phase_2: float = 0.0)
     return np.array([[p1 * c, -p2 * s], [p1 * s, p2 * c]])
 
 
-def arm_amplitude(cfg: MzConfig, arm: int, phi):
-    """Azimuthal amplitude in output arm 1 or 2 of one analyzer.
+def arm_amplitude(cfg, arm: int, phi):
+    """Azimuthal amplitude in output arm 1 or 2 of one analyzer, or of several.
 
-    Accepts a scalar or array azimuth phi.  The two arm amplitudes always
-    satisfy |A1|^2 + |A2|^2 = 1: a unitary applied to a unit-norm vector.
+    `cfg` is one MzConfig, with phi a scalar or an array of azimuths, or a
+    sequence of n MzConfigs sharing one step index and plate kind, with phi
+    of shape (n, ...) whose row r is seen by analyzer r.  The result has the
+    shape of phi.  The two arm amplitudes always satisfy
+    |A1|^2 + |A2|^2 = 1: a unitary applied to a unit-norm vector.
     """
     if arm not in (1, 2):
         raise ValueError(f"arm must be 1 or 2, got {arm!r}")
-    e1 = spp_phase(cfg.plate_orientation, phi, cfg.step_index)
-    e2 = spp_phase(cfg.second_plate_orientation, phi, cfg.step_index)
-    if cfg.conjugate_plates:
+    if isinstance(cfg, MzConfig):
+        out = arm_amplitude((cfg,), arm, np.asarray(phi, dtype=float)[np.newaxis])[0]
+        return complex(out) if np.ndim(out) == 0 else out
+    first = cfg[0]
+    if any(
+        c.step_index != first.step_index or c.conjugate_plates != first.conjugate_plates
+        for c in cfg
+    ):
+        raise ValueError("analyzers evaluated together must share step index and plate kind")
+    ph = np.asarray(phi, dtype=float)
+    if ph.shape[:1] != (len(cfg),):
+        raise ValueError(f"phi needs one row per analyzer ({len(cfg)}), got shape {ph.shape}")
+    shape = (len(cfg),) + (1,) * (ph.ndim - 1)
+
+    def column(name: str) -> np.ndarray:
+        return np.array([getattr(c, name) for c in cfg]).reshape(shape)
+
+    e1 = spp_phase(column("plate_orientation"), ph, first.step_index)
+    e2 = spp_phase(column("second_plate_orientation"), ph, first.step_index)
+    if first.conjugate_plates:
         e1 = np.conjugate(e1)
         e2 = np.conjugate(e2)
-    u = mz_unitary(cfg.theta, cfg.aux_phase_1, cfg.aux_phase_2)
-    out = (u[arm - 1, 0] * e1 + u[arm - 1, 1] * e2) / _SQRT2
-    return complex(out) if np.ndim(out) == 0 else out
+    # Row arm - 1 of `mz_unitary`, for every analyzer at once.
+    theta = column("theta")
+    p1 = np.exp(1j * column("aux_phase_1"))
+    p2 = np.exp(1j * column("aux_phase_2"))
+    if arm == 1:
+        u1, u2 = p1 * np.cos(theta), -p2 * np.sin(theta)
+    else:
+        u1, u2 = p1 * np.sin(theta), p2 * np.cos(theta)
+    return (u1 * e1 + u2 * e2) / _SQRT2

@@ -8,6 +8,7 @@ from oamch.azimuthal import (
     MAX_STEP_INDEX,
     TAU,
     StepIndex,
+    gauss_segments,
     overlap_integral,
     overlap_integral_opposite_phase,
     overlap_integral_quadrature,
@@ -194,6 +195,37 @@ def test_overlap_array_matches_scalar_bit_for_bit():
     assert grid.shape == (3, 4)
     assert grid[2, 1] == overlap_integral(float(rows[2, 0]), 2.0, HALF)
     assert overlap_integral(1.3, np.array([0.2]), HALF)[0] == overlap_integral(1.3, 0.2, HALF)
+
+
+def test_overlap_quadrature_rows_equal_one_row_calls():
+    rng = np.random.default_rng(11)
+    # degenerate rows among ordinary ones: mu == nu, a half-turn apart,
+    # cuts at 0 and 2*pi, both cuts at 0, angles outside [0, 2*pi)
+    mu = [1.3, 0.4 + math.pi, 0.0, TAU, 0.0, -1.0, 2.0, *rng.uniform(0.0, TAU, size=9)]
+    nu = [1.3, 0.4, 2.0, 1.0, 0.0, 7.5, 0.5, *rng.uniform(0.0, TAU, size=9)]
+    for ell in (HALF, StepIndex(2.5), StepIndex(1.7)):
+        rows = overlap_integral_quadrature(np.array(mu), np.array(nu), ell)
+        assert rows.shape == (16,)
+        for m, n, z in zip(mu, nu, rows.tolist()):
+            assert z == overlap_integral_quadrature(m, n, ell)
+            assert abs(z - overlap_integral(m, n, ell)) <= 1e-9
+        grid = overlap_integral_quadrature(np.reshape(mu, (4, 4)), np.reshape(nu, (4, 4)), ell)
+        assert np.array_equal(grid, rows.reshape(4, 4))
+        column = overlap_integral_quadrature(0.3, np.array(nu), ell)
+        assert column.tolist() == [overlap_integral_quadrature(0.3, n, ell) for n in nu]
+
+
+def test_gauss_segments_rows_give_coincident_cuts_zero_weight():
+    cuts = np.array([[1.0, 2.0], [1.0, 1.0], [0.0, 3.0], [TAU, -1.0]])
+    x, w = gauss_segments(cuts, order=8)
+    assert x.shape == w.shape == (4, 24)
+    for row, (xr, wr) in enumerate(zip(x, w)):
+        x1, w1 = gauss_segments(cuts[row], order=8)
+        assert np.array_equal(xr, x1) and np.array_equal(wr, w1)
+        assert wr.sum() == pytest.approx(TAU, abs=1e-13)
+        assert np.all((0.0 <= xr) & (xr < TAU))
+    # a coincident pair and a cut at 0 each leave one empty segment
+    assert np.count_nonzero(w[1]) == 16 and np.count_nonzero(w[2]) == 16
 
 
 def test_opposite_phase_variant_fails_against_oracle():

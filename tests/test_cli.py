@@ -271,3 +271,20 @@ def test_validate_suite_filter(capsys):
 
 def test_validate_unknown_suite_exits_2(capsys):
     assert main(["validate", "--suites", "nonsense"]) == 2
+
+
+@pytest.mark.parametrize("selection", [",", "", " , "])
+def test_validate_empty_selection_exits_2(selection):
+    # a validation that checked nothing must not report success
+    proc = _run_cli("validate", "--suites", selection)
+    _assert_one_line_config_error(proc)
+    assert proc.stdout == ""
+
+
+def test_validate_suite_value_error_is_not_a_config_error(monkeypatch):
+    def broken_suite():
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("oamch.validate.run_azimuthal_suite", broken_suite)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["validate", "--suites", "azimuthal"])

@@ -96,6 +96,33 @@ def test_amplitude_oracle_equivalence_general_step_index():
         )
 
 
+def test_amplitude_quadrature_rows_equal_one_row_calls():
+    rng = np.random.default_rng(23)
+    for step in (HALF, StepIndex(1.5), StepIndex(2.3)):
+        rows = [
+            _settings(alpha=1.1, beta=1.1, theta_a=0.9, theta_b=2.2, step=step),  # aligned
+            _settings(alpha=0.4 + math.pi, beta=0.4, theta_a=0.3, step=step),  # half-turn
+            _settings(alpha=0.0, beta=2.0, theta_b=1.0, step=step),  # a cut at 0
+            _settings(alpha=TAU, beta=math.pi, step=step),  # cuts at 0 and pi twice
+            _settings(alpha=0.7, beta=0.2, step=step, aux=(0.3, 1.9, 4.0, 5.5)),
+            *(
+                _settings(*rng.uniform(0.0, TAU, size=4), step=step, aux=tuple(aux))
+                for aux in rng.uniform(0.0, TAU, size=(5, 4)) * [[0], [1], [0], [1], [1]]
+            ),
+        ]
+        c = amplitude_matrix_quadrature(rows).c
+        assert c.shape == (10, 2, 2)
+        for s, ci in zip(rows, c):
+            one = amplitude_matrix_quadrature(s).c
+            assert one.shape == (2, 2)
+            assert np.array_equal(ci, one)
+            np.testing.assert_allclose(ci, amplitude_matrix(s).c, atol=1e-9)
+    with pytest.raises(ValueError, match="share"):
+        amplitude_matrix_quadrature([_settings(step=HALF), _settings(step=StepIndex(1.5))])
+    with pytest.raises(ValueError, match="no settings"):
+        amplitude_matrix_quadrature([])
+
+
 def test_marginals_do_not_depend_on_far_splitter():
     rng = np.random.default_rng(22)
     s0 = _random_settings(rng)

@@ -95,3 +95,24 @@ def test_quarter_turn_swaps_columns_with_sign():
 def test_arm_index_validation():
     with pytest.raises(ValueError):
         arm_amplitude(_cfg(), 3, 0.1)
+
+
+def test_arm_amplitude_rows_equal_one_analyzer_calls():
+    rng = np.random.default_rng(12)
+    cfgs = [
+        _cfg(
+            plate_orientation=chi, theta=theta, aux_phase_1=p1, aux_phase_2=p2, conjugate_plates=True
+        )
+        for chi, theta, p1, p2 in rng.uniform(0.0, TAU, size=(5, 4))
+    ]
+    phis = rng.uniform(0.0, TAU, size=(5, 12))
+    for arm in (1, 2):
+        rows = arm_amplitude(cfgs, arm, phis)
+        assert rows.shape == (5, 12)
+        for cfg, phi, row in zip(cfgs, phis, rows):
+            assert np.array_equal(row, arm_amplitude(cfg, arm, phi))
+    assert isinstance(arm_amplitude(cfgs[0], 1, 0.1), complex)
+    with pytest.raises(ValueError, match="share"):
+        arm_amplitude([_cfg(), _cfg(step_index=StepIndex(1.5))], 1, phis[:2])
+    with pytest.raises(ValueError, match="one row per analyzer"):
+        arm_amplitude(cfgs, 1, phis[:3])

@@ -35,6 +35,7 @@ def _run(argv, cwd):
     [
         ["scan", "--config", "config.json", "--out", "scan.json", "--format", "json"],
         ["ch", "--config", "config.json"],
+        ["validate", "--suites", "azimuthal,appendix-a"],
     ],
 )
 def test_traced_run_matches_untraced(tmp_path, command):
@@ -45,4 +46,13 @@ def test_traced_run_matches_untraced(tmp_path, command):
     assert traced.returncode == 0, traced.stderr
     assert traced.stdout == plain.stdout
     stats = json.loads((tmp_path / "stats.json").read_text(encoding="utf-8"))
-    assert stats["config.load_config"]["calls"] == 1
+    assert stats["cli.render"]["calls"] == 1
+    # validate reads no config; its oracles are called through traced names
+    if command[0] == "validate":
+        assert stats["config.load_config"]["calls"] == 0
+        for layer in ("validate.azimuthal", "validate.appendix-a"):
+            assert stats[layer]["calls"] == 1
+        for layer in ("azimuthal.overlap_integral_quadrature", "coincidence.amplitude_matrix_quadrature"):
+            assert stats[layer]["calls"] > 0
+    else:
+        assert stats["config.load_config"]["calls"] == 1

@@ -1,5 +1,6 @@
 import pytest
 
+import oamch.validate
 from oamch.azimuthal import overlap_integral_opposite_phase
 from oamch.validate import (
     SUITE_NAMES,
@@ -23,6 +24,8 @@ def test_suite_filtering_keeps_canonical_order():
     assert [r.name for r in results] == ["azimuthal", "sign-check"]
     with pytest.raises(ValueError, match="nonsense"):
         run_suites(["nonsense"])
+    with pytest.raises(ValueError, match="no suite selected"):
+        run_suites([])
 
 
 def test_sign_suite_records_both_errors():
@@ -54,3 +57,13 @@ def test_closed_form_suite_tightness():
     result = run_closed_form_suite(samples=100)
     assert result.passed
     assert result.max_error < 1e-10
+
+
+@pytest.mark.parametrize(
+    "suite", [run_azimuthal_suite, run_coincidence_suite, run_closed_form_suite, run_sign_suite]
+)
+def test_suite_results_do_not_depend_on_oracle_block(monkeypatch, suite):
+    # one sample per block is the sample-by-sample evaluation
+    blocked = suite(samples=40)
+    monkeypatch.setattr(oamch.validate, "ORACLE_BLOCK", 1)
+    assert suite(samples=40) == blocked
