@@ -6,13 +6,14 @@ runs), `scan` (the alpha-beta violation landscape), and `validate` (the
 analytic-vs-quadrature suites).  Every command is deterministic given its
 full config, including the seed.
 
-Exit codes: 0 success, 1 assertion or suite failure, 2 config error,
-3 output I/O error.
+Exit codes: 0 success, 1 assertion or suite failure or an `mc` run without
+coincidences, 2 config error, 3 output I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,13 @@ import numpy as np
 from .chtest import ch_parameter, ch_violated
 from .coincidence import amplitude_matrix, closed_form_from_settings, normalized_amplitudes
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, load_config
-from .montecarlo import RNG_ALGORITHM, estimate_S, frequency, simulate_ch_runs
+from .montecarlo import (
+    RNG_ALGORITHM,
+    InsufficientStatisticsError,
+    estimate_S,
+    frequency,
+    simulate_ch_runs,
+)
 from .search import scan_alpha_beta
 from .validate import SUITE_NAMES, run_suites, select_suites
 
@@ -191,6 +198,12 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
 _CSV_HEADER = "alpha,beta,theta_a,theta_a_prime,theta_b,theta_b_prime,S,exceeds_threshold"
 _ROW_KEYS = ("alpha", "beta", "theta_a", "theta_a_prime", "theta_b", "theta_b_prime", "s",
              "exceeds_threshold")
+# One row of the JSON artifact as `json.dumps(indent=2, sort_keys=True)`
+# writes it inside `results.rows`.
+_JSON_ROW = "      {\n" + ",\n".join(f'        "{k}": %s' for k in sorted(_ROW_KEYS)) + "\n      }"
+# Rows a writer formats and writes at a time.
+_CHUNK_ROWS = 4096
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _columns(result) -> list:
@@ -198,22 +211,59 @@ def _columns(result) -> list:
     return [result.alpha, result.beta, *result.thetas.T, result.s, result.exceeds_threshold]
 
 
-def _row_dicts(result) -> list[dict]:
-    return [dict(zip(_ROW_KEYS, row)) for row in zip(*(c.tolist() for c in _columns(result)))]
+def _json_float(x: float) -> str:
+    """A float as `json.dumps` writes it."""
+    text = repr(x)
+    return _JSON_NONFINITE.get(text, text)
 
 
-def _g9_column(values) -> list[str]:
-    """`_g9` of every entry, formatting each distinct value once."""
-    distinct, index = np.unique(values, return_inverse=True)
-    text = np.array([_g9(v) for v in distinct.tolist()], dtype=object)
+def _format_column(values, fmt) -> list[str]:
+    """`fmt` of every float entry, formatting each distinct value once.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    text = np.array([fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
     return text[index].tolist()
 
 
-def _csv_lines(result) -> list[str]:
+def _fields(result, fmt) -> list[list[str]]:
+    """The text of every cell, column by column in CSV order."""
     *numbers, flags = _columns(result)
-    fields = [_g9_column(c) for c in numbers]
+    fields = [_format_column(c, fmt) for c in numbers]
     fields.append(["true" if f else "false" for f in flags.tolist()])
-    return [_CSV_HEADER] + [",".join(row) for row in zip(*fields)]
+    return fields
+
+
+def _write_joined(fh, texts, sep: str) -> None:
+    """Write `sep.join(texts)`, taking `_CHUNK_ROWS` texts at a time from an iterator."""
+    lead = ""
+    while chunk := list(itertools.islice(texts, _CHUNK_ROWS)):
+        fh.write(lead + sep.join(chunk))
+        lead = sep
+
+
+def _write_csv_scan(fh, result) -> None:
+    fh.write(_CSV_HEADER + "\n")
+    _write_joined(fh, (",".join(row) for row in zip(*_fields(result, _g9))), "\n")
+    fh.write("\n")
+
+
+def _write_json_scan(fh, config: RunConfig, result, best: dict) -> None:
+    """Write the artifact `json.dumps(document, indent=2, sort_keys=True)` gives.
+
+    The head and tail come from `json.dumps` of the document with no rows;
+    the rows are filled into `_JSON_ROW` and streamed, so the whole text is
+    never held in memory.
+    """
+    empty = json.dumps(_document("scan", config, {"rows": [], "best": best}), indent=2, sort_keys=True)
+    head, tail = empty.rsplit('"rows": []', 1)
+    by_key = dict(zip(_ROW_KEYS, _fields(result, _json_float)))
+    rows = zip(*(by_key[k] for k in sorted(_ROW_KEYS)))
+    fh.write(head + '"rows": [\n')
+    _write_joined(fh, (_JSON_ROW % row for row in rows), ",\n")
+    fh.write("\n    ]" + tail + "\n")
 
 
 def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
@@ -227,14 +277,12 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     # open first, so an unwritable path fails before the landscape is computed
     with open(out_path, "w", encoding="utf-8") as fh:
         result = scan_alpha_beta(grid, settings.step_index)
+        best = dict(zip(_ROW_KEYS, (c[result.best].item() for c in _columns(result))))
         if fmt == "json":
-            rows = _row_dicts(result)
-            artifact = _document("scan", config, {"rows": rows, "best": rows[result.best]})
-            fh.write(json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+            _write_json_scan(fh, config, result, best)
         else:
-            fh.write("\n".join(_csv_lines(result)) + "\n")
+            _write_csv_scan(fh, result)
 
-    best = dict(zip(_ROW_KEYS, (c[result.best].item() for c in _columns(result))))
     summary = _document(
         "scan-summary",
         config,
@@ -343,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except InsufficientStatisticsError as exc:
+        print(f"insufficient statistics: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3

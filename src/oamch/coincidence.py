@@ -174,8 +174,8 @@ def amplitude_matrix_quadrature(settings, order: int = 64) -> AmplitudeMatrix:
         for a, b in zip(cfg_a, cfg_b)
     ]
     x, w = gauss_segments(cuts, order=order)
-    a = [arm_amplitude(cfg_a, i, x) for i in (1, 2)]
-    b = [arm_amplitude(cfg_b, j, x) for j in (1, 2)]
+    a = arm_amplitude(cfg_a, x)
+    b = arm_amplitude(cfg_b, x)
     g = np.array([[np.sum(w * a[i] * b[j], axis=-1) for j in (0, 1)] for i in (0, 1)])
     c = SIGMA * np.moveaxis(g, -1, 0)
     return AmplitudeMatrix(c=c[0] if isinstance(settings, ExperimentSettings) else c)

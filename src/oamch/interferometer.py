@@ -66,20 +66,21 @@ def mz_unitary(theta: float, aux_phase_1: float = 0.0, aux_phase_2: float = 0.0)
     return np.array([[p1 * c, -p2 * s], [p1 * s, p2 * c]])
 
 
-def arm_amplitude(cfg, arm: int, phi):
-    """Azimuthal amplitude in output arm 1 or 2 of one analyzer, or of several.
+def arm_amplitude(cfg, phi):
+    """Azimuthal amplitudes (A1, A2) in output arms 1 and 2 of one analyzer, or of several.
 
     `cfg` is one MzConfig, with phi a scalar or an array of azimuths, or a
     sequence of n MzConfigs sharing one step index and plate kind, with phi
-    of shape (n, ...) whose row r is seen by analyzer r.  The result has the
-    shape of phi.  The two arm amplitudes always satisfy
-    |A1|^2 + |A2|^2 = 1: a unitary applied to a unit-norm vector.
+    of shape (n, ...) whose row r is seen by analyzer r.  Each arm has the
+    shape of phi; both come from one evaluation of the two plate phases.
+    The two arm amplitudes always satisfy |A1|^2 + |A2|^2 = 1: a unitary
+    applied to a unit-norm vector.
     """
-    if arm not in (1, 2):
-        raise ValueError(f"arm must be 1 or 2, got {arm!r}")
     if isinstance(cfg, MzConfig):
-        out = arm_amplitude((cfg,), arm, np.asarray(phi, dtype=float)[np.newaxis])[0]
-        return complex(out) if np.ndim(out) == 0 else out
+        a1, a2 = arm_amplitude((cfg,), np.asarray(phi, dtype=float)[np.newaxis])
+        if a1.ndim == 1:
+            return complex(a1[0]), complex(a2[0])
+        return a1[0], a2[0]
     first = cfg[0]
     if any(
         c.step_index != first.step_index or c.conjugate_plates != first.conjugate_plates
@@ -99,12 +100,9 @@ def arm_amplitude(cfg, arm: int, phi):
     if first.conjugate_plates:
         e1 = np.conjugate(e1)
         e2 = np.conjugate(e2)
-    # Row arm - 1 of `mz_unitary`, for every analyzer at once.
+    # The two rows of `mz_unitary`, for every analyzer at once.
     theta = column("theta")
+    cos, sin = np.cos(theta), np.sin(theta)
     p1 = np.exp(1j * column("aux_phase_1"))
     p2 = np.exp(1j * column("aux_phase_2"))
-    if arm == 1:
-        u1, u2 = p1 * np.cos(theta), -p2 * np.sin(theta)
-    else:
-        u1, u2 = p1 * np.sin(theta), p2 * np.cos(theta)
-    return (u1 * e1 + u2 * e2) / _SQRT2
+    return (p1 * cos * e1 - p2 * sin * e2) / _SQRT2, (p1 * sin * e1 + p2 * cos * e2) / _SQRT2

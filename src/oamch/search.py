@@ -27,9 +27,10 @@ THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 
 # A scan holds its columns as arrays: alpha, beta, four thetas, S (56 bytes
 # a point) and the flag, and while evaluating, the overlaps k, q (32 bytes)
-# and a few float temporaries; its CSV text adds about 340 bytes a point and
-# its indented JSON about 2.4 kB.  At 2^20 points, 16 times the 256 x 256
-# scan, a CSV scan peaks near 0.4 GB of memory and a JSON scan near 2.5 GB.
+# and a few float temporaries.  Both writers add one list of cell texts per
+# column and stream their rows to the file.  At 2^20 points, 16 times the
+# 256 x 256 scan, a CSV scan takes 1.0 s and a JSON scan 1.7 s, and both
+# peak near 0.19 GB of memory (Python 3.11, numpy 2.4, x86-64).
 MAX_SCAN_POINTS = 2**20
 
 

@@ -154,7 +154,8 @@ def test_criterion_7_property_suites():
             aux_phase_2=rng.uniform(0.0, TAU),
             conjugate_plates=bool(rng.integers(0, 2)),
         )
-        norm = np.abs(arm_amplitude(cfg, 1, phis)) ** 2 + np.abs(arm_amplitude(cfg, 2, phis)) ** 2
+        a1, a2 = arm_amplitude(cfg, phis)
+        norm = np.abs(a1) ** 2 + np.abs(a2) ** 2
         worst = max(worst, float(np.max(np.abs(norm - 1.0))))
     checks["arm-norm"] = worst <= 1e-12
 

@@ -119,6 +119,18 @@ def test_mc_zero_trials_exits_2(tmp_path, capsys):
     assert main(["mc", "--config", config]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_mc_without_coincidences_exits_1_with_one_line(tmp_path, capsys, fmt):
+    # a valid config whose three trials per run record no coincidence at all
+    config = _write_config(tmp_path)
+    argv = ["mc", "--config", config, "--format", fmt, "--set", "mc.trials=3",
+            "--set", "mc.efficiency_a=0.3", "--set", "mc.efficiency_b=0.3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "insufficient statistics: no coincidences in any run; cannot estimate S\n"
+
+
 @pytest.mark.parametrize(
     "tweaks, overrides",
     [

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oamch.azimuthal import TAU, StepIndex
+from oamch import interferometer
+from oamch.azimuthal import TAU, StepIndex, spp_phase
 from oamch.coincidence import (
     AmplitudeMatrix,
     DegenerateStateError,
@@ -121,6 +122,21 @@ def test_amplitude_quadrature_rows_equal_one_row_calls():
         amplitude_matrix_quadrature([_settings(step=HALF), _settings(step=StepIndex(1.5))])
     with pytest.raises(ValueError, match="no settings"):
         amplitude_matrix_quadrature([])
+
+
+def test_amplitude_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
+    # two analyzers with two plates each: four phase profiles per block
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return spp_phase(*args)
+
+    monkeypatch.setattr(interferometer, "spp_phase", counting)
+    rng = np.random.default_rng(24)
+    block = [_settings(*rng.uniform(0.0, TAU, size=4), step=StepIndex(1.7)) for _ in range(8)]
+    amplitude_matrix_quadrature(block)
+    assert len(calls) == 4
 
 
 def test_marginals_do_not_depend_on_far_splitter():

@@ -49,14 +49,14 @@ def test_arm_amplitude_passthrough_at_zero_theta():
     cfg = _cfg()
     phis = np.linspace(0.0, TAU, 40, endpoint=False)
     expected = spp_phase(cfg.plate_orientation, phis, HALF) / SQRT2
-    np.testing.assert_allclose(arm_amplitude(cfg, 1, phis), expected, atol=1e-14)
+    np.testing.assert_allclose(arm_amplitude(cfg, phis)[0], expected, atol=1e-14)
 
 
 def test_arm_amplitude_conjugate_plates_negate_phase():
     cfg = _cfg(conjugate_plates=True)
     phis = np.linspace(0.0, TAU, 40, endpoint=False)
     expected = np.conjugate(spp_phase(cfg.plate_orientation, phis, HALF)) / SQRT2
-    np.testing.assert_allclose(arm_amplitude(cfg, 1, phis), expected, atol=1e-14)
+    np.testing.assert_allclose(arm_amplitude(cfg, phis)[0], expected, atol=1e-14)
 
 
 def test_arm_norm_conservation():
@@ -71,7 +71,8 @@ def test_arm_norm_conservation():
             aux_phase_2=rng.uniform(0.0, TAU),
             conjugate_plates=bool(rng.integers(0, 2)),
         )
-        norm = np.abs(arm_amplitude(cfg, 1, phis)) ** 2 + np.abs(arm_amplitude(cfg, 2, phis)) ** 2
+        a1, a2 = arm_amplitude(cfg, phis)
+        norm = np.abs(a1) ** 2 + np.abs(a2) ** 2
         np.testing.assert_allclose(norm, 1.0, atol=1e-12)
 
 
@@ -79,22 +80,30 @@ def test_arm_amplitude_theta_periodicity():
     # exact equality is unattainable: theta + 2*pi already rounds in floats
     phis = np.linspace(0.0, TAU, 16, endpoint=False)
     for theta in (0.0, 0.5, 2.9):
-        a = arm_amplitude(_cfg(theta=theta), 1, phis)
-        b = arm_amplitude(_cfg(theta=theta + TAU), 1, phis)
+        a = arm_amplitude(_cfg(theta=theta), phis)
+        b = arm_amplitude(_cfg(theta=theta + TAU), phis)
         np.testing.assert_allclose(a, b, atol=1e-14)
 
 
 def test_quarter_turn_swaps_columns_with_sign():
     phis = np.linspace(0.0, TAU, 32, endpoint=False)
     kw = dict(aux_phase_1=0.3, aux_phase_2=1.1)
-    arm1_quarter = arm_amplitude(_cfg(theta=math.pi / 2, **kw), 1, phis)
-    arm2_zero = arm_amplitude(_cfg(theta=0.0, **kw), 2, phis)
+    arm1_quarter = arm_amplitude(_cfg(theta=math.pi / 2, **kw), phis)[0]
+    arm2_zero = arm_amplitude(_cfg(theta=0.0, **kw), phis)[1]
     np.testing.assert_allclose(arm1_quarter, -arm2_zero, atol=1e-14)
 
 
-def test_arm_index_validation():
-    with pytest.raises(ValueError):
-        arm_amplitude(_cfg(), 3, 0.1)
+def test_arm_amplitudes_are_the_splitter_rows_on_the_plate_phases():
+    phis = np.linspace(0.0, TAU, 24, endpoint=False)
+    for conjugate in (False, True):
+        cfg = _cfg(theta=0.7, aux_phase_1=0.3, aux_phase_2=1.1, conjugate_plates=conjugate)
+        plates = np.array(
+            [spp_phase(chi, phis, HALF) for chi in (cfg.plate_orientation, cfg.second_plate_orientation)]
+        )
+        if conjugate:
+            plates = np.conjugate(plates)
+        expected = mz_unitary(cfg.theta, cfg.aux_phase_1, cfg.aux_phase_2) @ plates / SQRT2
+        np.testing.assert_allclose(np.array(arm_amplitude(cfg, phis)), expected, atol=1e-14)
 
 
 def test_arm_amplitude_rows_equal_one_analyzer_calls():
@@ -106,13 +115,15 @@ def test_arm_amplitude_rows_equal_one_analyzer_calls():
         for chi, theta, p1, p2 in rng.uniform(0.0, TAU, size=(5, 4))
     ]
     phis = rng.uniform(0.0, TAU, size=(5, 12))
-    for arm in (1, 2):
-        rows = arm_amplitude(cfgs, arm, phis)
+    arms = arm_amplitude(cfgs, phis)
+    for arm, rows in enumerate(arms):
         assert rows.shape == (5, 12)
         for cfg, phi, row in zip(cfgs, phis, rows):
-            assert np.array_equal(row, arm_amplitude(cfg, arm, phi))
-    assert isinstance(arm_amplitude(cfgs[0], 1, 0.1), complex)
+            assert np.array_equal(row, arm_amplitude(cfg, phi)[arm])
+    assert all(isinstance(a, complex) for a in arm_amplitude(cfgs[0], 0.1))
     with pytest.raises(ValueError, match="share"):
-        arm_amplitude([_cfg(), _cfg(step_index=StepIndex(1.5))], 1, phis[:2])
+        arm_amplitude([_cfg(), _cfg(step_index=StepIndex(1.5))], phis[:2])
+    with pytest.raises(ValueError, match="share"):
+        arm_amplitude([_cfg(), _cfg(conjugate_plates=True)], phis[:2])
     with pytest.raises(ValueError, match="one row per analyzer"):
-        arm_amplitude(cfgs, 1, phis[:3])
+        arm_amplitude(cfgs, phis[:3])

@@ -1,0 +1,127 @@
+"""Property tests: block evaluation and streamed output equal their plain paths.
+
+Hypothesis runs derandomized with a fixed example budget, so the examples
+are the same on every run and the suite stays deterministic.
+"""
+
+import contextlib
+import io
+import json
+import math
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oamch import cli
+from oamch.azimuthal import TAU, StepIndex
+from oamch.cli import _document, _format_column, _g9, _json_float, main
+from oamch.coincidence import ExperimentSettings, amplitude_matrix_quadrature
+from oamch.config import load_config
+from oamch.search import THETA_POLICIES, scan_alpha_beta
+
+PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+ROW_KEYS = ("alpha", "beta", "theta_a", "theta_a_prime", "theta_b", "theta_b_prime", "s",
+            "exceeds_threshold")
+
+# cuts at 0, at the quarter turns and at 2*pi, where segments collapse
+ANGLES = st.one_of(
+    st.sampled_from((0.0, math.pi / 2, math.pi, 3 * math.pi / 2, TAU)),
+    st.floats(0.0, TAU),
+)
+STEP_VALUES = st.one_of(st.integers(0, 7).map(lambda l: l + 0.5), st.floats(0.05, 10.0))
+
+
+@st.composite
+def _experiment(draw, step: StepIndex) -> ExperimentSettings:
+    alpha = draw(ANGLES)
+    # beta on alpha or a half-turn from it makes the two analyzers' cuts coincide
+    beta = draw(st.one_of(ANGLES, st.sampled_from((alpha, alpha + math.pi))))
+    aux = draw(st.one_of(st.just((0.0,) * 4), st.tuples(ANGLES, ANGLES, ANGLES, ANGLES)))
+    return ExperimentSettings(alpha, beta, draw(ANGLES), draw(ANGLES), step, aux)
+
+
+@st.composite
+def _blocks(draw) -> list:
+    step = StepIndex(draw(STEP_VALUES))
+    return draw(st.lists(_experiment(step), min_size=1, max_size=8))
+
+
+@PROFILE
+@given(_blocks())
+def test_block_oracle_rows_equal_one_row_calls(block):
+    c = amplitude_matrix_quadrature(block).c
+    assert c.shape == (len(block), 2, 2)
+    for s, row in zip(block, c):
+        assert np.array_equal(row, amplitude_matrix_quadrature(s).c)
+
+
+@PROFILE
+@given(st.lists(st.one_of(st.floats(), st.sampled_from((0.0, -0.0, math.nan, math.inf))), min_size=1))
+def test_column_cells_equal_per_value_formatting(values):
+    column = np.array(values, dtype=float)
+    assert _format_column(column, _json_float) == [json.dumps(v) for v in values]
+    assert _format_column(column, _g9) == [format(v, ".9g") for v in values]
+
+
+def _whole_text_artifacts(config) -> tuple[str, str]:
+    """The CSV and JSON scan artifacts formatted value by value and written whole."""
+    result = scan_alpha_beta(config.scan, config.experiment.step_index)
+    columns = [result.alpha, result.beta, *result.thetas.T, result.s, result.exceeds_threshold]
+    rows = [dict(zip(ROW_KEYS, row)) for row in zip(*(c.tolist() for c in columns))]
+    csv_lines = ["alpha,beta,theta_a,theta_a_prime,theta_b,theta_b_prime,S,exceeds_threshold"]
+    for row in rows:
+        *numbers, flag = row.values()
+        csv_lines.append(",".join([format(v, ".9g") for v in numbers] + [json.dumps(flag)]))
+    doc = _document("scan", config, {"rows": rows, "best": rows[result.best]})
+    return "\n".join(csv_lines) + "\n", json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _scan_config(path, alpha_steps, beta_steps, policy, step_index, threshold) -> str:
+    raw = {
+        "schema_version": 1,
+        "experiment": {"alpha": 0.0, "beta": 0.0, "theta_a": 0.0, "theta_b": 0.0,
+                       "step_index": step_index},
+        "scan": {"alpha_steps": alpha_steps, "beta_steps": beta_steps, "theta_policy": policy,
+                 "threshold": threshold},
+    }
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
+
+
+def _streamed_artifacts(config_path, tmp) -> tuple[str, str]:
+    texts = []
+    for fmt in ("csv", "json"):
+        out = tmp / f"scan.{fmt}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["scan", "--config", config_path, "--out", str(out), "--format", fmt]) == 0
+        texts.append(out.read_text(encoding="utf-8"))
+    return tuple(texts)
+
+
+def test_scan_artifacts_equal_whole_text_writers(tmp_path, monkeypatch):
+    # five rows a chunk splits the 24 rows into uneven chunks
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
+    config = _scan_config(tmp_path / "config.json", 4, 6, "optimize-per-point", 1.7321, 0.1)
+    assert _streamed_artifacts(config, tmp_path) == _whole_text_artifacts(load_config(config))
+
+
+@PROFILE
+@given(
+    alpha_steps=st.integers(2, 6),
+    beta_steps=st.integers(2, 6),
+    policy=st.sampled_from(THETA_POLICIES),
+    step_index=STEP_VALUES,
+    threshold=st.floats(-1.0, 1.0),
+    chunk=st.integers(1, 8),
+)
+def test_streamed_scan_artifacts_equal_whole_text_writers(
+    tmp_path_factory, alpha_steps, beta_steps, policy, step_index, threshold, chunk
+):
+    tmp = tmp_path_factory.mktemp("scan")
+    config = _scan_config(tmp / "config.json", alpha_steps, beta_steps, policy, step_index, threshold)
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+        streamed = _streamed_artifacts(config, tmp)
+    assert streamed == _whole_text_artifacts(load_config(config))
