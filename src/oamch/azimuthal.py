@@ -31,8 +31,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
-import numpy as np
+from ._np import np
 
 TAU = 2.0 * math.pi
 
@@ -127,20 +128,20 @@ def spp_phase(chi, phi, step_index: StepIndex):
 def overlap_integral(mu, nu, step_index: StepIndex):
     """Closed form of the full-turn overlap of two plate phase profiles.
 
-    Conjugate-symmetric by construction: the mu < nu branch returns the
-    conjugate of the swapped call.  If mu or nu is a numpy array, the
-    arguments broadcast and the result is a complex array, equal bit for
-    bit to the scalar call at each point.
+    Conjugate-symmetric by construction: the mu < nu branch is the
+    conjugate of the swapped call.  Real mu and nu (numpy scalars included)
+    give a complex from `math`/`cmath` alone; otherwise the arguments are
+    numpy arrays that broadcast, and the result is a complex array, equal
+    bit for bit to the scalar call at each point.
     """
-    if isinstance(mu, np.ndarray) or isinstance(nu, np.ndarray):
+    if not (isinstance(mu, Real) and isinstance(nu, Real)):
         return _overlap_array(mu, nu, step_index)
     m = wrap_angle(mu)
     n = wrap_angle(nu)
-    if m < n:
-        return overlap_integral(n, m, step_index).conjugate()
     ell = step_index.value
-    d = m - n
-    return cmath.exp(-1j * ell * d) * (TAU - d * (1.0 - cmath.exp(1j * TAU * ell)))
+    d = abs(m - n)
+    value = cmath.exp(-1j * ell * d) * (TAU - d * (1.0 - cmath.exp(1j * TAU * ell)))
+    return value.conjugate() if m < n else value
 
 
 def _overlap_array(mu, nu, step_index: StepIndex) -> np.ndarray:
@@ -168,11 +169,10 @@ def overlap_integral_opposite_phase(mu: float, nu: float, step_index: StepIndex)
     """
     m = wrap_angle(mu)
     n = wrap_angle(nu)
-    if m < n:
-        return overlap_integral_opposite_phase(n, m, step_index).conjugate()
     ell = step_index.value
-    d = m - n
-    return cmath.exp(1j * ell * d) * (TAU - d * (1.0 - cmath.exp(1j * TAU * ell)))
+    d = abs(m - n)
+    value = cmath.exp(1j * ell * d) * (TAU - d * (1.0 - cmath.exp(1j * TAU * ell)))
+    return value.conjugate() if m < n else value
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

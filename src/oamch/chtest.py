@@ -102,13 +102,15 @@ def ch_parameter(cfg: ChSettings, amplitude_fn=amplitude_matrix) -> ChResult:
     """Evaluate the six CH probabilities and S for one experiment.
 
     `amplitude_fn` selects the closed-form path (default) or the quadrature
-    oracle; the two must agree.
+    oracle; the two must agree.  It is called once, on the four settings of
+    the protocol, which share plates and step index.
     """
-    mats = [amplitude_fn(cfg.experiment(ta, tb)).p for ta, tb in cfg.theta_pairs()]
-    p_joint = tuple(float(m[0, 0]) for m in mats)
-    p_marg_a = float(mats[2][0, 0] + mats[2][0, 1])  # theta_a' run; independent of theta_b
-    p_marg_b = float(mats[0][0, 0] + mats[0][1, 0])  # theta_b run; independent of theta_a
-    p_total = float(mats[0].sum())
+    mats = amplitude_fn([cfg.experiment(ta, tb) for ta, tb in cfg.theta_pairs()])
+    p = [m.p for m in mats]
+    p_joint = tuple(float(pm[0][0]) for pm in p)
+    p_marg_a = float(p[2][0][0] + p[2][0][1])  # theta_a' run; independent of theta_b
+    p_marg_b = float(p[0][0][0] + p[0][1][0])  # theta_b run; independent of theta_a
+    p_total = mats[0].p_total
     s = ch_from_probabilities(*p_joint, p_marg_a, p_marg_b, p_total)
     return ChResult(s=s, p_joint=p_joint, p_marg_a=p_marg_a, p_marg_b=p_marg_b, p_total=p_total)
 

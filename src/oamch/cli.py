@@ -18,8 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
+from ._np import np
 from .chtest import ch_parameter, ch_violated
 from .coincidence import amplitude_matrix, closed_form_from_settings, normalized_amplitudes
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, load_config
@@ -60,8 +59,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _matrix_lines(label: str, m) -> list[str]:
     return [
         f"{label}:",
-        f"  {_g9(m[0, 0])}  {_g9(m[0, 1])}",
-        f"  {_g9(m[1, 0])}  {_g9(m[1, 1])}",
+        f"  {_g9(m[0][0])}  {_g9(m[0][1])}",
+        f"  {_g9(m[1][0])}  {_g9(m[1][1])}",
     ]
 
 
@@ -74,11 +73,11 @@ def _require(section, name: str):
 def cmd_probe(config: RunConfig, args: argparse.Namespace) -> int:
     settings = _require(config.experiment, "experiment")
     m = amplitude_matrix(settings)
-    lam_sq = np.abs(normalized_amplitudes(m).lam) ** 2
+    lam_sq = normalized_amplitudes(m).p
     p = m.p
-    marg_a = float(p[0, 0] + p[0, 1])
-    marg_b = float(p[0, 0] + p[1, 0])
-    total = float(p.sum())
+    marg_a = p[0][0] + p[0][1]
+    marg_b = p[0][0] + p[1][0]
+    total = m.p_total
     closed = None
     if args.closed_form:
         try:
@@ -88,8 +87,8 @@ def cmd_probe(config: RunConfig, args: argparse.Namespace) -> int:
 
     if args.format == "json":
         results = {
-            "p": p.tolist(),
-            "lambda_sq": lam_sq.tolist(),
+            "p": p,
+            "lambda_sq": lam_sq,
             "p_a_marginal": marg_a,
             "p_b_marginal": marg_b,
             "p_total": total,

@@ -11,6 +11,10 @@ K[k, m] = I(alpha_k, beta_m, L) contracted with the two splitter matrices:
 
     C = sigma * (Ua @ K @ Ub^T) / 2.
 
+Only two of the overlaps differ, K = [[k, q], [q, k]].  The closed form
+works on 2x2 nested tuples with `math`/`cmath` alone; only the quadrature
+oracle uses numpy.
+
 All probabilities are reported without the constant radial mode integral,
 which is independent of every knob; only ratios of these quantities are
 physically meaningful.
@@ -24,10 +28,9 @@ delta and the splitter angles alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .azimuthal import (
     StepIndex,
     gauss_segments,
@@ -41,7 +44,7 @@ _PI = math.pi
 
 # Per-channel-pair factors from the input splitters and mirrors:
 # sigma_11 = 1, sigma_12 = sigma_21 = i, sigma_22 = -1.
-SIGMA = np.array([[1.0, 1.0j], [1.0j, -1.0]])
+SIGMA = ((1.0, 1.0j), (1.0j, -1.0))
 
 
 class DegenerateStateError(ValueError):
@@ -101,63 +104,102 @@ class ExperimentSettings:
         )
 
 
+def _squared_moduli(c):
+    """|z|^2 of every entry of a 2x2 nested sequence, as nested tuples."""
+    return tuple(tuple(abs(z) * abs(z) for z in row) for row in c)
+
+
 @dataclass(frozen=True)
 class AmplitudeMatrix:
-    """The four complex coincidence amplitudes C_ij.
+    """The four complex coincidence amplitudes C_ij of one setting.
 
-    c has shape (2, 2), or (n, 2, 2) for the quadrature oracle evaluated on
-    a sequence of settings; `p_total` sums over everything it holds.
+    c is a 2x2 nested sequence, rows first: tuples of complex from the
+    closed form, a (2, 2) array from the quadrature oracle.  The properties
+    index and iterate c, so they read both alike.
     """
 
-    c: np.ndarray
+    c: tuple
 
     @property
-    def p(self) -> np.ndarray:
+    def p(self) -> tuple:
         """Unnormalized probabilities p_ij = |C_ij|^2."""
-        return np.abs(self.c) ** 2
+        return _squared_moduli(self.c)
 
     @property
     def p_total(self) -> float:
-        return float(np.sum(self.p))
+        (p11, p12), (p21, p22) = self.p
+        return float(p11 + p12 + p21 + p22)
 
 
 @dataclass(frozen=True)
 class NormalizedState:
     """Normalized two-photon amplitudes lambda_ij, sum |lambda_ij|^2 = 1."""
 
-    lam: np.ndarray
+    lam: tuple
+
+    @property
+    def p(self) -> tuple:
+        """|lambda_ij|^2."""
+        return _squared_moduli(self.lam)
 
 
-def plate_overlap_matrix(settings: ExperimentSettings, overlap=overlap_integral) -> np.ndarray:
-    """K[k, m] = overlap of a-side plate k against b-side plate m."""
-    plates_a = (settings.alpha, wrap_angle(settings.alpha + _PI))
-    plates_b = (settings.beta, wrap_angle(settings.beta + _PI))
-    return np.array(
-        [[overlap(pa, pb, settings.step_index) for pb in plates_b] for pa in plates_a]
-    )
+def plate_overlap_matrix(settings: ExperimentSettings, overlap=overlap_integral):
+    """K[k][m] = overlap of a-side plate k against b-side plate m.
+
+    The overlap depends only on the relative orientation of the two plates,
+    so turning both a half-turn changes nothing: K = ((k, q), (q, k)) with
+    k = I(alpha, beta) and q = I(alpha, beta + pi), two overlaps for all four.
+    """
+    k = overlap(settings.alpha, settings.beta, settings.step_index)
+    q = overlap(settings.alpha, wrap_angle(settings.beta + _PI), settings.step_index)
+    return ((k, q), (q, k))
 
 
-def amplitude_matrix(settings: ExperimentSettings, overlap=overlap_integral) -> AmplitudeMatrix:
+def _matmul(a, b):
+    """Product of two 2x2 nested sequences."""
+    return tuple(tuple(row[0] * b[0][j] + row[1] * b[1][j] for j in (0, 1)) for row in a)
+
+
+def amplitude_matrix(settings, overlap=overlap_integral):
     """Coincidence amplitudes via the closed-form plate overlaps.
 
-    `overlap` is injectable so the validation suite can demonstrate the
-    sensitivity of the pipeline to a wrong overlap sign.
+    `settings` is one ExperimentSettings, giving one AmplitudeMatrix, or a
+    sequence of them sharing plates and step index, giving one
+    AmplitudeMatrix per setting; the plate overlaps are evaluated once for
+    the whole sequence.  `overlap` is injectable so the validation suite can
+    demonstrate the sensitivity of the pipeline to a wrong overlap sign.
     """
-    k = plate_overlap_matrix(settings, overlap=overlap)
-    ua = mz_unitary(settings.theta_a, settings.aux_phases[0], settings.aux_phases[1])
-    ub = mz_unitary(settings.theta_b, settings.aux_phases[2], settings.aux_phases[3])
-    return AmplitudeMatrix(c=SIGMA * (0.5 * ua @ k @ ub.T))
+    rows = (settings,) if isinstance(settings, ExperimentSettings) else tuple(settings)
+    if not rows:
+        raise ValueError("no settings to evaluate")
+    first = rows[0]
+    plates = (first.alpha, first.beta, first.step_index)
+    if any((s.alpha, s.beta, s.step_index) != plates for s in rows):
+        raise ValueError("settings evaluated together must share plates and step index")
+    k = plate_overlap_matrix(first, overlap=overlap)
+    mats = []
+    for s in rows:
+        a1, a2, b1, b2 = s.aux_phases
+        ua = mz_unitary(s.theta_a, a1, a2)
+        ub = mz_unitary(s.theta_b, b1, b2)
+        g = _matmul(_matmul(ua, k), tuple(zip(*ub)))  # ua @ k @ ub^T
+        c = tuple(
+            tuple(0.5 * sigma * x for sigma, x in zip(s_row, g_row))
+            for s_row, g_row in zip(SIGMA, g)
+        )
+        mats.append(AmplitudeMatrix(c=c))
+    return mats[0] if isinstance(settings, ExperimentSettings) else mats
 
 
-def amplitude_matrix_quadrature(settings, order: int = 64) -> AmplitudeMatrix:
+def amplitude_matrix_quadrature(settings, order: int = 64):
     """Numerical oracle for `amplitude_matrix`.
 
     Integrates the arm-amplitude products directly over azimuth, splitting
     at the four plate dislocations; shares no code with the closed-form
     overlap path beyond the phase profile itself.  `settings` is one
-    ExperimentSettings, giving c of shape (2, 2), or a sequence of n of them
-    sharing one step index, giving c of shape (n, 2, 2) whose row r equals
-    the one-settings call on settings r.
+    ExperimentSettings, giving one AmplitudeMatrix with c of shape (2, 2),
+    or a sequence of n of them sharing one step index, giving one
+    AmplitudeMatrix per setting, equal to the one-settings call.
     """
     rows = (settings,) if isinstance(settings, ExperimentSettings) else tuple(settings)
     if not rows:
@@ -177,8 +219,8 @@ def amplitude_matrix_quadrature(settings, order: int = 64) -> AmplitudeMatrix:
     a = arm_amplitude(cfg_a, x)
     b = arm_amplitude(cfg_b, x)
     g = np.array([[np.sum(w * a[i] * b[j], axis=-1) for j in (0, 1)] for i in (0, 1)])
-    c = SIGMA * np.moveaxis(g, -1, 0)
-    return AmplitudeMatrix(c=c[0] if isinstance(settings, ExperimentSettings) else c)
+    mats = [AmplitudeMatrix(c=c) for c in np.asarray(SIGMA) * np.moveaxis(g, -1, 0)]
+    return mats[0] if isinstance(settings, ExperimentSettings) else mats
 
 
 def normalized_amplitudes(m: AmplitudeMatrix) -> NormalizedState:
@@ -189,7 +231,8 @@ def normalized_amplitudes(m: AmplitudeMatrix) -> NormalizedState:
     total = m.p_total
     if total <= 0.0:
         raise DegenerateStateError("all coincidence amplitudes vanish; state is degenerate")
-    return NormalizedState(lam=m.c / math.sqrt(total))
+    norm = math.sqrt(total)
+    return NormalizedState(lam=tuple(tuple(z / norm for z in row) for row in m.c))
 
 
 def closed_form_probabilities(

@@ -19,8 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .azimuthal import StepIndex, spp_phase, wrap_angle
 
 _SQRT2 = math.sqrt(2.0)
@@ -54,16 +53,16 @@ class MzConfig:
         return wrap_angle(self.plate_orientation + math.pi)
 
 
-def mz_unitary(theta: float, aux_phase_1: float = 0.0, aux_phase_2: float = 0.0) -> np.ndarray:
+def mz_unitary(theta: float, aux_phase_1: float = 0.0, aux_phase_2: float = 0.0):
     """Output-splitter transfer matrix with per-arm azimuth-independent phases.
 
-    Reduces to the real rotation [[cos, -sin], [sin, cos]] when both phases
-    vanish.
+    A 2x2 nested tuple of complex entries (rows first).  Reduces to the real
+    rotation ((cos, -sin), (sin, cos)) when both phases vanish.
     """
     c, s = math.cos(theta), math.sin(theta)
     p1 = cmath.exp(1j * aux_phase_1)
     p2 = cmath.exp(1j * aux_phase_2)
-    return np.array([[p1 * c, -p2 * s], [p1 * s, p2 * c]])
+    return ((p1 * c, -p2 * s), (p1 * s, p2 * c))
 
 
 def arm_amplitude(cfg, phi):

@@ -16,10 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .chtest import ChSettings, ch_from_probabilities
-from .coincidence import ExperimentSettings, amplitude_matrix
+from .coincidence import AmplitudeMatrix, ExperimentSettings, amplitude_matrix
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64) seeded with SeedSequence([seed, run_index])"
 
@@ -84,12 +83,20 @@ class ChEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _outcome_probabilities(settings: ExperimentSettings, mc: McConfig) -> np.ndarray:
-    p = amplitude_matrix(settings).p
+def _sample(m: AmplitudeMatrix, mc: McConfig, setting_label: str, stream: int) -> CountRecord:
+    """One counting run on the outcome probabilities of `m`."""
+    p = np.array(m.p)
     eta = mc.efficiency_a * mc.efficiency_b
     coinc = eta * (p.ravel() / p.sum())
     probs = np.append(coinc, max(0.0, 1.0 - coinc.sum()))
-    return probs / probs.sum()
+    rng = np.random.default_rng([mc.seed, stream])
+    counts = rng.multinomial(mc.trials, probs / probs.sum())
+    return CountRecord(
+        setting_label=setting_label,
+        n=counts[:4].reshape(2, 2),
+        trials=mc.trials,
+        no_coincidence=int(counts[4]),
+    )
 
 
 def sample_run(
@@ -100,22 +107,16 @@ def sample_run(
     `stream` is the sub-stream index, so multi-run protocols can draw
     independent reproducible streams from one seed.
     """
-    rng = np.random.default_rng([mc.seed, stream])
-    counts = rng.multinomial(mc.trials, _outcome_probabilities(settings, mc))
-    return CountRecord(
-        setting_label=setting_label,
-        n=counts[:4].reshape(2, 2),
-        trials=mc.trials,
-        no_coincidence=int(counts[4]),
-    )
+    return _sample(amplitude_matrix(settings), mc, setting_label, stream)
 
 
 def simulate_ch_runs(cfg: ChSettings, mc: McConfig) -> list[CountRecord]:
-    """The four CH setting runs, in protocol order, on independent sub-streams."""
-    return [
-        sample_run(cfg.experiment(ta, tb), mc, setting_label=label, stream=k)
-        for k, (label, (ta, tb)) in enumerate(zip(RUN_LABELS, cfg.theta_pairs()))
-    ]
+    """The four CH setting runs, in protocol order, on independent sub-streams.
+
+    The amplitudes of the four settings come from one `amplitude_matrix` call.
+    """
+    mats = amplitude_matrix([cfg.experiment(ta, tb) for ta, tb in cfg.theta_pairs()])
+    return [_sample(m, mc, label, k) for k, (label, m) in enumerate(zip(RUN_LABELS, mats))]
 
 
 def frequency(rec: CountRecord) -> np.ndarray:
@@ -125,16 +126,14 @@ def frequency(rec: CountRecord) -> np.ndarray:
     return rec.n / rec.trials
 
 
-# Weight of each run's count cells in the CH numerator: joint terms use the
-# matching run's (1,1) cell; the a'-marginal pools runs 3 and 4, the
-# b-marginal pools runs 1 and 3.
-_NUMERATOR_WEIGHTS = np.array(
-    [
-        [[0.5, 0.0], [-0.5, 0.0]],
-        [[-1.0, 0.0], [0.0, 0.0]],
-        [[0.0, -0.5], [-0.5, 0.0]],
-        [[0.5, -0.5], [0.0, 0.0]],
-    ]
+# Weight of each run's count cells (n11, n12, n21, n22) in the CH numerator:
+# joint terms use the matching run's (1,1) cell; the a'-marginal pools runs
+# 3 and 4, the b-marginal pools runs 1 and 3.
+_NUMERATOR_WEIGHTS = (
+    (0.5, 0.0, -0.5, 0.0),
+    (-1.0, 0.0, 0.0, 0.0),
+    (0.0, -0.5, -0.5, 0.0),
+    (0.5, -0.5, 0.0, 0.0),
 )
 
 
@@ -180,7 +179,7 @@ def estimate_S(runs: list[CountRecord]) -> ChEstimate:
     pooled = sum(int(r.n.sum()) for r in runs) / 4.0
     var = 0.0
     for w, rec in zip(_NUMERATOR_WEIGHTS, runs):
-        u = np.append((w - s_hat / 4.0).ravel(), 0.0)
+        u = np.append(np.array(w) - s_hat / 4.0, 0.0)
         phat = np.append(rec.n.ravel(), rec.no_coincidence) / trials
         var += trials * (float(np.sum(u * u * phat)) - float(np.sum(u * phat)) ** 2)
     stderr = math.sqrt(max(0.0, var)) / pooled

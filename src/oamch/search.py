@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._np import np
 from .azimuthal import TAU, StepIndex, overlap_integral
 from .chtest import CANONICAL_THETAS
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
 
-import numpy as np
-
+from ._np import np
 from .azimuthal import (
     TAU,
     StepIndex,
@@ -22,7 +21,6 @@ from .azimuthal import (
     overlap_integral_quadrature,
 )
 from .coincidence import (
-    AmplitudeMatrix,
     ExperimentSettings,
     amplitude_matrix,
     amplitude_matrix_quadrature,
@@ -88,10 +86,6 @@ def _overlap_oracle(block) -> list[complex]:
     return overlap_integral_quadrature(np.array(mu), np.array(nu), block[0][2]).tolist()
 
 
-def _amplitude_oracle(block) -> np.ndarray:
-    return amplitude_matrix_quadrature(block).c
-
-
 def run_azimuthal_suite(
     samples: int = 500, tolerance: float = 1e-9, closed_form=overlap_integral
 ) -> SuiteResult:
@@ -129,9 +123,9 @@ def run_coincidence_suite(
     """Closed-form coincidence amplitudes against azimuthal quadrature."""
     worst = 0.0
     settings = _coincidence_settings(samples)
-    for s, c_quad in _with_oracle(settings, attrgetter("step_index"), _amplitude_oracle):
-        c_closed = amplitude_matrix(s, overlap=overlap).c
-        worst = max(worst, float(np.max(np.abs(c_closed - c_quad))))
+    for s, quad in _with_oracle(settings, attrgetter("step_index"), amplitude_matrix_quadrature):
+        closed = amplitude_matrix(s, overlap=overlap)
+        worst = max(worst, float(np.max(np.abs(np.subtract(closed.c, quad.c)))))
     return SuiteResult(
         name="coincidence",
         passed=worst <= tolerance,
@@ -159,9 +153,9 @@ def run_closed_form_suite(samples: int = 500, tolerance: float = 1e-8) -> SuiteR
     """Closed-form probability sums against quadrature p-sums, relative error."""
     worst = 0.0
     settings = _closed_form_settings(samples)
-    for s, c_quad in _with_oracle(settings, attrgetter("step_index"), _amplitude_oracle):
+    for s, m in _with_oracle(settings, attrgetter("step_index"), amplitude_matrix_quadrature):
         closed = closed_form_probabilities(s.delta(), s.theta_a, s.theta_b)
-        p = AmplitudeMatrix(c=c_quad).p
+        p = np.abs(m.c) ** 2
         quad = (
             float(p[0, 0]),
             float(p[0, 0] + p[0, 1]),

@@ -56,10 +56,10 @@ def test_criterion_2_aligned_plate_reduction():
             p = amplitude_matrix(
                 ExperimentSettings(alpha=alpha, beta=alpha, theta_a=ta, theta_b=tb, step_index=HALF)
             ).p
-            total = p.sum()
-            worst = max(worst, abs(p[0, 0] / total - 0.5 * math.cos(ta - tb) ** 2))
-            worst = max(worst, abs((p[0, 0] + p[0, 1]) / total - 0.5))
-            worst = max(worst, abs((p[0, 0] + p[1, 0]) / total - 0.5))
+            total = np.sum(p)
+            worst = max(worst, abs(p[0][0] / total - 0.5 * math.cos(ta - tb) ** 2))
+            worst = max(worst, abs((p[0][0] + p[0][1]) / total - 0.5))
+            worst = max(worst, abs((p[0][0] + p[1][0]) / total - 0.5))
     assert _report(
         "criterion 2 (aligned-plate reduction, 32x32 grid)",
         worst <= 1e-9,
@@ -82,7 +82,7 @@ def test_criterion_3_closed_form_oracle_equivalence():
         )
         closed = closed_form_probabilities(settings.delta(), settings.theta_a, settings.theta_b)
         p = amplitude_matrix_quadrature(settings).p
-        quad = (p[0, 0], p[0, 0] + p[0, 1], p[0, 0] + p[1, 0], p.sum())
+        quad = (p[0][0], p[0][0] + p[0][1], p[0][0] + p[1][0], np.sum(p))
         for c, q in zip(closed, quad):
             worst = max(worst, abs(c - q) / max(abs(q), 1e-9 * quad[3]))
     assert _report(
@@ -162,7 +162,7 @@ def test_criterion_7_property_suites():
     # unitarity to 1e-12
     worst = max(
         float(np.max(np.abs(u @ u.conj().T - np.eye(2))))
-        for u in (mz_unitary(*rng.uniform(0.0, TAU, size=3)) for _ in range(50))
+        for u in (np.array(mz_unitary(*rng.uniform(0.0, TAU, size=3))) for _ in range(50))
     )
     checks["unitarity"] = worst <= 1e-12
 
@@ -194,8 +194,8 @@ def test_criterion_7_property_suites():
             pa = amplitude_matrix(
                 ExperimentSettings(alpha=alpha, beta=beta, theta_a=sweep, theta_b=fixed, step_index=HALF)
             ).p
-            rows.append(pb[0, 0] + pb[0, 1])
-            cols.append(pa[0, 0] + pa[1, 0])
+            rows.append(pb[0][0] + pb[0][1])
+            cols.append(pa[0][0] + pa[1][0])
         worst = max(worst, float(np.ptp(rows)), float(np.ptp(cols)))
     checks["marginal-invariance"] = worst <= 1e-10
 
@@ -214,7 +214,8 @@ def test_criterion_7_property_suites():
             alpha=s.alpha + shift, beta=s.beta + shift, theta_a=s.theta_a, theta_b=s.theta_b,
             step_index=s.step_index,
         )
-        worst = max(worst, float(np.max(np.abs(amplitude_matrix(shifted).p - amplitude_matrix(s).p))))
+        diff = np.subtract(amplitude_matrix(shifted).p, amplitude_matrix(s).p)
+        worst = max(worst, float(np.max(np.abs(diff))))
     checks["rotation-invariance"] = worst <= 1e-10
 
     # count conservation, exact

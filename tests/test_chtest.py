@@ -1,9 +1,11 @@
+import cProfile
 import math
+import pstats
 
 import numpy as np
 import pytest
 
-from oamch.azimuthal import TAU, StepIndex
+from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.chtest import (
     CANONICAL_THETAS,
     MAX_CH_VIOLATION,
@@ -32,6 +34,27 @@ def test_canonical_angles_reach_maximum_violation():
         assert result.s == pytest.approx(MAX_CH_VIOLATION, abs=1e-9)
 
 
+def test_ch_parameter_makes_one_amplitude_call_and_two_overlaps():
+    calls = []
+
+    def overlap(mu, nu, step):
+        calls.append("overlap")
+        return overlap_integral(mu, nu, step)
+
+    def amplitude_fn(settings):
+        calls.append("amplitude")
+        return amplitude_matrix(settings, overlap=overlap)
+
+    result = ch_parameter(canonical_settings(0.7), amplitude_fn=amplitude_fn)
+    assert calls == ["amplitude", "overlap", "overlap"]
+    assert result == ch_parameter(canonical_settings(0.7))
+    # and no evaluation hides inside the overlap itself (its mu < nu branch)
+    profiler = cProfile.Profile()
+    profiler.runcall(ch_parameter, canonical_settings(0.7))
+    stats = pstats.Stats(profiler).stats
+    assert sum(v[1] for k, v in stats.items() if k[2] == "overlap_integral") == 2
+
+
 def test_equal_angles_give_zero():
     cfg = ChSettings(0.0, 0.0, 0.0, 0.0, alpha=0.5, beta=0.5, step_index=HALF)
     assert ch_parameter(cfg).s == pytest.approx(0.0, abs=1e-12)
@@ -41,7 +64,7 @@ def test_marginal_probabilities_normalized_to_half_when_aligned():
     for ta, tb in [(0.0, 0.0), (0.9, 2.0)]:
         s = ExperimentSettings(alpha=0.3, beta=0.3, theta_a=ta, theta_b=tb, step_index=HALF)
         p = amplitude_matrix(s).p
-        marg_a, marg_b, total = p[0, 0] + p[0, 1], p[0, 0] + p[1, 0], p.sum()
+        marg_a, marg_b, total = p[0][0] + p[0][1], p[0][0] + p[1][0], np.sum(p)
         assert marg_a / total == pytest.approx(0.5, abs=1e-12)
         assert marg_b / total == pytest.approx(0.5, abs=1e-12)
         assert total == pytest.approx(2.0 * math.pi**2, abs=1e-9)
@@ -52,7 +75,7 @@ def test_marginal_is_flat_in_far_angle():
     for tb in np.linspace(0.0, TAU, 13):
         s = ExperimentSettings(alpha=1.0, beta=0.1, theta_a=0.6, theta_b=tb, step_index=HALF)
         p = amplitude_matrix(s).p
-        marg_a = p[0, 0] + p[0, 1]
+        marg_a = p[0][0] + p[0][1]
         base = marg_a if base is None else base
         assert marg_a == pytest.approx(base, abs=1e-10)
 

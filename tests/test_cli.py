@@ -174,6 +174,46 @@ def _run_cli(*argv):
     )
 
 
+# Runs each argv with `main` in one interpreter and records, after each, its
+# exit code and the numpy submodules loaded so far.
+_IMPORT_PROBE = """
+import json, sys
+from oamch.cli import main
+report = []
+for argv in json.loads(sys.argv[2]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    report.append([code, sorted(m for m in sys.modules if m.startswith("numpy."))])
+with open(sys.argv[1], "w") as fh:
+    json.dump(report, fh)
+"""
+
+
+def test_probe_ch_and_help_never_load_numpy(tmp_path):
+    config = _write_config(tmp_path)
+    commands = [
+        ["probe", "--config", config],
+        ["probe", "--config", config, "--format", "json"],
+        ["probe", "--config", config, "--closed-form"],
+        ["ch", "--config", config, "--assert-violation"],
+        ["ch", "--config", config, "--format", "json"],
+        ["--help"],
+    ]
+    report = tmp_path / "report.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(report), json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(report.read_text()) == [[0, []]] * len(commands)
+
+
 def _assert_one_line_config_error(proc):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oamch import interferometer
-from oamch.azimuthal import TAU, StepIndex, spp_phase
+from oamch.azimuthal import TAU, StepIndex, overlap_integral, spp_phase
 from oamch.coincidence import (
     AmplitudeMatrix,
     DegenerateStateError,
@@ -50,9 +50,12 @@ def test_probability_matrix_consistency():
     s = _settings(alpha=1.0, beta=0.2, theta_a=0.7, theta_b=1.9)
     m = amplitude_matrix(s)
     np.testing.assert_allclose(m.p, np.abs(m.c) ** 2, atol=1e-14)
-    assert np.all(m.p >= 0.0)
+    assert np.all(np.array(m.p) >= 0.0)
     # channel-pair factors sigma_11 = 1, sigma_12 = sigma_21 = i, sigma_22 = -1
-    rotated = 0.5 * mz_unitary(s.theta_a) @ plate_overlap_matrix(s) @ mz_unitary(s.theta_b).T
+    ua, k, ub = (
+        np.array(x) for x in (mz_unitary(s.theta_a), plate_overlap_matrix(s), mz_unitary(s.theta_b))
+    )
+    rotated = 0.5 * ua @ k @ ub.T
     np.testing.assert_allclose(m.c, np.array([[1, 1j], [1j, -1]]) * rotated, atol=1e-14)
 
 
@@ -60,15 +63,15 @@ def test_aligned_probabilities_follow_cosine_law():
     for alpha in (0.0, 0.7, 4.1):
         for ta, tb in [(0.0, 0.0), (0.0, math.pi / 2), (0.3, 1.2), (2.0, 0.4)]:
             m = amplitude_matrix(_settings(alpha=alpha, beta=alpha, theta_a=ta, theta_b=tb))
-            assert m.p[0, 0] / m.p_total == pytest.approx(
+            assert m.p[0][0] / m.p_total == pytest.approx(
                 0.5 * math.cos(ta - tb) ** 2, abs=1e-12
             )
 
 
 def test_aligned_orthogonal_arm_pair_is_dark():
     m = amplitude_matrix_quadrature(_settings())
-    assert abs(m.c[0, 1]) <= 1e-10
-    assert abs(m.c[1, 0]) <= 1e-10
+    assert abs(m.c[0][1]) <= 1e-10
+    assert abs(m.c[1][0]) <= 1e-10
 
 
 def test_quadrature_matches_analytic_on_aligned_case():
@@ -111,8 +114,8 @@ def test_amplitude_quadrature_rows_equal_one_row_calls():
                 for aux in rng.uniform(0.0, TAU, size=(5, 4)) * [[0], [1], [0], [1], [1]]
             ),
         ]
-        c = amplitude_matrix_quadrature(rows).c
-        assert c.shape == (10, 2, 2)
+        c = [m.c for m in amplitude_matrix_quadrature(rows)]
+        assert len(c) == 10
         for s, ci in zip(rows, c):
             one = amplitude_matrix_quadrature(s).c
             assert one.shape == (2, 2)
@@ -122,6 +125,46 @@ def test_amplitude_quadrature_rows_equal_one_row_calls():
         amplitude_matrix_quadrature([_settings(step=HALF), _settings(step=StepIndex(1.5))])
     with pytest.raises(ValueError, match="no settings"):
         amplitude_matrix_quadrature([])
+
+
+def test_plate_overlap_matrix_is_two_overlaps_of_the_four():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        s = _random_settings(rng, half_integer=False)
+        calls = []
+
+        def counting(mu, nu, step):
+            calls.append((mu, nu))
+            return overlap_integral(mu, nu, step)
+
+        k = plate_overlap_matrix(s, overlap=counting)
+        assert len(calls) == 2
+        assert k[0][0] == k[1][1] and k[0][1] == k[1][0]
+        plates_a = (s.alpha, s.alpha + math.pi)
+        plates_b = (s.beta, s.beta + math.pi)
+        four = [[overlap_integral(a, b, s.step_index) for b in plates_b] for a in plates_a]
+        np.testing.assert_allclose(k, four, rtol=0, atol=1e-12)
+
+
+def test_amplitude_sequence_equals_one_setting_calls():
+    rng = np.random.default_rng(31)
+    for step in (HALF, StepIndex(1.7321)):
+        alpha, beta = rng.uniform(0.0, TAU, size=2)
+        rows = [
+            _settings(alpha, beta, *rng.uniform(0.0, TAU, size=2), step=step, aux=tuple(aux))
+            for aux in rng.uniform(0.0, TAU, size=(6, 4)) * [[0], [1], [0], [1], [1], [0]]
+        ]
+        mats = amplitude_matrix(rows)
+        assert len(mats) == len(rows)
+        for s, m in zip(rows, mats):
+            assert m == amplitude_matrix(s)
+            np.testing.assert_allclose(m.c, amplitude_matrix_quadrature(s).c, atol=1e-9)
+    with pytest.raises(ValueError, match="share"):
+        amplitude_matrix([_settings(alpha=0.1), _settings(alpha=0.2)])
+    with pytest.raises(ValueError, match="share"):
+        amplitude_matrix([_settings(step=HALF), _settings(step=StepIndex(1.5))])
+    with pytest.raises(ValueError, match="no settings"):
+        amplitude_matrix([])
 
 
 def test_amplitude_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
@@ -147,17 +190,17 @@ def test_marginals_do_not_depend_on_far_splitter():
     for sweep in np.linspace(0.0, TAU, 17):
         p_b = amplitude_matrix(_settings(s0.alpha, s0.beta, s0.theta_a, sweep, s0.step_index)).p
         p_a = amplitude_matrix(_settings(s0.alpha, s0.beta, sweep, s0.theta_b, s0.step_index)).p
-        row = p_b[0, 0] + p_b[0, 1] if row is None else row
-        col = p_a[0, 0] + p_a[1, 0] if col is None else col
-        assert p_b[0, 0] + p_b[0, 1] == pytest.approx(row, abs=1e-10)
-        assert p_a[0, 0] + p_a[1, 0] == pytest.approx(col, abs=1e-10)
+        row = p_b[0][0] + p_b[0][1] if row is None else row
+        col = p_a[0][0] + p_a[1][0] if col is None else col
+        assert p_b[0][0] + p_b[0][1] == pytest.approx(row, abs=1e-10)
+        assert p_a[0][0] + p_a[1][0] == pytest.approx(col, abs=1e-10)
 
 
 def test_quadrature_marginals_do_not_depend_on_far_splitter():
     base = None
     for tb in np.linspace(0.0, TAU, 5):
         p = amplitude_matrix_quadrature(_settings(2.2, 0.9, 0.6, tb, StepIndex(1.5))).p
-        row = p[0, 0] + p[0, 1]
+        row = p[0][0] + p[0][1]
         base = row if base is None else base
         assert row == pytest.approx(base, abs=1e-10)
 
@@ -190,7 +233,7 @@ def test_normalized_amplitudes():
     lam = normalized_amplitudes(m).lam
     assert float(np.sum(np.abs(lam) ** 2)) == pytest.approx(1.0, abs=1e-12)
     # positive rescaling of the amplitudes leaves lambda unchanged
-    scaled = normalized_amplitudes(AmplitudeMatrix(c=4.0 * m.c)).lam
+    scaled = normalized_amplitudes(AmplitudeMatrix(c=4.0 * np.array(m.c))).lam
     np.testing.assert_allclose(scaled, lam, atol=1e-15)
 
 
@@ -234,7 +277,7 @@ def test_closed_form_matches_quadrature_sums():
         )
         closed = closed_form_probabilities(s.delta(), s.theta_a, s.theta_b)
         p = amplitude_matrix_quadrature(s).p
-        quad = (p[0, 0], p[0, 0] + p[0, 1], p[0, 0] + p[1, 0], p.sum())
+        quad = (p[0][0], p[0][0] + p[0][1], p[0][0] + p[1][0], np.sum(p))
         for c, q in zip(closed, quad):
             assert abs(c - q) <= 1e-8 * max(abs(q), 1e-9 * quad[3])
 

@@ -30,7 +30,7 @@ def test_mz_unitary_is_unitary():
     rng = np.random.default_rng(10)
     for _ in range(50):
         theta, p1, p2 = rng.uniform(0.0, TAU, size=3)
-        u = mz_unitary(theta, p1, p2)
+        u = np.array(mz_unitary(theta, p1, p2))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 

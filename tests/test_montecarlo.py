@@ -5,6 +5,7 @@ import pytest
 
 from oamch.azimuthal import StepIndex
 from oamch.chtest import MAX_CH_VIOLATION, ChSettings, canonical_settings
+from oamch import montecarlo
 from oamch.coincidence import ExperimentSettings
 from oamch.montecarlo import (
     RUN_LABELS,
@@ -20,6 +21,25 @@ from oamch.montecarlo import (
 
 HALF = StepIndex(0.5)
 ALIGNED = ExperimentSettings(alpha=0.2, beta=0.2, theta_a=0.0, theta_b=0.0, step_index=HALF)
+
+
+def test_simulate_ch_runs_equal_per_setting_runs_from_one_amplitude_call(monkeypatch):
+    cfg = ChSettings(0.3, 1.2, 0.5, 2.9, alpha=0.4, beta=2.0, step_index=StepIndex(1.7321))
+    mc = McConfig(trials=50_000, efficiency_a=0.8, efficiency_b=0.6, seed=11)
+    calls = []
+    amplitude_matrix = montecarlo.amplitude_matrix
+
+    def counting(settings):
+        calls.append(settings)
+        return amplitude_matrix(settings)
+
+    monkeypatch.setattr(montecarlo, "amplitude_matrix", counting)
+    runs = simulate_ch_runs(cfg, mc)
+    assert len(calls) == 1 and len(calls[0]) == 4
+    for k, (run, (ta, tb)) in enumerate(zip(runs, cfg.theta_pairs())):
+        one = sample_run(cfg.experiment(ta, tb), mc, setting_label=RUN_LABELS[k], stream=k)
+        assert np.array_equal(run.n, one.n)
+        assert (run.setting_label, run.no_coincidence) == (one.setting_label, one.no_coincidence)
 
 
 def test_mc_config_validation():

@@ -1,4 +1,5 @@
-"""Property tests: block evaluation and streamed output equal their plain paths.
+"""Property tests: block evaluation and streamed output equal their plain paths,
+the closed form agrees with its oracle, and `main` never raises.
 
 Hypothesis runs derandomized with a fixed example budget, so the examples
 are the same on every run and the suite stays deterministic.
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from oamch import cli
 from oamch.azimuthal import TAU, StepIndex
 from oamch.cli import _document, _format_column, _g9, _json_float, main
-from oamch.coincidence import ExperimentSettings, amplitude_matrix_quadrature
+from oamch.coincidence import ExperimentSettings, amplitude_matrix, amplitude_matrix_quadrature
 from oamch.config import load_config
 from oamch.search import THETA_POLICIES, scan_alpha_beta
 
@@ -32,6 +33,7 @@ ANGLES = st.one_of(
     st.floats(0.0, TAU),
 )
 STEP_VALUES = st.one_of(st.integers(0, 7).map(lambda l: l + 0.5), st.floats(0.05, 10.0))
+GENERAL_STEPS = st.floats(0.05, 10.0).map(StepIndex).filter(lambda s: not s.is_half_integer)
 
 
 @st.composite
@@ -52,10 +54,31 @@ def _blocks(draw) -> list:
 @PROFILE
 @given(_blocks())
 def test_block_oracle_rows_equal_one_row_calls(block):
-    c = amplitude_matrix_quadrature(block).c
-    assert c.shape == (len(block), 2, 2)
+    c = [m.c for m in amplitude_matrix_quadrature(block)]
+    assert len(c) == len(block)
     for s, row in zip(block, c):
         assert np.array_equal(row, amplitude_matrix_quadrature(s).c)
+
+
+@st.composite
+def _shared_plates(draw) -> list:
+    """Settings sharing plates and a general step index, each with its own angles and phases."""
+    first = draw(_experiment(draw(GENERAL_STEPS)))
+    others = draw(st.lists(_experiment(first.step_index), max_size=3))
+    return [first] + [
+        ExperimentSettings(first.alpha, first.beta, s.theta_a, s.theta_b, s.step_index,
+                           s.aux_phases)
+        for s in others
+    ]
+
+
+@PROFILE
+@given(_shared_plates())
+def test_closed_form_agrees_with_quadrature_at_general_step_index(block):
+    closed = amplitude_matrix(block)
+    for s, m, oracle in zip(block, closed, amplitude_matrix_quadrature(block)):
+        assert m == amplitude_matrix(s)
+        np.testing.assert_allclose(m.c, oracle.c, rtol=0, atol=1e-9)
 
 
 @PROFILE
@@ -125,3 +148,93 @@ def test_streamed_scan_artifacts_equal_whole_text_writers(
     with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
         streamed = _streamed_artifacts(config, tmp)
     assert streamed == _whole_text_artifacts(load_config(config))
+
+
+SECTION_KEYS = {
+    "experiment": ("alpha", "beta", "theta_a", "theta_b", "step_index", "aux_phases"),
+    "ch": ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"),
+    "mc": ("trials", "efficiency_a", "efficiency_b", "seed"),
+    "scan": ("alpha_steps", "beta_steps", "theta_policy", "threshold"),
+    "output": ("path", "format"),
+}
+# valid and invalid values for any key: angles with and without units, step
+# counts, trial counts, seeds, efficiencies, policies, formats, wrong types
+CONFIG_VALUES = st.one_of(
+    st.floats(0.01, 1.0),
+    st.integers(2, 6),
+    st.floats(-10.0, 10.0),
+    st.floats(),
+    st.integers(-(2**65), 2**65),
+    st.sampled_from(
+        ("45deg", " 1.5 rad", "1e400deg", "deg", "7", "", "csv", "json", "optimize-per-point",
+         "fixed-canonical", True, False, None, [], [0.1, "2deg", 0.0, 1.0], [0.0] * 3, {})
+    ),
+)
+COMMANDS = st.sampled_from(
+    (["probe"], ["probe", "--closed-form"], ["probe", "--format", "json"], ["ch"],
+     ["ch", "--assert-violation", "--format", "json"], ["mc"],
+     ["mc", "--format", "json", "--set=mc.trials=20000"],
+     ["scan", "--format", "csv"], ["scan", "--format", "json"], ["scan"])
+)
+
+
+def _base_document() -> dict:
+    return {
+        "schema_version": 1,
+        "experiment": {"alpha": 0.3, "beta": 1.1, "theta_a": 0.2, "theta_b": 0.9,
+                       "step_index": 1.7321},
+        "ch": {"theta_a": 0.0, "theta_a_prime": "45deg", "theta_b": "22.5deg",
+               "theta_b_prime": "67.5deg"},
+        # at seed 42 these three trials see no coincidence: exit 1
+        "mc": {"trials": 3, "efficiency_a": 0.3, "efficiency_b": 0.3, "seed": 42},
+        "scan": {"alpha_steps": 3, "beta_steps": 4, "theta_policy": "optimize-per-point"},
+    }
+
+
+@st.composite
+def _edits(draw):
+    """(section, key, value): mostly known keys, sometimes unknown ones; key None is the section."""
+    section = draw(st.sampled_from(tuple(SECTION_KEYS) + ("schema_version", "extra")))
+    key = draw(st.sampled_from(SECTION_KEYS.get(section, ("x",)) + ("unknown", None)))
+    return section, key, draw(CONFIG_VALUES)
+
+
+@PROFILE
+@given(
+    command=COMMANDS,
+    edits=st.lists(_edits(), max_size=2),
+    dropped=st.sets(st.sampled_from(tuple(SECTION_KEYS) + ("schema_version",)), max_size=1),
+    overrides=st.lists(
+        st.one_of(
+            _edits().map(lambda e: f"{e[0]}.{e[1]}={json.dumps(e[2])}"),
+            _edits().map(lambda e: f"{e[0]}.{e[1]}={e[2]}"),
+            st.text(st.sampled_from("abcdegmxst.=_ 0123456789-[]{}\"'"), max_size=16),
+        ),
+        max_size=2,
+    ),
+)
+def test_main_never_raises_on_config_documents_and_overrides(
+    tmp_path_factory, command, edits, dropped, overrides
+):
+    doc = _base_document()
+    for section, key, value in edits:
+        if key is None or section == "schema_version" or not isinstance(doc.get(section, {}), dict):
+            doc[section] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+    for section in dropped:
+        doc.pop(section, None)
+    tmp = tmp_path_factory.mktemp("main")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [*command, "--config", str(config)]
+    if command[0] == "scan":
+        argv += ["--out", str(tmp / "scan.out")]
+    # `--set=TEXT`, so that a TEXT starting with "-" is not taken for an option
+    argv += [f"--set={override}" for override in overrides]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    # a failure is one line on stderr, a success none
+    assert err.getvalue().count("\n") == (code != 0)
