@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from numbers import Real
 
 from ._np import np
@@ -45,8 +45,7 @@ TAU = 2.0 * math.pi
 MAX_STEP_INDEX = 1e-9 / (4.0 * TAU * TAU * 2.0**-53)
 
 
-@dataclass(frozen=True)
-class StepIndex:
+class StepIndex(namedtuple("StepIndex", "value")):
     """Phase shift per unit azimuthal angle of a spiral phase plate.
 
     `half_integer_l` is the nonnegative integer l with value = l + 1/2 when
@@ -57,17 +56,18 @@ class StepIndex:
     closed form to 1e-9.
     """
 
-    value: float
-    half_integer_l: int | None = field(init=False, default=None)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = float(self.value)
+    def __new__(cls, value: float):
+        v = float(value)
         if not 0.0 < v <= MAX_STEP_INDEX:
-            raise ValueError(f"step index must be in (0, {MAX_STEP_INDEX:.6g}], got {self.value!r}")
-        object.__setattr__(self, "value", v)
-        l = round(v - 0.5)
-        if l >= 0 and v == l + 0.5:
-            object.__setattr__(self, "half_integer_l", int(l))
+            raise ValueError(f"step index must be in (0, {MAX_STEP_INDEX:.6g}], got {value!r}")
+        return tuple.__new__(cls, (v,))
+
+    @property
+    def half_integer_l(self) -> int | None:
+        l = round(self.value - 0.5)
+        return l if l >= 0 and self.value == l + 0.5 else None
 
     @classmethod
     def half_integer(cls, l: int) -> "StepIndex":

@@ -18,7 +18,7 @@ orientation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .azimuthal import StepIndex, wrap_angle
 from .coincidence import ExperimentSettings, amplitude_matrix
@@ -27,24 +27,19 @@ CANONICAL_THETAS = (0.0, math.pi / 4.0, math.pi / 8.0, 3.0 * math.pi / 8.0)
 MAX_CH_VIOLATION = (math.sqrt(2.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ChSettings:
+class ChSettings(namedtuple("ChSettings", "theta_a theta_a_prime theta_b theta_b_prime alpha beta "
+                                           "step_index")):
     """One CH experiment: two splitter angles per side plus fixed plates."""
 
-    theta_a: float
-    theta_a_prime: float
-    theta_b: float
-    theta_b_prime: float
-    alpha: float
-    beta: float
-    step_index: StepIndex
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, theta_a: float, theta_a_prime: float, theta_b: float, theta_b_prime: float,
+                alpha: float, beta: float, step_index: StepIndex):
+        thetas = (theta_a, theta_a_prime, theta_b, theta_b_prime)
+        for name, theta in zip(cls._fields, thetas):  # the first four fields
+            if not math.isfinite(theta):
                 raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "alpha", wrap_angle(self.alpha))
-        object.__setattr__(self, "beta", wrap_angle(self.beta))
+        return tuple.__new__(cls, (*thetas, wrap_angle(alpha), wrap_angle(beta), step_index))
 
     def theta_pairs(self) -> tuple[tuple[float, float], ...]:
         """The four (theta_a-choice, theta_b-choice) runs, in protocol order."""
@@ -65,22 +60,18 @@ class ChSettings:
         )
 
 
-@dataclass(frozen=True)
-class ChResult:
+class ChResult(namedtuple("ChResult", "s p_joint p_marg_a p_marg_b p_total")):
     """The six CH probabilities and the parameter S they combine into."""
 
-    s: float
-    p_joint: tuple[float, float, float, float]
-    p_marg_a: float
-    p_marg_b: float
-    p_total: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.p_total > 0.0:
+    def __new__(cls, s: float, p_joint: tuple[float, ...], p_marg_a: float, p_marg_b: float,
+                p_total: float):
+        if not p_total > 0.0:
             raise ValueError("total coincidence probability must be positive")
-        stored = (*self.p_joint, self.p_marg_a, self.p_marg_b)
-        if any(p < 0.0 for p in stored):
+        if any(p < 0.0 for p in (*p_joint, p_marg_a, p_marg_b)):
             raise ValueError("probabilities must be nonnegative")
+        return tuple.__new__(cls, (s, p_joint, p_marg_a, p_marg_b, p_total))
 
 
 def ch_from_probabilities(

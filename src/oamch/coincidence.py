@@ -28,7 +28,7 @@ delta and the splitter angles alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._np import np
 from .azimuthal import (
@@ -51,8 +51,9 @@ class DegenerateStateError(ValueError):
     """All four coincidence amplitudes vanish; nothing to normalize."""
 
 
-@dataclass(frozen=True)
-class ExperimentSettings:
+class ExperimentSettings(
+    namedtuple("ExperimentSettings", "alpha beta theta_a theta_b step_index aux_phases")
+):
     """One full apparatus configuration.
 
     alpha orients the plate pair on photon a, beta the complementary pair on
@@ -60,20 +61,15 @@ class ExperimentSettings:
     holds the four azimuth-independent arm phases (a1, a2, b1, b2).
     """
 
-    alpha: float
-    beta: float
-    theta_a: float
-    theta_b: float
-    step_index: StepIndex
-    aux_phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "theta_a", "theta_b"):
-            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
-        phases = tuple(float(p) for p in self.aux_phases)
+    def __new__(cls, alpha: float, beta: float, theta_a: float, theta_b: float,
+                step_index: StepIndex, aux_phases: tuple[float, ...] = (0.0, 0.0, 0.0, 0.0)):
+        angles = tuple(wrap_angle(a) for a in (alpha, beta, theta_a, theta_b))
+        phases = tuple(float(p) for p in aux_phases)
         if len(phases) != 4 or not all(math.isfinite(p) for p in phases):
             raise ValueError("aux_phases must be four finite phases (a1, a2, b1, b2)")
-        object.__setattr__(self, "aux_phases", phases)
+        return tuple.__new__(cls, (*angles, step_index, phases))
 
     def delta(self) -> float:
         """Plate misalignment alpha - beta wrapped into (-pi, pi]."""
@@ -109,8 +105,7 @@ def _squared_moduli(c):
     return tuple(tuple(abs(z) * abs(z) for z in row) for row in c)
 
 
-@dataclass(frozen=True)
-class AmplitudeMatrix:
+class AmplitudeMatrix(namedtuple("AmplitudeMatrix", "c")):
     """The four complex coincidence amplitudes C_ij of one setting.
 
     c is a 2x2 nested sequence, rows first: tuples of complex from the
@@ -118,7 +113,7 @@ class AmplitudeMatrix:
     index and iterate c, so they read both alike.
     """
 
-    c: tuple
+    __slots__ = ()
 
     @property
     def p(self) -> tuple:
@@ -131,11 +126,10 @@ class AmplitudeMatrix:
         return float(p11 + p12 + p21 + p22)
 
 
-@dataclass(frozen=True)
-class NormalizedState:
+class NormalizedState(namedtuple("NormalizedState", "lam")):
     """Normalized two-photon amplitudes lambda_ij, sum |lambda_ij|^2 = 1."""
 
-    lam: tuple
+    __slots__ = ()
 
     @property
     def p(self) -> tuple:

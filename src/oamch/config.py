@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .azimuthal import StepIndex
@@ -34,7 +34,10 @@ def parse_angle(value) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"not an angle: {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"angle must be finite, got {value!r}") from None
     if isinstance(value, str):
         text = value.strip().lower()
         for suffix, factor in (("deg", math.pi / 180.0), ("rad", 1.0)):
@@ -59,27 +62,27 @@ def _number(section: str, data: dict, key: str, default):
     value = data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
-class OutputConfig:
-    path: str | None = None
-    format: str = "csv"
+OutputConfig = namedtuple("OutputConfig", "path format", defaults=(None, "csv"))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Typed view of one config document, plus the raw echo for reports."""
+class RunConfig(namedtuple("RunConfig", "raw experiment ch mc scan output")):
+    """Typed view of one config document, plus the raw echo for reports.
 
-    raw: dict
-    experiment: ExperimentSettings | None
-    ch: ChSettings | None
-    mc: McConfig | None
-    scan: ScanGrid | None
-    output: OutputConfig
+    experiment, ch, mc and scan hold their records (ExperimentSettings,
+    ChSettings, McConfig, ScanGrid), or None when the document leaves the
+    section out; output is an OutputConfig, with defaults when it is left out.
+    """
+
+    __slots__ = ()
 
 
 def _build_experiment(data: dict) -> ExperimentSettings:
@@ -192,7 +195,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             raise ConfigError(f"override key must be section.key, got {path!r}")
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer past the interpreter's digit limit
             value = text
         node = updated
         for part in parts[:-1]:
@@ -209,7 +212,7 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")

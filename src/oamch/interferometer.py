@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._np import np
 from .azimuthal import StepIndex, spp_phase, wrap_angle
@@ -25,8 +25,8 @@ from .azimuthal import StepIndex, spp_phase, wrap_angle
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class MzConfig:
+class MzConfig(namedtuple("MzConfig", "plate_orientation theta step_index aux_phase_1 aux_phase_2 "
+                                       "conjugate_plates")):
     """One analyzer: plate pair, output-splitter angle, auxiliary phases.
 
     The second plate orientation is always plate_orientation + pi and is
@@ -34,19 +34,16 @@ class MzConfig:
     plates (negated azimuthal phase) used on the second photon.
     """
 
-    plate_orientation: float
-    theta: float
-    step_index: StepIndex
-    aux_phase_1: float = 0.0
-    aux_phase_2: float = 0.0
-    conjugate_plates: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "plate_orientation", wrap_angle(self.plate_orientation))
-        object.__setattr__(self, "theta", wrap_angle(self.theta))
-        for name in ("aux_phase_1", "aux_phase_2"):
-            if not math.isfinite(getattr(self, name)):
+    def __new__(cls, plate_orientation: float, theta: float, step_index: StepIndex,
+                aux_phase_1: float = 0.0, aux_phase_2: float = 0.0, conjugate_plates: bool = False):
+        plate_orientation, theta = wrap_angle(plate_orientation), wrap_angle(theta)
+        for name, phase in (("aux_phase_1", aux_phase_1), ("aux_phase_2", aux_phase_2)):
+            if not math.isfinite(phase):
                 raise ValueError(f"{name} must be finite")
+        fields = (plate_orientation, theta, step_index, aux_phase_1, aux_phase_2, conjugate_plates)
+        return tuple.__new__(cls, fields)
 
     @property
     def second_plate_orientation(self) -> float:

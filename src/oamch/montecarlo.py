@@ -14,7 +14,7 @@ bit-reproducible for a given seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ._np import np
 from .chtest import ChSettings, ch_from_probabilities
@@ -29,58 +29,47 @@ class InsufficientStatisticsError(ValueError):
     """No coincidences observed across the pooled runs; S is undefined."""
 
 
-@dataclass(frozen=True)
-class McConfig:
+class McConfig(namedtuple("McConfig", "trials efficiency_a efficiency_b seed")):
     """Trial count, per-arm detection efficiencies, and the RNG seed."""
 
-    trials: int
-    efficiency_a: float = 1.0
-    efficiency_b: float = 1.0
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, trials: int, efficiency_a: float = 1.0, efficiency_b: float = 1.0,
+                seed: int = 0):
         # numpy's multinomial takes the trial count as a C long
-        if not 1 <= self.trials < 2**63 or int(self.trials) != self.trials:
-            raise ValueError(f"trials must be an integer in [1, 2**63), got {self.trials!r}")
-        object.__setattr__(self, "trials", int(self.trials))
-        for name in ("efficiency_a", "efficiency_b"):
-            eta = getattr(self, name)
+        if not 1 <= trials < 2**63 or int(trials) != trials:
+            raise ValueError(f"trials must be an integer in [1, 2**63), got {trials!r}")
+        for name, eta in (("efficiency_a", efficiency_a), ("efficiency_b", efficiency_b)):
             if not 0.0 < eta <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {eta!r}")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        if int(seed) != seed or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        return tuple.__new__(cls, (int(trials), efficiency_a, efficiency_b, int(seed)))
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(namedtuple("CountRecord", "setting_label n trials no_coincidence")):
     """Coincidence counts N_ij for one run, plus the no-coincidence count."""
 
-    setting_label: str
-    n: np.ndarray
-    trials: int
-    no_coincidence: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = np.asarray(self.n, dtype=np.int64)
+    def __new__(cls, setting_label: str, n, trials: int, no_coincidence: int):
+        n = np.asarray(n, dtype=np.int64)
         if n.shape != (2, 2) or np.any(n < 0):
             raise ValueError("n must be a 2x2 matrix of nonnegative counts")
-        object.__setattr__(self, "n", n)
-        if int(n.sum()) + self.no_coincidence != self.trials:
+        if int(n.sum()) + no_coincidence != trials:
             raise ValueError("counts plus no-coincidence outcomes must equal trials")
+        return tuple.__new__(cls, (setting_label, n, trials, no_coincidence))
 
 
-@dataclass(frozen=True)
-class ChEstimate:
+class ChEstimate(namedtuple("ChEstimate", "s_hat stderr terms")):
     """Estimated CH parameter with a first-order delta-method standard error."""
 
-    s_hat: float
-    stderr: float
-    terms: dict[str, float]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.stderr >= 0.0:
+    def __new__(cls, s_hat: float, stderr: float, terms: dict[str, float]):
+        if not stderr >= 0.0:
             raise ValueError("stderr must be nonnegative")
+        return tuple.__new__(cls, (s_hat, stderr, terms))
 
 
 def _sample(m: AmplitudeMatrix, mc: McConfig, setting_label: str, stream: int) -> CountRecord:

@@ -16,7 +16,7 @@ object per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from ._np import np
 from .azimuthal import TAU, StepIndex, overlap_integral
@@ -33,52 +33,48 @@ THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 MAX_SCAN_POINTS = 2**20
 
 
-@dataclass(frozen=True)
-class ScanGrid:
+class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy threshold")):
     """Grid resolution, splitter-angle policy, and the violation threshold."""
 
-    alpha_steps: int
-    beta_steps: int
-    theta_policy: str = "fixed-canonical"
-    threshold: float = 0.204
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("alpha_steps", "beta_steps"):
-            value = getattr(self, name)
+    def __new__(cls, alpha_steps: int, beta_steps: int, theta_policy: str = "fixed-canonical",
+                threshold: float = 0.204):
+        for name, value in (("alpha_steps", alpha_steps), ("beta_steps", beta_steps)):
             if int(value) != value or value < 2:
                 raise ValueError(f"{name} must be an integer >= 2")
-            object.__setattr__(self, name, int(value))
-        points = self.alpha_steps * self.beta_steps
+        points = int(alpha_steps) * int(beta_steps)
         if points > MAX_SCAN_POINTS:
             raise ValueError(f"the grid has {points} points; at most {MAX_SCAN_POINTS} (2^20) are allowed")
-        if self.theta_policy not in THETA_POLICIES:
-            raise ValueError(f"theta_policy must be one of {THETA_POLICIES}, got {self.theta_policy!r}")
-        if not math.isfinite(self.threshold):
+        if theta_policy not in THETA_POLICIES:
+            raise ValueError(f"theta_policy must be one of {THETA_POLICIES}, got {theta_policy!r}")
+        if not math.isfinite(threshold):
             raise ValueError("threshold must be finite")
-        object.__setattr__(self, "threshold", float(self.threshold))
+        fields = (int(alpha_steps), int(beta_steps), theta_policy, float(threshold))
+        return tuple.__new__(cls, fields)
 
 
-@dataclass(frozen=True, eq=False)
-class ScanResult:
+class ScanResult(namedtuple("ScanResult", "alpha beta thetas s exceeds_threshold")):
     """The scanned lattice as columns, in (alpha index, beta index) order.
 
     Row i has plates alpha[i], beta[i], splitter angles thetas[i] =
     (theta_a, theta_a', theta_b, theta_b'), S = s[i] and the flag
     exceeds_threshold[i]; `best` is the index of the first row with the
-    largest S.
+    largest S.  The columns are arrays, so two results compare equal only
+    when they are the same object.
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    thetas: np.ndarray
-    s: np.ndarray
-    exceeds_threshold: np.ndarray
-    best: int = field(init=False)
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __post_init__(self) -> None:
-        if self.s.size == 0:
+    def __new__(cls, alpha, beta, thetas, s, exceeds_threshold):
+        if s.size == 0:
             raise ValueError("scan produced no rows")
-        object.__setattr__(self, "best", int(np.argmax(self.s)))
+        return tuple.__new__(cls, (alpha, beta, thetas, s, exceeds_threshold))
+
+    @property
+    def best(self) -> int:
+        return int(np.argmax(self.s))
 
 
 def _sq_modulus(z):

@@ -9,7 +9,7 @@ adjudication numbers in its detail string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import attrgetter, itemgetter
 
 from ._np import np
@@ -41,13 +41,7 @@ _SEED = 20240913
 ORACLE_BLOCK = 8
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    max_error: float
-    tolerance: float
-    detail: str = ""
+SuiteResult = namedtuple("SuiteResult", "name passed max_error tolerance detail", defaults=("",))
 
 
 def _random_half_integer(rng) -> StepIndex:

@@ -163,6 +163,39 @@ def test_out_of_range_input_exits_2_without_traceback(tmp_path, command, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, template",
+    [
+        ("probe", "experiment.step_index={}"),
+        ("probe", "experiment.alpha=-{}"),
+        ("probe", "experiment.theta_b={}"),
+        ("probe", "experiment.aux_phases=[0, {}, 0, 0]"),
+        ("ch", "ch.theta_b_prime={}"),
+        ("mc", "mc.efficiency_a={}"),
+        ("scan", "scan.threshold={}"),
+    ],
+)
+def test_integer_beyond_float_range_exits_2_with_one_line(tmp_path, capsys, command, template):
+    # JSON reads 10^400 as an exact integer, which no float can hold
+    argv = [command, "--config", _write_config(tmp_path), "--out", str(tmp_path / "scan.csv"),
+            "--set", template.format(10**400)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_integer_past_the_digit_limit_exits_2_with_one_line(tmp_path, capsys):
+    # more digits than the interpreter converts from text (4,300 by default)
+    digits = "1" + "0" * 5000
+    path = tmp_path / "digits.json"
+    path.write_text('{"schema_version": 1, "experiment": {"alpha": %s}}' % digits, encoding="utf-8")
+    for argv in (["probe", "--config", str(path)],
+                 ["probe", "--config", _write_config(tmp_path), "--set", f"experiment.alpha={digits}"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def _run_cli(*argv):
     env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
     return subprocess.run(
@@ -175,9 +208,10 @@ def _run_cli(*argv):
 
 
 # Runs each argv with `main` in one interpreter and records, after each, its
-# exit code and the numpy submodules loaded so far.
+# exit code, the numpy submodules and the watched stdlib modules loaded so
+# far, OPENBLAS_NUM_THREADS and, where /proc lists them, the process's threads.
 _IMPORT_PROBE = """
-import json, sys
+import json, os, sys
 from oamch.cli import main
 report = []
 for argv in json.loads(sys.argv[2]):
@@ -185,24 +219,25 @@ for argv in json.loads(sys.argv[2]):
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    report.append([code, sorted(m for m in sys.modules if m.startswith("numpy."))])
+    report.append({
+        "code": code,
+        "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
+        "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
+    })
 with open(sys.argv[1], "w") as fh:
     json.dump(report, fh)
 """
 
 
-def test_probe_ch_and_help_never_load_numpy(tmp_path):
-    config = _write_config(tmp_path)
-    commands = [
-        ["probe", "--config", config],
-        ["probe", "--config", config, "--format", "json"],
-        ["probe", "--config", config, "--closed-form"],
-        ["ch", "--config", config, "--assert-violation"],
-        ["ch", "--config", config, "--format", "json"],
-        ["--help"],
-    ]
+def _import_probe(tmp_path, commands, blas_threads=None) -> list[dict]:
+    """The probe's report on `commands`, with OPENBLAS_NUM_THREADS unset or preset."""
     report = tmp_path / "report.json"
     env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(report), json.dumps(commands)],
         capture_output=True,
@@ -211,7 +246,40 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(report.read_text()) == [[0, []]] * len(commands)
+    return json.loads(report.read_text())
+
+
+def test_probe_ch_and_help_never_load_numpy(tmp_path):
+    config = _write_config(tmp_path)
+    light = [
+        ["probe", "--config", config],
+        ["probe", "--config", config, "--format", "json"],
+        ["probe", "--config", config, "--closed-form"],
+        ["ch", "--config", config, "--assert-violation"],
+        ["ch", "--config", config, "--format", "json"],
+        ["--help"],
+    ]
+    heavy = [
+        ["mc", "--config", config],
+        ["scan", "--config", config, "--out", str(tmp_path / "scan.csv")],
+        ["validate", "--suites", "azimuthal"],
+    ]
+    report = _import_probe(tmp_path, light + heavy)
+    assert [r["code"] for r in report] == [0] * len(report)
+    assert [r["numpy"] for r in report[: len(light)]] == [[]] * len(light)
+    # no oamch module needs dataclasses or inspect; numpy itself imports inspect
+    assert [r["stdlib"] for r in report[: len(light)]] == [[]] * len(light)
+    assert all("dataclasses" not in r["stdlib"] for r in report)
+    # main defaults OpenBLAS to one thread before numpy loads, so no pool starts
+    assert {r["blas_threads"] for r in report} == {"1"}
+    assert report[-1]["threads"] in (1, None)
+
+
+def test_main_keeps_a_preset_blas_thread_count(tmp_path):
+    config = _write_config(tmp_path)
+    report = _import_probe(tmp_path, [["mc", "--config", config]], blas_threads="2")
+    assert report[0]["code"] == 0
+    assert report[0]["blas_threads"] == "2"
 
 
 def _assert_one_line_config_error(proc):

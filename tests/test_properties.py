@@ -164,10 +164,12 @@ CONFIG_VALUES = st.one_of(
     st.integers(2, 6),
     st.floats(-10.0, 10.0),
     st.floats(),
-    st.integers(-(2**65), 2**65),
+    # past +-2^1024, where an integer no longer converts to a float
+    st.integers(-(2**1100), 2**1100),
     st.sampled_from(
         ("45deg", " 1.5 rad", "1e400deg", "deg", "7", "", "csv", "json", "optimize-per-point",
-         "fixed-canonical", True, False, None, [], [0.1, "2deg", 0.0, 1.0], [0.0] * 3, {})
+         "fixed-canonical", True, False, None, [], [0.1, "2deg", 0.0, 1.0], [0.0] * 3, {},
+         2**1024, -(2**1024), [0.0, 10**400, 0.0, 0.0])
     ),
 )
 COMMANDS = st.sampled_from(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.chtest import CANONICAL_THETAS, MAX_CH_VIOLATION, ChSettings, ch_parameter
@@ -161,13 +163,15 @@ def test_scan_bookkeeping_2x2():
 
 @pytest.mark.parametrize("policy", ["fixed-canonical", "optimize-per-point"])
 @pytest.mark.parametrize("step", [StepIndex(0.5), StepIndex(2.5), StepIndex(1.7), StepIndex(3.21)])
-def test_scan_columns_match_scalar_reference(policy, step):
-    # a non-square grid, so swapping the alpha-major repeat and tile fails
-    grid = ScanGrid(alpha_steps=5, beta_steps=7, theta_policy=policy, threshold=0.1)
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(alpha_steps=st.integers(2, 9), beta_steps=st.integers(2, 9), threshold=st.floats(0.0, 0.25))
+def test_scan_columns_match_scalar_reference(policy, step, alpha_steps, beta_steps, threshold):
+    # non-square grids among them, so swapping the alpha-major repeat and tile fails
+    grid = ScanGrid(alpha_steps, beta_steps, theta_policy=policy, threshold=threshold)
     result = scan_alpha_beta(grid, step)
     land = ChLandscape(result.alpha, result.beta, step)
-    alphas = np.linspace(0.0, TAU, 5, endpoint=False)
-    betas = np.linspace(0.0, TAU, 7, endpoint=False)
+    alphas = np.linspace(0.0, TAU, alpha_steps, endpoint=False)
+    betas = np.linspace(0.0, TAU, beta_steps, endpoint=False)
     rows = [(a, b) for a in alphas.tolist() for b in betas.tolist()]
     assert list(zip(result.alpha.tolist(), result.beta.tolist())) == rows
     for i, (a, b) in enumerate(rows):
@@ -179,7 +183,7 @@ def test_scan_columns_match_scalar_reference(policy, step):
             thetas, s = CANONICAL_THETAS, point.value(*CANONICAL_THETAS)
         assert tuple(result.thetas[i].tolist()) == tuple(float(t) for t in thetas)
         assert abs(result.s[i] - s) <= 2e-15
-    np.testing.assert_array_equal(result.exceeds_threshold, result.s > 0.1)
+    np.testing.assert_array_equal(result.exceeds_threshold, result.s > threshold)
     assert result.best == int(np.argmax(result.s))
 
 
