@@ -29,7 +29,7 @@ from .coincidence import (
     closed_form_probabilities,
     normalized_amplitudes,
 )
-from .interferometer import MzConfig, arm_amplitude, mz_unitary
+from .interferometer import arm_amplitude, mz_unitary
 from .montecarlo import (
     ChEstimate,
     CountRecord,
@@ -56,7 +56,6 @@ __all__ = [
     "InsufficientStatisticsError",
     "MAX_CH_VIOLATION",
     "McConfig",
-    "MzConfig",
     "NormalizedState",
     "ScanGrid",
     "ScanResult",

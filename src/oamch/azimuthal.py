@@ -203,7 +203,7 @@ def gauss_segments(cut_points, order: int = 64) -> tuple[np.ndarray, np.ndarray]
     return nodes.reshape(rows + (-1,)), (half * base_w).reshape(rows + (-1,))
 
 
-def overlap_integral_quadrature(mu, nu, step_index: StepIndex, order: int = 64):
+def overlap_integral_quadrature(mu, nu, step_index: StepIndex):
     """Numerical oracle for `overlap_integral`.
 
     Integrates exp(i*(f(mu, phi) - f(nu, phi))) directly, splitting [0, 2*pi)
@@ -213,7 +213,7 @@ def overlap_integral_quadrature(mu, nu, step_index: StepIndex, order: int = 64):
     to the scalar call on its pair.
     """
     m, n = np.broadcast_arrays(_wrap_array(mu), _wrap_array(nu))
-    x, w = gauss_segments(np.stack((m, n), axis=-1), order=order)
+    x, w = gauss_segments(np.stack((m, n), axis=-1))
     vals = spp_phase(m[..., np.newaxis], x, step_index) * np.conjugate(
         spp_phase(n[..., np.newaxis], x, step_index)
     )

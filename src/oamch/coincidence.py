@@ -38,7 +38,7 @@ from .azimuthal import (
     wrap_angle,
     wrap_signed,
 )
-from .interferometer import MzConfig, arm_amplitude, mz_unitary
+from .interferometer import arm_amplitude, mz_unitary
 
 _PI = math.pi
 
@@ -78,26 +78,6 @@ class ExperimentSettings(
     @property
     def has_aux_phases(self) -> bool:
         return any(p != 0.0 for p in self.aux_phases)
-
-    def analyzer_a(self) -> MzConfig:
-        return MzConfig(
-            plate_orientation=self.alpha,
-            theta=self.theta_a,
-            step_index=self.step_index,
-            aux_phase_1=self.aux_phases[0],
-            aux_phase_2=self.aux_phases[1],
-            conjugate_plates=False,
-        )
-
-    def analyzer_b(self) -> MzConfig:
-        return MzConfig(
-            plate_orientation=self.beta,
-            theta=self.theta_b,
-            step_index=self.step_index,
-            aux_phase_1=self.aux_phases[2],
-            aux_phase_2=self.aux_phases[3],
-            conjugate_plates=True,
-        )
 
 
 def _squared_moduli(c):
@@ -185,7 +165,7 @@ def amplitude_matrix(settings, overlap=overlap_integral):
     return mats[0] if isinstance(settings, ExperimentSettings) else mats
 
 
-def amplitude_matrix_quadrature(settings, order: int = 64):
+def amplitude_matrix_quadrature(settings):
     """Numerical oracle for `amplitude_matrix`.
 
     Integrates the arm-amplitude products directly over azimuth, splitting
@@ -198,20 +178,16 @@ def amplitude_matrix_quadrature(settings, order: int = 64):
     rows = (settings,) if isinstance(settings, ExperimentSettings) else tuple(settings)
     if not rows:
         raise ValueError("no settings to evaluate")
-    cfg_a = [s.analyzer_a() for s in rows]
-    cfg_b = [s.analyzer_b() for s in rows]
-    cuts = [
-        (
-            a.plate_orientation,
-            a.second_plate_orientation,
-            b.plate_orientation,
-            b.second_plate_orientation,
-        )
-        for a, b in zip(cfg_a, cfg_b)
-    ]
-    x, w = gauss_segments(cuts, order=order)
-    a = arm_amplitude(cfg_a, x)
-    b = arm_amplitude(cfg_b, x)
+    step = rows[0].step_index
+    if any(s.step_index != step for s in rows):
+        raise ValueError("settings evaluated together must share one step index")
+    # One column of n values per angle, broadcasting against the n rows of nodes.
+    alpha, beta, theta_a, theta_b, a1, a2, b1, b2 = np.array(
+        [(s.alpha, s.beta, s.theta_a, s.theta_b, *s.aux_phases) for s in rows]
+    ).T[..., np.newaxis]
+    x, w = gauss_segments(np.concatenate((alpha, alpha + _PI, beta, beta + _PI), axis=-1))
+    a = arm_amplitude(alpha, theta_a, a1, a2, x, step)
+    b = arm_amplitude(beta, theta_b, b1, b2, x, step, conjugate_plates=True)
     g = np.array([[np.sum(w * a[i] * b[j], axis=-1) for j in (0, 1)] for i in (0, 1)])
     mats = [AmplitudeMatrix(c=c) for c in np.asarray(SIGMA) * np.moveaxis(g, -1, 0)]
     return mats[0] if isinstance(settings, ExperimentSettings) else mats

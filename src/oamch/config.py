@@ -185,7 +185,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     Values parse as JSON when possible and fall back to plain strings, so
     both `mc.trials=1000` and `experiment.alpha=45deg` work unquoted.
     """
-    updated = json.loads(json.dumps(raw))
+    updated = dict(raw)  # the objects along each override path are copied below
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
@@ -197,11 +197,14 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
             value = json.loads(text)
         except ValueError:  # not JSON, or an integer past the interpreter's digit limit
             value = text
+        except RecursionError:
+            raise ConfigError(f"override {path!r} is nested too deeply") from None
         node = updated
         for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
+            child = node.get(part, {})
+            if not isinstance(child, dict):
                 raise ConfigError(f"cannot override through non-object at {part!r} in {path!r}")
+            node[part] = node = dict(child)
         node[parts[-1]] = value
     return updated
 
@@ -214,6 +217,8 @@ def load_config(path: str | Path, overrides: list[str] | None = None) -> RunConf
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"config {path} is nested too deeply") from None
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     if overrides:

@@ -23,7 +23,7 @@ from oamch.coincidence import (
     closed_form_probabilities,
     normalized_amplitudes,
 )
-from oamch.interferometer import MzConfig, arm_amplitude, mz_unitary
+from oamch.interferometer import arm_amplitude, mz_unitary
 from oamch.montecarlo import McConfig, estimate_S, sample_run, simulate_ch_runs
 from oamch.search import ChLandscape, ScanGrid, scan_alpha_beta
 
@@ -146,15 +146,15 @@ def test_criterion_7_property_suites():
     worst = 0.0
     phis = rng.uniform(0.0, TAU, size=128)
     for _ in range(20):
-        cfg = MzConfig(
-            plate_orientation=rng.uniform(0.0, TAU),
+        a1, a2 = arm_amplitude(
+            chi=rng.uniform(0.0, TAU),
             theta=rng.uniform(0.0, TAU),
             step_index=StepIndex(rng.uniform(0.1, 4.0)),
             aux_phase_1=rng.uniform(0.0, TAU),
             aux_phase_2=rng.uniform(0.0, TAU),
             conjugate_plates=bool(rng.integers(0, 2)),
+            phi=phis,
         )
-        a1, a2 = arm_amplitude(cfg, phis)
         norm = np.abs(a1) ** 2 + np.abs(a2) ** 2
         worst = max(worst, float(np.max(np.abs(norm - 1.0))))
     checks["arm-norm"] = worst <= 1e-12

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -196,6 +197,30 @@ def test_integer_past_the_digit_limit_exits_2_with_one_line(tmp_path, capsys):
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_deeply_nested_json_exits_2_with_one_line(tmp_path, capsys):
+    # past the recursion limit json.loads raises RecursionError, not ValueError
+    path = tmp_path / "deep.json"
+    path.write_text('{"schema_version": 1, "experiment": {"alpha": %s}}' % _nested(100_000),
+                    encoding="utf-8")
+    argvs = [["probe", "--config", str(path)],
+             ["probe", "--config", _write_config(tmp_path), "--set", f"experiment.alpha={_nested(5000)}"]]
+    # around the limit, where loading succeeds and the overrides run on the nested document
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 150, limit + 10):
+        path = tmp_path / f"deep{depth}.json"
+        path.write_text('{"schema_version": 1, "experiment": {"alpha": %s}}' % _nested(depth),
+                        encoding="utf-8")
+        argvs.append(["probe", "--config", str(path), "--set", "experiment.beta=0.1"])
+    for argv in argvs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def _run_cli(*argv):
     env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
     return subprocess.run(
@@ -280,6 +305,17 @@ def test_main_keeps_a_preset_blas_thread_count(tmp_path):
     report = _import_probe(tmp_path, [["mc", "--config", config]], blas_threads="2")
     assert report[0]["code"] == 0
     assert report[0]["blas_threads"] == "2"
+
+
+def test_missing_numpy_is_a_module_not_found_error(monkeypatch):
+    # on an interpreter without numpy, find_spec gives None
+    from oamch import _np
+
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError) as info:
+        _np._numpy()
+    assert info.value.name == "numpy"
 
 
 def _assert_one_line_config_error(proc):

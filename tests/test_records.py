@@ -17,7 +17,6 @@ from oamch.chtest import CANONICAL_THETAS, ChResult, ChSettings
 from oamch.cli import main
 from oamch.coincidence import AmplitudeMatrix, ExperimentSettings, NormalizedState
 from oamch.config import OutputConfig, RunConfig
-from oamch.interferometer import MzConfig
 from oamch.montecarlo import ChEstimate, CountRecord, McConfig
 from oamch.search import ScanGrid, ScanResult
 from oamch.validate import SuiteResult
@@ -34,8 +33,6 @@ Case = namedtuple("Case", "cls args fields bad message equality")
 CASES = [
     Case(StepIndex, (2.5,), (2.5,), {"value": -1},
          "step index must be in (0, 57038.8], got -1", "value"),
-    Case(MzConfig, (7.0, -0.5, HALF), (7.0 - TAU, TAU - 0.5, HALF, 0.0, 0.0, False),
-         {"aux_phase_2": math.inf}, "aux_phase_2 must be finite", "value"),
     Case(ExperimentSettings, (0.1, -0.2, 0.3, 7.0, HALF),
          (0.1, TAU - 0.2, 0.3, 7.0 - TAU, HALF, (0.0, 0.0, 0.0, 0.0)),
          {"aux_phases": (0.0, 0.0, 0.0)}, "aux_phases must be four finite phases (a1, a2, b1, b2)",
