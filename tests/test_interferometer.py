@@ -37,6 +37,15 @@ def _arms(chi=0.8, theta=0.0, aux_phase_1=0.0, aux_phase_2=0.0, phi=0.0, step_in
     return arm_amplitude(chi, theta, aux_phase_1, aux_phase_2, phi, step_index, conjugate_plates)
 
 
+def test_plate_pair_is_half_turn_apart():
+    # at a quarter-turn splitter arm 1 carries only the second plate, arm 2 only the first
+    phis = np.linspace(0.0, TAU, 40, endpoint=False)
+    a1, a2 = _arms(chi=5.0, theta=math.pi / 2, phi=phis)
+    second = spp_phase((5.0 + math.pi) % TAU, phis, HALF) / SQRT2
+    np.testing.assert_allclose(a1, -second, atol=1e-14)
+    np.testing.assert_allclose(a2, spp_phase(5.0, phis, HALF) / SQRT2, atol=1e-14)
+
+
 def test_arm_amplitude_passthrough_at_zero_theta():
     phis = np.linspace(0.0, TAU, 40, endpoint=False)
     expected = spp_phase(0.8, phis, HALF) / SQRT2
