@@ -168,9 +168,9 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
             "runs": [
                 {
                     "setting": r.setting_label,
-                    "counts": r.n.tolist(),
+                    "counts": r.n,
                     "no_coincidence": r.no_coincidence,
-                    "frequencies": frequency(r).tolist(),
+                    "frequencies": frequency(r),
                 }
                 for r in runs
             ],
@@ -186,10 +186,10 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
         f = frequency(r)
         lines.append(
             f"run {r.setting_label:4s} counts "
-            f"[[{r.n[0, 0]}, {r.n[0, 1]}], [{r.n[1, 0]}, {r.n[1, 1]}]] "
+            f"[[{r.n[0][0]}, {r.n[0][1]}], [{r.n[1][0]}, {r.n[1][1]}]] "
             f"none={r.no_coincidence}"
         )
-        lines += [f"  F = {_g9(f[0, 0])}  {_g9(f[0, 1])}", f"      {_g9(f[1, 0])}  {_g9(f[1, 1])}"]
+        lines += [f"  F = {_g9(f[0][0])}  {_g9(f[0][1])}", f"      {_g9(f[1][0])}  {_g9(f[1][1])}"]
     lines.append(f"S_hat = {est.s_hat:.7f} +/- {est.stderr:.7f}")
     _emit("\n".join(lines), args.out)
     return 0

@@ -9,6 +9,12 @@ efficiency cancels in the CH ratio, which is the point of using
 unnormalized probabilities).  Counts are drawn as one multinomial per run,
 which is distribution-identical to independent per-trial draws and
 bit-reproducible for a given seed.
+
+The draw is numpy's: `_pcg64.multinomial` computes, with Python ints and
+floats, the counts `numpy.random.default_rng([seed, stream]).multinomial`
+gives, so this module never imports numpy.  Counts and frequencies are 2x2
+nested tuples, and `estimate_S` is plain float arithmetic, summed in numpy's
+order.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._np import np
 from .chtest import ChSettings, ch_from_probabilities
 from .coincidence import AmplitudeMatrix, ExperimentSettings, amplitude_matrix
 
@@ -36,7 +41,7 @@ class McConfig(namedtuple("McConfig", "trials efficiency_a efficiency_b seed")):
 
     def __new__(cls, trials: int, efficiency_a: float = 1.0, efficiency_b: float = 1.0,
                 seed: int = 0):
-        # numpy's multinomial takes the trial count as a C long
+        # the sampler runs numpy's int64 arithmetic on the trial count
         if not 1 <= trials < 2**63 or int(trials) != trials:
             raise ValueError(f"trials must be an integer in [1, 2**63), got {trials!r}")
         for name, eta in (("efficiency_a", efficiency_a), ("efficiency_b", efficiency_b)):
@@ -53,10 +58,13 @@ class CountRecord(namedtuple("CountRecord", "setting_label n trials no_coinciden
     __slots__ = ()
 
     def __new__(cls, setting_label: str, n, trials: int, no_coincidence: int):
-        n = np.asarray(n, dtype=np.int64)
-        if n.shape != (2, 2) or np.any(n < 0):
+        try:
+            n = tuple(tuple(int(count) for count in row) for row in n)
+        except TypeError:
+            n = ()
+        if len(n) != 2 or any(len(row) != 2 or min(row) < 0 for row in n):
             raise ValueError("n must be a 2x2 matrix of nonnegative counts")
-        if int(n.sum()) + no_coincidence != trials:
+        if n[0][0] + n[0][1] + n[1][0] + n[1][1] + no_coincidence != trials:
             raise ValueError("counts plus no-coincidence outcomes must equal trials")
         return tuple.__new__(cls, (setting_label, n, trials, no_coincidence))
 
@@ -72,19 +80,42 @@ class ChEstimate(namedtuple("ChEstimate", "s_hat stderr terms")):
         return tuple.__new__(cls, (s_hat, stderr, terms))
 
 
+def _add_up(values) -> float:
+    """The values summed left to right, as numpy sums fewer than eight.
+
+    Not `sum`: on Python 3.12+ it compensates float rounding.
+    """
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return total
+
+
+def _outcome_probabilities(p, eta: float) -> list[float]:
+    """The five outcome probabilities of a trial: (1,1), (1,2), (2,1), (2,2), none.
+
+    `p` is the 2x2 matrix of unnormalized p_ij and `eta` the product of the
+    two efficiencies; every sum runs left to right, as numpy summed these.
+    """
+    (p11, p12), (p21, p22) = p
+    total = _add_up((p11, p12, p21, p22))
+    coinc = [eta * (x / total) for x in (p11, p12, p21, p22)]
+    probs = [*coinc, max(0.0, 1.0 - _add_up(coinc))]
+    norm = _add_up(probs)
+    return [x / norm for x in probs]
+
+
 def _sample(m: AmplitudeMatrix, mc: McConfig, setting_label: str, stream: int) -> CountRecord:
     """One counting run on the outcome probabilities of `m`."""
-    p = np.array(m.p)
-    eta = mc.efficiency_a * mc.efficiency_b
-    coinc = eta * (p.ravel() / p.sum())
-    probs = np.append(coinc, max(0.0, 1.0 - coinc.sum()))
-    rng = np.random.default_rng([mc.seed, stream])
-    counts = rng.multinomial(mc.trials, probs / probs.sum())
+    from ._pcg64 import multinomial  # loaded by `mc` alone
+
+    probs = _outcome_probabilities(m.p, mc.efficiency_a * mc.efficiency_b)
+    counts = multinomial((mc.seed, stream), mc.trials, probs)
     return CountRecord(
         setting_label=setting_label,
-        n=counts[:4].reshape(2, 2),
+        n=(counts[0:2], counts[2:4]),
         trials=mc.trials,
-        no_coincidence=int(counts[4]),
+        no_coincidence=counts[4],
     )
 
 
@@ -108,11 +139,12 @@ def simulate_ch_runs(cfg: ChSettings, mc: McConfig) -> list[CountRecord]:
     return [_sample(m, mc, label, k) for k, (label, m) in enumerate(zip(RUN_LABELS, mats))]
 
 
-def frequency(rec: CountRecord) -> np.ndarray:
-    """Coincidence frequencies F_ij = N_ij / trials."""
+def frequency(rec: CountRecord) -> tuple:
+    """Coincidence frequencies F_ij = N_ij / trials, as 2x2 nested tuples."""
     if rec.trials < 1:
         raise ValueError("frequencies require at least one trial")
-    return rec.n / rec.trials
+    trials = float(rec.trials)  # above 2**53 an int / int quotient rounds differently
+    return tuple(tuple(float(count) / trials for count in row) for row in rec.n)
 
 
 # Weight of each run's count cells (n11, n12, n21, n22) in the CH numerator:
@@ -139,18 +171,19 @@ def estimate_S(runs: list[CountRecord]) -> ChEstimate:
     trials = runs[0].trials
     if any(r.trials != trials for r in runs):
         raise ValueError("all four runs must share the same trial count")
-    if sum(int(r.n.sum()) for r in runs) == 0:
+    coincidences = sum(sum(row) for r in runs for row in r.n)
+    if coincidences == 0:
         raise InsufficientStatisticsError("no coincidences in any run; cannot estimate S")
 
     f = [frequency(r) for r in runs]
     terms = {
-        "p_ab": float(f[0][0, 0]),
-        "p_ab_prime": float(f[1][0, 0]),
-        "p_a_prime_b": float(f[2][0, 0]),
-        "p_a_prime_b_prime": float(f[3][0, 0]),
-        "p_a_prime_inf": float((f[2][0, 0] + f[2][0, 1] + f[3][0, 0] + f[3][0, 1]) / 2.0),
-        "p_inf_b": float((f[0][0, 0] + f[0][1, 0] + f[2][0, 0] + f[2][1, 0]) / 2.0),
-        "p_inf_inf": float(sum(fr.sum() for fr in f) / 4.0),
+        "p_ab": f[0][0][0],
+        "p_ab_prime": f[1][0][0],
+        "p_a_prime_b": f[2][0][0],
+        "p_a_prime_b_prime": f[3][0][0],
+        "p_a_prime_inf": (f[2][0][0] + f[2][0][1] + f[3][0][0] + f[3][0][1]) / 2.0,
+        "p_inf_b": (f[0][0][0] + f[0][1][0] + f[2][0][0] + f[2][1][0]) / 2.0,
+        "p_inf_inf": _add_up([_add_up(fr[0] + fr[1]) for fr in f]) / 4.0,
     }
     s_hat = ch_from_probabilities(
         terms["p_ab"],
@@ -165,11 +198,14 @@ def estimate_S(runs: list[CountRecord]) -> ChEstimate:
     # S = (w.n)/(v.n) with v = 1/4 on every coincidence cell, so
     # dS/dn_c = (w_c - S/4)/(v.n); per-run multinomial covariance then gives
     # Var(S) = sum_runs N*(E[u^2] - E[u]^2) / (v.n)^2 with u = w - S/4.
-    pooled = sum(int(r.n.sum()) for r in runs) / 4.0
+    pooled = coincidences / 4.0
     var = 0.0
     for w, rec in zip(_NUMERATOR_WEIGHTS, runs):
-        u = np.append(np.array(w) - s_hat / 4.0, 0.0)
-        phat = np.append(rec.n.ravel(), rec.no_coincidence) / trials
-        var += trials * (float(np.sum(u * u * phat)) - float(np.sum(u * phat)) ** 2)
+        u = [wc - s_hat / 4.0 for wc in w] + [0.0]
+        cells = (*rec.n[0], *rec.n[1], rec.no_coincidence)
+        phat = [float(count) / float(trials) for count in cells]
+        e2 = _add_up([ui * ui * pi for ui, pi in zip(u, phat)])
+        e1 = _add_up([ui * pi for ui, pi in zip(u, phat)])
+        var += trials * (e2 - e1 ** 2)
     stderr = math.sqrt(max(0.0, var)) / pooled
     return ChEstimate(s_hat=s_hat, stderr=stderr, terms=terms)

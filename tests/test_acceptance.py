@@ -224,7 +224,7 @@ def test_criterion_7_property_suites():
     for seed in range(5):
         mc = McConfig(trials=10_000, efficiency_a=0.7, efficiency_b=0.9, seed=seed)
         rec = sample_run(settings, mc)
-        conserved = conserved and int(rec.n.sum()) + rec.no_coincidence == mc.trials
+        conserved = conserved and sum(map(sum, rec.n)) + rec.no_coincidence == mc.trials
     checks["count-conservation"] = conserved
 
     # determinism, bit-identical reruns
@@ -234,7 +234,7 @@ def test_criterion_7_property_suites():
     e1 = estimate_S(simulate_ch_runs(canonical_settings(0.0), mc))
     e2 = estimate_S(simulate_ch_runs(canonical_settings(0.0), mc))
     checks["determinism"] = (
-        np.array_equal(r1.n, r2.n)
+        r1.n == r2.n
         and r1.no_coincidence == r2.no_coincidence
         and e1.s_hat == e2.s_hat
         and e1.stderr == e2.stderr

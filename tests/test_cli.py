@@ -138,7 +138,7 @@ def test_mc_without_coincidences_exits_1_with_one_line(tmp_path, capsys, fmt):
         ({"mc.trials": math.inf}, []),
         ({}, ["--set", "mc.seed=1e400"]),
         ({}, ["--set", "mc.trials=NaN"]),
-        # finite, but beyond the C long that numpy's multinomial takes
+        # finite, but beyond the int64 the sampler's arithmetic takes
         ({}, ["--set", "mc.trials=1e19"]),
     ],
 )
@@ -233,10 +233,13 @@ def _run_cli(*argv):
 
 
 # Runs each argv with `main` in one interpreter and records, after each, its
-# exit code, the numpy submodules and the watched stdlib modules loaded so
-# far, OPENBLAS_NUM_THREADS and, where /proc lists them, the process's threads.
+# exit code, the numpy submodules, the watched stdlib modules and whether the
+# sampler was loaded so far, OPENBLAS_NUM_THREADS and, where /proc lists them,
+# the process's threads.
 _IMPORT_PROBE = """
 import json, os, sys
+if sys.argv[3] == "block-numpy":
+    sys.modules["numpy"] = None  # `import numpy` now fails, as where it is not installed
 from oamch.cli import main
 report = []
 for argv in json.loads(sys.argv[2]):
@@ -248,6 +251,7 @@ for argv in json.loads(sys.argv[2]):
         "code": code,
         "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
         "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+        "sampler": "oamch._pcg64" in sys.modules,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     })
@@ -256,15 +260,19 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def _import_probe(tmp_path, commands, blas_threads=None) -> list[dict]:
-    """The probe's report on `commands`, with OPENBLAS_NUM_THREADS unset or preset."""
+def _import_probe(tmp_path, commands, blas_threads=None, block_numpy=False) -> list[dict]:
+    """The probe's report on `commands`, with OPENBLAS_NUM_THREADS unset or preset.
+
+    With `block_numpy` the interpreter cannot import numpy.
+    """
     report = tmp_path / "report.json"
     env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
     env.pop("OPENBLAS_NUM_THREADS", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, str(report), json.dumps(commands)],
+        [sys.executable, "-c", _IMPORT_PROBE, str(report), json.dumps(commands),
+         "block-numpy" if block_numpy else "-"],
         capture_output=True,
         text=True,
         env=env,
@@ -283,9 +291,10 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
         ["ch", "--config", config, "--assert-violation"],
         ["ch", "--config", config, "--format", "json"],
         ["--help"],
+        ["mc", "--config", config],
+        ["mc", "--config", config, "--format", "json"],
     ]
     heavy = [
-        ["mc", "--config", config],
         ["scan", "--config", config, "--out", str(tmp_path / "scan.csv")],
         ["validate", "--suites", "azimuthal"],
     ]
@@ -295,6 +304,8 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
     # no oamch module needs dataclasses or inspect; numpy itself imports inspect
     assert [r["stdlib"] for r in report[: len(light)]] == [[]] * len(light)
     assert all("dataclasses" not in r["stdlib"] for r in report)
+    # only mc imports the sampler
+    assert [r["sampler"] for r in report[:7]] == [False] * 6 + [True]
     # main defaults OpenBLAS to one thread before numpy loads, so no pool starts
     assert {r["blas_threads"] for r in report} == {"1"}
     assert report[-1]["threads"] in (1, None)
@@ -302,7 +313,8 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
 
 def test_main_keeps_a_preset_blas_thread_count(tmp_path):
     config = _write_config(tmp_path)
-    report = _import_probe(tmp_path, [["mc", "--config", config]], blas_threads="2")
+    report = _import_probe(tmp_path, [["scan", "--config", config, "--out", str(tmp_path / "scan.csv")]],
+                           blas_threads="2")
     assert report[0]["code"] == 0
     assert report[0]["blas_threads"] == "2"
 
@@ -314,8 +326,21 @@ def test_missing_numpy_is_a_module_not_found_error(monkeypatch):
     monkeypatch.delitem(sys.modules, "numpy")
     monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
     with pytest.raises(ModuleNotFoundError) as info:
-        _np._numpy()
+        _np._numpy().ndarray
     assert info.value.name == "numpy"
+
+
+def test_help_probe_ch_and_mc_run_without_numpy(tmp_path):
+    config = _write_config(tmp_path)
+    commands = [
+        ["--help"],
+        ["probe", "--config", config],
+        ["ch", "--config", config, "--format", "json"],
+        ["mc", "--config", config],
+        ["mc", "--config", config, "--format", "json"],
+    ]
+    report = _import_probe(tmp_path, commands, block_numpy=True)
+    assert [r["code"] for r in report] == [0] * len(commands)
 
 
 def _assert_one_line_config_error(proc):

@@ -38,7 +38,7 @@ def test_simulate_ch_runs_equal_per_setting_runs_from_one_amplitude_call(monkeyp
     assert len(calls) == 1 and len(calls[0]) == 4
     for k, (run, (ta, tb)) in enumerate(zip(runs, cfg.theta_pairs())):
         one = sample_run(cfg.experiment(ta, tb), mc, setting_label=RUN_LABELS[k], stream=k)
-        assert np.array_equal(run.n, one.n)
+        assert run.n == one.n
         assert (run.setting_label, run.no_coincidence) == (one.setting_label, one.no_coincidence)
 
 
@@ -60,10 +60,10 @@ def test_sample_run_is_deterministic():
     mc = McConfig(trials=50_000, seed=99)
     a = sample_run(ALIGNED, mc)
     b = sample_run(ALIGNED, mc)
-    assert np.array_equal(a.n, b.n)
+    assert a.n == b.n
     assert a.no_coincidence == b.no_coincidence
     c = sample_run(ALIGNED, mc, stream=1)
-    assert not np.array_equal(a.n, c.n)
+    assert a.n != c.n
 
 
 def test_count_conservation():
@@ -76,21 +76,21 @@ def test_count_conservation():
             seed=int(rng.integers(0, 2**32)),
         )
         rec = sample_run(ALIGNED, mc)
-        assert int(rec.n.sum()) + rec.no_coincidence == mc.trials
+        assert sum(map(sum, rec.n)) + rec.no_coincidence == mc.trials
 
 
 def test_aligned_zero_theta_only_correlated_outcomes():
     rec = sample_run(ALIGNED, McConfig(trials=200_000, seed=7))
     assert rec.no_coincidence == 0
-    assert rec.n[0, 1] == 0 and rec.n[1, 0] == 0
+    assert rec.n[0][1] == 0 and rec.n[1][0] == 0
     # both surviving outcomes have probability 1/2
     sigma = math.sqrt(200_000 * 0.25)
-    assert abs(rec.n[0, 0] - 100_000) <= 5 * sigma
+    assert abs(rec.n[0][0] - 100_000) <= 5 * sigma
 
 
 def test_single_trial_records_exactly_one_count():
     rec = sample_run(ALIGNED, McConfig(trials=1, seed=3))
-    assert int(rec.n.sum()) == 1 and rec.no_coincidence == 0
+    assert sum(map(sum, rec.n)) == 1 and rec.no_coincidence == 0
 
 
 def test_efficiency_thinning_rate():
@@ -102,10 +102,10 @@ def test_efficiency_thinning_rate():
 
 def test_frequency_arithmetic():
     rec = CountRecord("ab", np.array([[5, 0], [0, 0]]), trials=10, no_coincidence=5)
-    np.testing.assert_allclose(frequency(rec), [[0.5, 0.0], [0.0, 0.0]])
+    assert frequency(rec) == ((0.5, 0.0), (0.0, 0.0))
     empty = CountRecord("ab", np.zeros((2, 2), dtype=int), trials=4, no_coincidence=4)
-    np.testing.assert_allclose(frequency(empty), np.zeros((2, 2)))
-    assert float(frequency(rec).sum()) <= 1.0
+    assert frequency(empty) == ((0.0, 0.0), (0.0, 0.0))
+    assert sum(map(sum, frequency(rec))) <= 1.0
 
 
 def test_frequency_requires_trials():

@@ -26,8 +26,8 @@ COLUMN = np.array([0.0, 1.0])
 
 # cls, positional args, the fields they give, keyword overrides that are
 # rejected, the message, and how records compare: "value" (== and hash by
-# value), "unhashable" (== by value; a dict field cannot be hashed), "arrays"
-# (== would compare arrays), "identity" (== only for the same object).
+# value), "unhashable" (== by value; a dict field cannot be hashed) and
+# "identity" (== only for the same object: array fields).
 Case = namedtuple("Case", "cls args fields bad message equality")
 
 CASES = [
@@ -49,8 +49,8 @@ CASES = [
          "total coincidence probability must be positive", "value"),
     Case(McConfig, (1000.0,), (1000, 1.0, 1.0, 0), {"trials": 0},
          "trials must be an integer in [1, 2**63), got 0", "value"),
-    Case(CountRecord, ("ab", [[1, 2], [3, 4]], 12, 2), ("ab", np.array([[1, 2], [3, 4]]), 12, 2),
-         {"trials": 13}, "counts plus no-coincidence outcomes must equal trials", "arrays"),
+    Case(CountRecord, ("ab", [[1, 2], [3, 4]], 12, 2), ("ab", ((1, 2), (3, 4)), 12, 2),
+         {"trials": 13}, "counts plus no-coincidence outcomes must equal trials", "value"),
     Case(ChEstimate, (0.2, 0.01, {"p_ab": 0.5}), (0.2, 0.01, {"p_ab": 0.5}), {"stderr": -1.0},
          "stderr must be nonnegative", "unhashable"),
     Case(ScanGrid, (4, 5.0), (4, 5, "fixed-canonical", 0.204), {"alpha_steps": 1},
