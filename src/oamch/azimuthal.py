@@ -48,12 +48,11 @@ MAX_STEP_INDEX = 1e-9 / (4.0 * TAU * TAU * 2.0**-53)
 class StepIndex(namedtuple("StepIndex", "value")):
     """Phase shift per unit azimuthal angle of a spiral phase plate.
 
-    `half_integer_l` is the nonnegative integer l with value = l + 1/2 when
-    the step index is exactly half-integer, else None.  Half-integer plates
-    are the ones that make orientations a half-turn apart orthogonal, and
-    are required by the closed-form coincidence probabilities.  The value
-    is at most `MAX_STEP_INDEX`, where float64 phases still carry the
-    closed form to 1e-9.
+    `is_half_integer` tells whether value = l + 1/2 exactly for an integer
+    l >= 0.  Half-integer plates are the ones that make orientations a
+    half-turn apart orthogonal, and are required by the closed-form
+    coincidence probabilities.  The value is at most `MAX_STEP_INDEX`, where
+    float64 phases still carry the closed form to 1e-9.
     """
 
     __slots__ = ()
@@ -64,11 +63,6 @@ class StepIndex(namedtuple("StepIndex", "value")):
             raise ValueError(f"step index must be in (0, {MAX_STEP_INDEX:.6g}], got {value!r}")
         return tuple.__new__(cls, (v,))
 
-    @property
-    def half_integer_l(self) -> int | None:
-        l = round(self.value - 0.5)
-        return l if l >= 0 and self.value == l + 0.5 else None
-
     @classmethod
     def half_integer(cls, l: int) -> "StepIndex":
         if l != int(l) or l < 0:
@@ -77,7 +71,8 @@ class StepIndex(namedtuple("StepIndex", "value")):
 
     @property
     def is_half_integer(self) -> bool:
-        return self.half_integer_l is not None
+        # value - 0.5 is exact from 0.5 up, and lies in (-0.5, 0) below
+        return (self.value - 0.5).is_integer()
 
 
 def wrap_angle(raw: float) -> float:

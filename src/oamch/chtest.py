@@ -41,22 +41,13 @@ class ChSettings(namedtuple("ChSettings", "theta_a theta_a_prime theta_b theta_b
                 raise ValueError(f"{name} must be finite")
         return tuple.__new__(cls, (*thetas, wrap_angle(alpha), wrap_angle(beta), step_index))
 
-    def theta_pairs(self) -> tuple[tuple[float, float], ...]:
-        """The four (theta_a-choice, theta_b-choice) runs, in protocol order."""
-        return (
-            (self.theta_a, self.theta_b),
-            (self.theta_a, self.theta_b_prime),
-            (self.theta_a_prime, self.theta_b),
-            (self.theta_a_prime, self.theta_b_prime),
-        )
-
-    def experiment(self, theta_a: float, theta_b: float) -> ExperimentSettings:
-        return ExperimentSettings(
-            alpha=self.alpha,
-            beta=self.beta,
-            theta_a=theta_a,
-            theta_b=theta_b,
-            step_index=self.step_index,
+    def runs(self) -> tuple[ExperimentSettings, ...]:
+        """The settings of the four runs, in protocol order: ab, ab', a'b, a'b'."""
+        return tuple(
+            ExperimentSettings(alpha=self.alpha, beta=self.beta, theta_a=ta, theta_b=tb,
+                               step_index=self.step_index)
+            for ta in (self.theta_a, self.theta_a_prime)
+            for tb in (self.theta_b, self.theta_b_prime)
         )
 
 
@@ -96,7 +87,7 @@ def ch_parameter(cfg: ChSettings, amplitude_fn=amplitude_matrix) -> ChResult:
     oracle; the two must agree.  It is called once, on the four settings of
     the protocol, which share plates and step index.
     """
-    mats = amplitude_fn([cfg.experiment(ta, tb) for ta, tb in cfg.theta_pairs()])
+    mats = amplitude_fn(cfg.runs())
     p = [m.p for m in mats]
     p_joint = tuple(float(pm[0][0]) for pm in p)
     p_marg_a = float(p[2][0][0] + p[2][0][1])  # theta_a' run; independent of theta_b

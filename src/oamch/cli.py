@@ -7,7 +7,8 @@ analytic-vs-quadrature suites).  Every command is deterministic given its
 full config, including the seed.
 
 Exit codes: 0 success, 1 assertion or suite failure or an `mc` run without
-coincidences, 2 config error, 3 output I/O error.
+coincidences, 2 config error, 3 output I/O error, 4 numpy missing (`scan`
+and `validate` need it).
 """
 
 from __future__ import annotations
@@ -400,6 +401,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"missing dependency: {args.command} needs numpy, which is not installed",
+              file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 
 from .chtest import ChSettings, ch_from_probabilities
-from .coincidence import AmplitudeMatrix, ExperimentSettings, amplitude_matrix
+from .coincidence import amplitude_matrix
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64) seeded with SeedSequence([seed, run_index])"
 
@@ -64,9 +64,12 @@ class CountRecord(namedtuple("CountRecord", "setting_label n trials no_coinciden
             n = ()
         if len(n) != 2 or any(len(row) != 2 or min(row) < 0 for row in n):
             raise ValueError("n must be a 2x2 matrix of nonnegative counts")
+        if not 0 <= no_coincidence < math.inf or int(no_coincidence) != no_coincidence:
+            raise ValueError(
+                f"no_coincidence must be a nonnegative integer, got {no_coincidence!r}")
         if n[0][0] + n[0][1] + n[1][0] + n[1][1] + no_coincidence != trials:
             raise ValueError("counts plus no-coincidence outcomes must equal trials")
-        return tuple.__new__(cls, (setting_label, n, trials, no_coincidence))
+        return tuple.__new__(cls, (setting_label, n, trials, int(no_coincidence)))
 
 
 class ChEstimate(namedtuple("ChEstimate", "s_hat stderr terms")):
@@ -105,38 +108,21 @@ def _outcome_probabilities(p, eta: float) -> list[float]:
     return [x / norm for x in probs]
 
 
-def _sample(m: AmplitudeMatrix, mc: McConfig, setting_label: str, stream: int) -> CountRecord:
-    """One counting run on the outcome probabilities of `m`."""
+def simulate_ch_runs(cfg: ChSettings, mc: McConfig) -> list[CountRecord]:
+    """The four CH setting runs, in protocol order; run k draws from sub-stream k.
+
+    The amplitudes of the four settings come from one `amplitude_matrix`
+    call.  Each run is one multinomial draw over its five outcomes,
+    deterministic for a given (seed, stream).
+    """
     from ._pcg64 import multinomial  # loaded by `mc` alone
 
-    probs = _outcome_probabilities(m.p, mc.efficiency_a * mc.efficiency_b)
-    counts = multinomial((mc.seed, stream), mc.trials, probs)
-    return CountRecord(
-        setting_label=setting_label,
-        n=(counts[0:2], counts[2:4]),
-        trials=mc.trials,
-        no_coincidence=counts[4],
-    )
-
-
-def sample_run(
-    settings: ExperimentSettings, mc: McConfig, setting_label: str = "ab", stream: int = 0
-) -> CountRecord:
-    """Simulate one counting run; deterministic for a given (seed, stream).
-
-    `stream` is the sub-stream index, so multi-run protocols can draw
-    independent reproducible streams from one seed.
-    """
-    return _sample(amplitude_matrix(settings), mc, setting_label, stream)
-
-
-def simulate_ch_runs(cfg: ChSettings, mc: McConfig) -> list[CountRecord]:
-    """The four CH setting runs, in protocol order, on independent sub-streams.
-
-    The amplitudes of the four settings come from one `amplitude_matrix` call.
-    """
-    mats = amplitude_matrix([cfg.experiment(ta, tb) for ta, tb in cfg.theta_pairs()])
-    return [_sample(m, mc, label, k) for k, (label, m) in enumerate(zip(RUN_LABELS, mats))]
+    eta = mc.efficiency_a * mc.efficiency_b
+    runs = []
+    for stream, (label, m) in enumerate(zip(RUN_LABELS, amplitude_matrix(cfg.runs()))):
+        counts = multinomial((mc.seed, stream), mc.trials, _outcome_probabilities(m.p, eta))
+        runs.append(CountRecord(label, (counts[0:2], counts[2:4]), mc.trials, counts[4]))
+    return runs
 
 
 def frequency(rec: CountRecord) -> tuple:

@@ -28,8 +28,9 @@ THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 # a point) and the flag, and while evaluating, the overlaps k, q (32 bytes)
 # and a few float temporaries.  Both writers add one list of cell texts per
 # column and stream their rows to the file.  At 2^20 points, 16 times the
-# 256 x 256 scan, a CSV scan takes 1.0 s and a JSON scan 1.7 s, and both
-# peak near 0.19 GB of memory (Python 3.11, numpy 2.4, x86-64).
+# 256 x 256 scan, a whole CSV scan command takes 2.1-2.3 s and a JSON one
+# 3.9-4.3 s, and both peak near 0.19 GB of memory (os.wait4 from a small
+# parent; 2-core Intel Xeon x86-64 with AVX-512, Python 3.11, numpy 2.4).
 MAX_SCAN_POINTS = 2**20
 
 
@@ -122,11 +123,6 @@ class ChLandscape:
         )
         marginals = 2.0 * n - r * (np.sin(2.0 * theta_a_prime) + np.sin(2.0 * theta_b))
         return (joints - marginals) / (2.0 * n)
-
-    def grid(self, thetas: np.ndarray) -> np.ndarray:
-        """S over the full 4-axis lattice thetas^4, indexed (a, a', b, b')."""
-        t = np.asarray(thetas, dtype=float)
-        return self.value(*np.ix_(t, t, t, t))
 
 
 def optimize_thetas(alpha, beta, step_index: StepIndex):

@@ -15,7 +15,7 @@ from oamch.azimuthal import (
     overlap_integral_opposite_phase,
     overlap_integral_quadrature,
 )
-from oamch.chtest import MAX_CH_VIOLATION, canonical_settings, ch_parameter
+from oamch.chtest import MAX_CH_VIOLATION, ChSettings, canonical_settings, ch_parameter
 from oamch.coincidence import (
     ExperimentSettings,
     amplitude_matrix,
@@ -24,7 +24,7 @@ from oamch.coincidence import (
     normalized_amplitudes,
 )
 from oamch.interferometer import arm_amplitude, mz_unitary
-from oamch.montecarlo import McConfig, estimate_S, sample_run, simulate_ch_runs
+from oamch.montecarlo import McConfig, estimate_S, simulate_ch_runs
 from oamch.search import ChLandscape, ScanGrid, scan_alpha_beta
 
 HALF = StepIndex(0.5)
@@ -219,18 +219,19 @@ def test_criterion_7_property_suites():
     checks["rotation-invariance"] = worst <= 1e-10
 
     # count conservation, exact
-    settings = ExperimentSettings(alpha=0.2, beta=0.2, theta_a=0.0, theta_b=0.0, step_index=HALF)
+    # run 0 is the setting alpha = beta = 0.2, theta_a = theta_b = 0
+    settings = ChSettings(0.0, 0.0, 0.0, 0.0, alpha=0.2, beta=0.2, step_index=HALF)
     conserved = True
     for seed in range(5):
         mc = McConfig(trials=10_000, efficiency_a=0.7, efficiency_b=0.9, seed=seed)
-        rec = sample_run(settings, mc)
+        rec = simulate_ch_runs(settings, mc)[0]
         conserved = conserved and sum(map(sum, rec.n)) + rec.no_coincidence == mc.trials
     checks["count-conservation"] = conserved
 
     # determinism, bit-identical reruns
     mc = McConfig(trials=100_000, seed=123)
-    r1 = sample_run(settings, mc)
-    r2 = sample_run(settings, mc)
+    r1 = simulate_ch_runs(settings, mc)[0]
+    r2 = simulate_ch_runs(settings, mc)[0]
     e1 = estimate_S(simulate_ch_runs(canonical_settings(0.0), mc))
     e2 = estimate_S(simulate_ch_runs(canonical_settings(0.0), mc))
     checks["determinism"] = (
@@ -252,7 +253,8 @@ def test_criterion_8_grid_ceiling():
     worst = -math.inf
     for alpha in (0.0, 1.9):
         land = ChLandscape(alpha, alpha, HALF)
-        s4 = land.grid(np.linspace(0.0, TAU, 16, endpoint=False))
+        t = np.linspace(0.0, TAU, 16, endpoint=False)
+        s4 = land.value(*np.ix_(t, t, t, t))
         worst = max(worst, float(s4.max()))
     assert _report(
         "criterion 8 (aligned 16^4 grid ceiling)",

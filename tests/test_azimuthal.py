@@ -21,11 +21,14 @@ HALF = StepIndex(0.5)
 
 
 def test_step_index_half_integer_detection():
-    assert StepIndex(0.5).half_integer_l == 0
-    assert StepIndex(3.5).half_integer_l == 3
+    assert StepIndex(0.5).is_half_integer
+    assert StepIndex(3.5).is_half_integer
+    assert StepIndex.half_integer(0).value == 0.5
     assert StepIndex.half_integer(2).value == 2.5
-    assert StepIndex(1.0).half_integer_l is None
-    assert StepIndex(0.4999).half_integer_l is None
+    assert StepIndex.half_integer(3).value == 3.5
+    assert not StepIndex(1.0).is_half_integer
+    assert not StepIndex(0.4999).is_half_integer
+    assert not StepIndex(0.2).is_half_integer
     assert not StepIndex(2.0).is_half_integer
 
 

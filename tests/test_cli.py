@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import oamch
+from oamch import cli
 from oamch.cli import main
 from oamch.config import load_config
 from oamch.search import scan_alpha_beta
@@ -233,22 +234,25 @@ def _run_cli(*argv):
 
 
 # Runs each argv with `main` in one interpreter and records, after each, its
-# exit code, the numpy submodules, the watched stdlib modules and whether the
-# sampler was loaded so far, OPENBLAS_NUM_THREADS and, where /proc lists them,
-# the process's threads.
+# exit code and stderr, the numpy submodules, the watched stdlib modules and
+# whether the sampler was loaded so far, OPENBLAS_NUM_THREADS and, where /proc
+# lists them, the process's threads.
 _IMPORT_PROBE = """
-import json, os, sys
+import contextlib, io, json, os, sys
 if sys.argv[3] == "block-numpy":
     sys.modules["numpy"] = None  # `import numpy` now fails, as where it is not installed
 from oamch.cli import main
 report = []
 for argv in json.loads(sys.argv[2]):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     report.append({
         "code": code,
+        "stderr": err.getvalue(),
         "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
         "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
         "sampler": "oamch._pcg64" in sys.modules,
@@ -339,8 +343,32 @@ def test_help_probe_ch_and_mc_run_without_numpy(tmp_path):
         ["mc", "--config", config],
         ["mc", "--config", config, "--format", "json"],
     ]
-    report = _import_probe(tmp_path, commands, block_numpy=True)
-    assert [r["code"] for r in report] == [0] * len(commands)
+    # these two need numpy: one stderr line and exit 4
+    heavy = [
+        ["scan", "--config", config, "--out", str(tmp_path / "scan.csv")],
+        ["validate"],
+    ]
+    report = _import_probe(tmp_path, commands + heavy, block_numpy=True)
+    assert [r["code"] for r in report] == [0] * len(commands) + [4, 4]
+    assert [r["stderr"] for r in report] == [""] * len(commands) + [
+        f"missing dependency: {argv[0]} needs numpy, which is not installed\n" for argv in heavy
+    ]
+
+
+def test_only_a_missing_numpy_is_exit_4(monkeypatch, capsys):
+    def missing(name):
+        def run(args):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+        return run
+
+    monkeypatch.setattr(cli, "cmd_validate", missing("numpy"))
+    assert main(["validate"]) == 4
+    err = capsys.readouterr().err
+    assert err == "missing dependency: validate needs numpy, which is not installed\n"
+    monkeypatch.setattr(cli, "cmd_validate", missing("scipy"))
+    with pytest.raises(ModuleNotFoundError):
+        main(["validate"])
 
 
 def _assert_one_line_config_error(proc):

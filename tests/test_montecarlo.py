@@ -6,7 +6,8 @@ import pytest
 from oamch.azimuthal import StepIndex
 from oamch.chtest import MAX_CH_VIOLATION, ChSettings, canonical_settings
 from oamch import montecarlo
-from oamch.coincidence import ExperimentSettings
+from oamch._pcg64 import multinomial
+from oamch.coincidence import amplitude_matrix
 from oamch.montecarlo import (
     RUN_LABELS,
     ChEstimate,
@@ -15,12 +16,17 @@ from oamch.montecarlo import (
     McConfig,
     estimate_S,
     frequency,
-    sample_run,
     simulate_ch_runs,
 )
 
 HALF = StepIndex(0.5)
-ALIGNED = ExperimentSettings(alpha=0.2, beta=0.2, theta_a=0.0, theta_b=0.0, step_index=HALF)
+# aligned plates, every splitter at 0: each run has the same setting
+ALIGNED = ChSettings(0.0, 0.0, 0.0, 0.0, alpha=0.2, beta=0.2, step_index=HALF)
+
+
+def _aligned_run(mc: McConfig):
+    """Run 0 of `ALIGNED`: the setting (theta_a, theta_b) = (0, 0) on stream 0."""
+    return simulate_ch_runs(ALIGNED, mc)[0]
 
 
 def test_simulate_ch_runs_equal_per_setting_runs_from_one_amplitude_call(monkeypatch):
@@ -36,10 +42,13 @@ def test_simulate_ch_runs_equal_per_setting_runs_from_one_amplitude_call(monkeyp
     monkeypatch.setattr(montecarlo, "amplitude_matrix", counting)
     runs = simulate_ch_runs(cfg, mc)
     assert len(calls) == 1 and len(calls[0]) == 4
-    for k, (run, (ta, tb)) in enumerate(zip(runs, cfg.theta_pairs())):
-        one = sample_run(cfg.experiment(ta, tb), mc, setting_label=RUN_LABELS[k], stream=k)
-        assert run.n == one.n
-        assert (run.setting_label, run.no_coincidence) == (one.setting_label, one.no_coincidence)
+    eta = mc.efficiency_a * mc.efficiency_b
+    for k, (run, setting) in enumerate(zip(runs, cfg.runs())):
+        # the draw on the setting's own amplitudes, on stream k
+        probs = montecarlo._outcome_probabilities(amplitude_matrix(setting).p, eta)
+        counts = multinomial((mc.seed, k), mc.trials, probs)
+        assert run.n == (tuple(counts[0:2]), tuple(counts[2:4]))
+        assert (run.setting_label, run.no_coincidence) == (RUN_LABELS[k], counts[4])
 
 
 def test_mc_config_validation():
@@ -56,13 +65,13 @@ def test_mc_config_validation():
     assert McConfig(trials=2**63 - 1).trials == 2**63 - 1
 
 
-def test_sample_run_is_deterministic():
+def test_runs_are_deterministic():
     mc = McConfig(trials=50_000, seed=99)
-    a = sample_run(ALIGNED, mc)
-    b = sample_run(ALIGNED, mc)
+    a, c = simulate_ch_runs(ALIGNED, mc)[:2]
+    b = _aligned_run(mc)
     assert a.n == b.n
     assert a.no_coincidence == b.no_coincidence
-    c = sample_run(ALIGNED, mc, stream=1)
+    # run 1 has the same setting on stream 1
     assert a.n != c.n
 
 
@@ -75,12 +84,12 @@ def test_count_conservation():
             efficiency_b=float(rng.uniform(0.2, 1.0)),
             seed=int(rng.integers(0, 2**32)),
         )
-        rec = sample_run(ALIGNED, mc)
+        rec = _aligned_run(mc)
         assert sum(map(sum, rec.n)) + rec.no_coincidence == mc.trials
 
 
 def test_aligned_zero_theta_only_correlated_outcomes():
-    rec = sample_run(ALIGNED, McConfig(trials=200_000, seed=7))
+    rec = _aligned_run(McConfig(trials=200_000, seed=7))
     assert rec.no_coincidence == 0
     assert rec.n[0][1] == 0 and rec.n[1][0] == 0
     # both surviving outcomes have probability 1/2
@@ -89,13 +98,13 @@ def test_aligned_zero_theta_only_correlated_outcomes():
 
 
 def test_single_trial_records_exactly_one_count():
-    rec = sample_run(ALIGNED, McConfig(trials=1, seed=3))
+    rec = _aligned_run(McConfig(trials=1, seed=3))
     assert sum(map(sum, rec.n)) == 1 and rec.no_coincidence == 0
 
 
 def test_efficiency_thinning_rate():
     mc = McConfig(trials=1_000_000, efficiency_a=0.5, efficiency_b=0.5, seed=11)
-    rec = sample_run(ALIGNED, mc)
+    rec = _aligned_run(mc)
     sigma = math.sqrt(1_000_000 * 0.75 * 0.25)
     assert abs(rec.no_coincidence - 750_000) <= 5 * sigma
 
@@ -148,7 +157,7 @@ def test_estimate_requires_four_matching_runs():
     runs = simulate_ch_runs(canonical_settings(0.0), McConfig(trials=100, seed=1))
     with pytest.raises(ValueError):
         estimate_S(runs[:3])
-    short = sample_run(ALIGNED, McConfig(trials=50, seed=1))
+    short = _aligned_run(McConfig(trials=50, seed=1))
     with pytest.raises(ValueError):
         estimate_S(runs[:3] + [short])
 

@@ -53,7 +53,7 @@ EFFICIENCIES = st.one_of(st.just(1.0), st.floats(1e-9, 1.0))
 
 
 def _numpy_probabilities(p, eta):
-    """The outcome probabilities as the numpy `_sample` formed them."""
+    """The outcome probabilities as the numpy-based sampler formed them."""
     p = np.array(p, dtype=float)
     coinc = eta * (p.ravel() / p.sum())
     probs = np.append(coinc, max(0.0, 1.0 - coinc.sum()))

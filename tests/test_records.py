@@ -51,6 +51,13 @@ CASES = [
          "trials must be an integer in [1, 2**63), got 0", "value"),
     Case(CountRecord, ("ab", [[1, 2], [3, 4]], 12, 2), ("ab", ((1, 2), (3, 4)), 12, 2),
          {"trials": 13}, "counts plus no-coincidence outcomes must equal trials", "value"),
+    # counts that add up, with a negative or a fractional no-coincidence count
+    Case(CountRecord, ("ab", [[5, 5], [0, 0]], 10, 0.0), ("ab", ((5, 5), (0, 0)), 10, 0),
+         {"trials": 5, "no_coincidence": -5},
+         "no_coincidence must be a nonnegative integer, got -5", "value"),
+    Case(CountRecord, ("ab", [[5, 5], [0, 0]], 10, np.int64(0)), ("ab", ((5, 5), (0, 0)), 10, 0),
+         {"trials": 10.5, "no_coincidence": 0.5},
+         "no_coincidence must be a nonnegative integer, got 0.5", "value"),
     Case(ChEstimate, (0.2, 0.01, {"p_ab": 0.5}), (0.2, 0.01, {"p_ab": 0.5}), {"stderr": -1.0},
          "stderr must be nonnegative", "unhashable"),
     Case(ScanGrid, (4, 5.0), (4, 5, "fixed-canonical", 0.204), {"alpha_steps": 1},
@@ -77,7 +84,15 @@ def same(a, b) -> bool:
     return a == b
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c.cls.__name__ for c in CASES])
+def _case_id(index: int) -> str:
+    """The record's name; a later row of the same record adds its rejected fields."""
+    case = CASES[index]
+    if all(c.cls is not case.cls for c in CASES[:index]):
+        return case.cls.__name__
+    return "-".join([case.cls.__name__, *(f"{k}={v}" for k, v in case.bad.items())])
+
+
+@pytest.mark.parametrize("case", CASES, ids=[_case_id(i) for i in range(len(CASES))])
 def test_record_semantics(case):
     cls = case.cls
     rec = cls(*case.args)

@@ -53,9 +53,10 @@ def test_landscape_matches_full_evaluation():
 
 
 def test_landscape_grid_matches_scalar_path():
+    # the four angles broadcast against each other to the lattice values^4
     land = ChLandscape(0.9, 0.4, HALF)
     values = np.linspace(0.0, TAU, 5, endpoint=False)
-    grid = land.grid(values)
+    grid = land.value(*np.ix_(values, values, values, values))
     for i, ta in enumerate(values):
         for j, tap in enumerate(values):
             for k, tb in enumerate(values):
@@ -76,7 +77,8 @@ def test_optimizer_reaches_maximum_on_aligned_plates():
 def test_optimizer_never_below_coarse_grid():
     lattice = np.linspace(0.0, TAU, 12, endpoint=False)
     for alpha, beta, step in _random_points(51, count=6):
-        lattice_best = float(np.max(ChLandscape(alpha, beta, step).grid(lattice)))
+        s4 = ChLandscape(alpha, beta, step).value(*np.ix_(lattice, lattice, lattice, lattice))
+        lattice_best = float(np.max(s4))
         _, s = optimize_thetas(alpha, beta, step)
         assert lattice_best <= s + 1e-12
 
