@@ -1,12 +1,12 @@
 """numpy, loaded on first use.
 
-The closed-form layer (`probe`, `ch`, config parsing, `--help`) is pure
-`math`/`cmath`, and `mc` draws its counts with the stdlib sampler in
-`_pcg64`; only the array paths (the scan and the quadrature oracles) need
-numpy.  The modules take `np` from here, so importing them neither loads
-numpy nor looks for it: `np` is an empty module that finds numpy and
-executes it into itself on its first missing attribute, and only then
-raises `ModuleNotFoundError` if numpy is absent.
+The closed-form layer (`probe`, `ch`, `scan`, config parsing, `--help`) is
+pure `math`/`cmath`, and `mc` draws its counts with the stdlib sampler in
+`_pcg64`; only the quadrature oracles, and so `validate`, need numpy.  The
+modules take `np` from here, so importing them neither loads numpy nor
+looks for it: `np` is an empty module that finds numpy and executes it
+into itself on its first missing attribute, and only then raises
+`ModuleNotFoundError` if numpy is absent.
 """
 
 from __future__ import annotations

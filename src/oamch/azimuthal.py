@@ -31,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import namedtuple
-from numbers import Real
 
 from ._np import np
 
@@ -120,39 +119,19 @@ def spp_phase(chi, phi, step_index: StepIndex):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def overlap_integral(mu, nu, step_index: StepIndex):
+def overlap_integral(mu: float, nu: float, step_index: StepIndex) -> complex:
     """Closed form of the full-turn overlap of two plate phase profiles.
 
     Conjugate-symmetric by construction: the mu < nu branch is the
-    conjugate of the swapped call.  Real mu and nu (numpy scalars included)
-    give a complex from `math`/`cmath` alone; otherwise the arguments are
-    numpy arrays that broadcast, and the result is a complex array, equal
-    bit for bit to the scalar call at each point.
+    conjugate of the swapped call.  It depends on the plates only through
+    the signed difference of the wrapped angles, in `math`/`cmath` alone.
     """
-    if not (isinstance(mu, Real) and isinstance(nu, Real)):
-        return _overlap_array(mu, nu, step_index)
     m = wrap_angle(mu)
     n = wrap_angle(nu)
     ell = step_index.value
     d = abs(m - n)
     value = cmath.exp(-1j * ell * d) * (TAU - d * (1.0 - cmath.exp(1j * TAU * ell)))
     return value.conjugate() if m < n else value
-
-
-def _overlap_array(mu, nu, step_index: StepIndex) -> np.ndarray:
-    # The scalar complex arithmetic written out in reals: numpy's complex
-    # multiply rounds differently from CPython's.
-    m, n = _wrap_array(mu), _wrap_array(nu)
-    ell = step_index.value
-    d = np.abs(m - n)
-    xr, xi = np.cos(-ell * d), np.sin(-ell * d)  # exp(-i*L*d)
-    yr = TAU - d * (1.0 - math.cos(TAU * ell))  # 2*pi - d*(1 - exp(i*2*pi*L))
-    yi = d * math.sin(TAU * ell)
-    out = np.empty(np.shape(d), dtype=complex)
-    out.real = xr * yr - xi * yi
-    im = xr * yi + xi * yr
-    out.imag = np.where(m < n, -im, im)
-    return out
 
 
 def overlap_integral_opposite_phase(mu: float, nu: float, step_index: StepIndex) -> complex:

@@ -7,20 +7,20 @@ analytic-vs-quadrature suites).  Every command is deterministic given its
 full config, including the seed.
 
 Exit codes: 0 success, 1 assertion or suite failure or an `mc` run without
-coincidences, 2 config error, 3 output I/O error, 4 numpy missing (`scan`
-and `validate` need it).
+coincidences, 2 config error, 3 output I/O error, 4 numpy missing
+(`validate` needs it).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
 import sys
 from pathlib import Path
 
-from ._np import np
 from .chtest import ch_parameter, ch_violated
 from .coincidence import amplitude_matrix, closed_form_from_settings, normalized_amplitudes
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, load_config
@@ -199,17 +199,15 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
 _CSV_HEADER = "alpha,beta,theta_a,theta_a_prime,theta_b,theta_b_prime,S,exceeds_threshold"
 _ROW_KEYS = ("alpha", "beta", "theta_a", "theta_a_prime", "theta_b", "theta_b_prime", "s",
              "exceeds_threshold")
-# One row of the JSON artifact as `json.dumps(indent=2, sort_keys=True)`
-# writes it inside `results.rows`.
-_JSON_ROW = "      {\n" + ",\n".join(f'        "{k}": %s' for k in sorted(_ROW_KEYS)) + "\n      }"
+# One row of each artifact, with a `%(key)s` per cell: CSV rows end in a
+# newline, and a JSON row, as `json.dumps(indent=2, sort_keys=True)` writes
+# it inside `results.rows`, starts with the ",\n" that separates it from
+# the row before.  alpha and beta come first in both (JSON sorts the keys).
+_CSV_ROW = ",".join(f"%({k})s" for k in _ROW_KEYS) + "\n"
+_JSON_ROW = ",\n      {\n" + ",\n".join(f'        "{k}": %({k})s' for k in sorted(_ROW_KEYS)) + "\n      }"
 # Rows a writer formats and writes at a time.
 _CHUNK_ROWS = 4096
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _columns(result) -> list:
-    """The scan's columns in CSV order: alpha, beta, the four thetas, S, flag."""
-    return [result.alpha, result.beta, *result.thetas.T, result.s, result.exceeds_threshold]
 
 
 def _json_float(x: float) -> str:
@@ -218,52 +216,43 @@ def _json_float(x: float) -> str:
     return _JSON_NONFINITE.get(text, text)
 
 
-def _format_column(values, fmt) -> list[str]:
-    """`fmt` of every float entry, formatting each distinct value once.
+def _write_rows(fh, result, row: str, fmt, skip: int = 0) -> None:
+    """Write the scan's rows laid out as `row`, floats in `fmt`, less the first `skip` characters.
 
-    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    A row is three texts: its start through alpha's cell, beta's cell, and
+    the rest, which depends only on the row's key and so is formatted once
+    per key.  `_CHUNK_ROWS` rows are joined and written at a time.
     """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct, index = np.unique(bits, return_inverse=True)
-    text = np.array([fmt(v) for v in distinct.view(np.float64).tolist()], dtype=object)
-    return text[index].tolist()
-
-
-def _fields(result, fmt) -> list[list[str]]:
-    """The text of every cell, column by column in CSV order."""
-    *numbers, flags = _columns(result)
-    fields = [_format_column(c, fmt) for c in numbers]
-    fields.append(["true" if f else "false" for f in flags.tolist()])
-    return fields
-
-
-def _write_joined(fh, texts, sep: str) -> None:
-    """Write `sep.join(texts)`, taking `_CHUNK_ROWS` texts at a time from an iterator."""
-    lead = ""
-    while chunk := list(itertools.islice(texts, _CHUNK_ROWS)):
-        fh.write(lead + sep.join(chunk))
-        lead = sep
-
-
-def _write_csv_scan(fh, result) -> None:
-    fh.write(_CSV_HEADER + "\n")
-    _write_joined(fh, (",".join(row) for row in zip(*_fields(result, _g9))), "\n")
-    fh.write("\n")
+    head, rest = row.split("%(alpha)s")
+    middle, tail = rest.split("%(beta)s")
+    alphas = [head + fmt(a) + middle for a in result.alpha]
+    betas = [fmt(b) for b in result.beta]
+    # keys share most theta values; a scan has no -0.0, which would take 0.0's text
+    cell = functools.cache(fmt)
+    tails = [
+        tail % dict(zip(_ROW_KEYS[2:], [*map(cell, (*thetas, s)), "true" if flag else "false"]))
+        for thetas, s, flag in zip(result.thetas, result.s, result.exceeds_threshold)
+    ]
+    # row i takes alphas[i // len(betas)], betas[i % len(betas)] and its key's tail
+    alpha_cells = itertools.chain.from_iterable(
+        map(itertools.repeat, alphas, itertools.repeat(len(betas))))
+    cells = itertools.chain.from_iterable(
+        zip(alpha_cells, itertools.cycle(betas), map(tails.__getitem__, result.key)))
+    while text := "".join(itertools.islice(cells, 3 * _CHUNK_ROWS)):
+        fh.write(text[skip:])
+        skip = 0
 
 
 def _write_json_scan(fh, config: RunConfig, result, best: dict) -> None:
     """Write the artifact `json.dumps(document, indent=2, sort_keys=True)` gives.
 
     The head and tail come from `json.dumps` of the document with no rows;
-    the rows are filled into `_JSON_ROW` and streamed, so the whole text is
-    never held in memory.
+    the rows are streamed, so the whole text is never held in memory.
     """
     empty = json.dumps(_document("scan", config, {"rows": [], "best": best}), indent=2, sort_keys=True)
     head, tail = empty.rsplit('"rows": []', 1)
-    by_key = dict(zip(_ROW_KEYS, _fields(result, _json_float)))
-    rows = zip(*(by_key[k] for k in sorted(_ROW_KEYS)))
     fh.write(head + '"rows": [\n')
-    _write_joined(fh, (_JSON_ROW % row for row in rows), ",\n")
+    _write_rows(fh, result, _JSON_ROW, _json_float, skip=2)
     fh.write("\n    ]" + tail + "\n")
 
 
@@ -278,11 +267,12 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     # open first, so an unwritable path fails before the landscape is computed
     with open(out_path, "w", encoding="utf-8") as fh:
         result = scan_alpha_beta(grid, settings.step_index)
-        best = dict(zip(_ROW_KEYS, (c[result.best].item() for c in _columns(result))))
+        best = dict(zip(_ROW_KEYS, result.row(result.best)))
         if fmt == "json":
             _write_json_scan(fh, config, result, best)
         else:
-            _write_csv_scan(fh, result)
+            fh.write(_CSV_HEADER + "\n")
+            _write_rows(fh, result, _CSV_ROW, _g9)
 
     summary = _document(
         "scan-summary",
@@ -290,9 +280,9 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
         {
             "artifact": str(out_path),
             "format": fmt,
-            "rows": int(result.s.size),
+            "rows": len(result.key),
             "threshold": grid.threshold,
-            "exceeding": int(result.exceeds_threshold.sum()),
+            "exceeding": result.exceeding,
             "best": best,
         },
     )

@@ -52,6 +52,13 @@ class McConfig(namedtuple("McConfig", "trials efficiency_a efficiency_b seed")):
         return tuple.__new__(cls, (int(trials), efficiency_a, efficiency_b, int(seed)))
 
 
+def _whole(value, name: str) -> int:
+    """`value` as an int, or a ValueError unless it is a nonnegative integer."""
+    if not 0 <= value < math.inf or int(value) != value:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 class CountRecord(namedtuple("CountRecord", "setting_label n trials no_coincidence")):
     """Coincidence counts N_ij for one run, plus the no-coincidence count."""
 
@@ -59,17 +66,17 @@ class CountRecord(namedtuple("CountRecord", "setting_label n trials no_coinciden
 
     def __new__(cls, setting_label: str, n, trials: int, no_coincidence: int):
         try:
-            n = tuple(tuple(int(count) for count in row) for row in n)
+            n = tuple(tuple(row) for row in n)
         except TypeError:
             n = ()
-        if len(n) != 2 or any(len(row) != 2 or min(row) < 0 for row in n):
+        if len(n) != 2 or any(len(row) != 2 for row in n):
             raise ValueError("n must be a 2x2 matrix of nonnegative counts")
-        if not 0 <= no_coincidence < math.inf or int(no_coincidence) != no_coincidence:
-            raise ValueError(
-                f"no_coincidence must be a nonnegative integer, got {no_coincidence!r}")
+        n = tuple(tuple(_whole(count, "each count in n") for count in row) for row in n)
+        no_coincidence = _whole(no_coincidence, "no_coincidence")
+        trials = _whole(trials, "trials")
         if n[0][0] + n[0][1] + n[1][0] + n[1][1] + no_coincidence != trials:
             raise ValueError("counts plus no-coincidence outcomes must equal trials")
-        return tuple.__new__(cls, (setting_label, n, trials, int(no_coincidence)))
+        return tuple.__new__(cls, (setting_label, n, trials, no_coincidence))
 
 
 class ChEstimate(namedtuple("ChEstimate", "s_hat stderr terms")):

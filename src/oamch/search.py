@@ -7,10 +7,10 @@ in the four angles (`ChLandscape`).  The per-point optimum over the
 splitter angles is exact, read off the x-z block of the state's
 correlation tensor (Horodecki criterion for coplanar settings).
 
-The landscape, the optimum and the overlaps all take numpy arrays of plate
-angles, so the alpha x beta scan is one array evaluation over the
-flattened grid, and its result is a set of columns (`ScanResult`), not one
-object per point.
+A scan row's overlaps depend only on its relative plate orientation, so
+the alpha x beta scan evaluates, in pure Python, each distinct relative
+orientation once, and its result (`ScanResult`) holds one entry per
+orientation and one number per row, not one object per point.
 """
 
 from __future__ import annotations
@@ -18,19 +18,18 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._np import np
-from .azimuthal import TAU, StepIndex, overlap_integral
+from .azimuthal import TAU, StepIndex, overlap_integral, wrap_angle
 from .chtest import CANONICAL_THETAS
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 
-# A scan holds its columns as arrays: alpha, beta, four thetas, S (56 bytes
-# a point) and the flag, and while evaluating, the overlaps k, q (32 bytes)
-# and a few float temporaries.  Both writers add one list of cell texts per
-# column and stream their rows to the file.  At 2^20 points, 16 times the
-# 256 x 256 scan, a whole CSV scan command takes 2.1-2.3 s and a JSON one
-# 3.9-4.3 s, and both peak near 0.19 GB of memory (os.wait4 from a small
-# parent; 2-core Intel Xeon x86-64 with AVX-512, Python 3.11, numpy 2.4).
+# A scan holds a key number per row and, per distinct key, its angles, S,
+# flag and row text.  A square grid has few keys (35,221 at 1024 x 1024);
+# a grid whose two steps do not divide each other has about one per row.
+# At 2^20 points, 16 times the 256 x 256 scan, a whole 1024 x 1024 scan
+# command takes about 1.9 s as CSV and 2.5-2.8 s as JSON and peaks at
+# 35-50 MB; a 2 x 2^19 grid, a key per row, takes 20-28 s and 0.45-0.9 GB
+# (os.wait4 from a small parent; 2-core Intel Xeon x86-64, Python 3.11).
 MAX_SCAN_POINTS = 2**20
 
 
@@ -55,32 +54,40 @@ class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy thres
         return tuple.__new__(cls, fields)
 
 
-class ScanResult(namedtuple("ScanResult", "alpha beta thetas s exceeds_threshold")):
-    """The scanned lattice as columns, in (alpha index, beta index) order.
+class ScanResult(namedtuple("ScanResult", "alpha beta key thetas s exceeds_threshold")):
+    """The scanned lattice: one entry per key, one key number per row.
 
-    Row i has plates alpha[i], beta[i], splitter angles thetas[i] =
-    (theta_a, theta_a', theta_b, theta_b'), S = s[i] and the flag
-    exceeds_threshold[i]; `best` is the index of the first row with the
-    largest S.  The columns are arrays, so two results compare equal only
-    when they are the same object.
+    `alpha` and `beta` are the grid's plate angles.  Rows run in
+    (alpha index, beta index) order, so row i has plates
+    alpha[i // len(beta)] and beta[i % len(beta)], and key number key[i]
+    (see `scan_alpha_beta`; keys are numbered in the order of their first
+    rows).  Key j has the splitter angles thetas[j] = (theta_a, theta_a',
+    theta_b, theta_b'), S = s[j] and the flag exceeds_threshold[j].
     """
 
     __slots__ = ()
-    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __new__(cls, alpha, beta, thetas, s, exceeds_threshold):
-        if s.size == 0:
+    def __new__(cls, alpha, beta, key, thetas, s, exceeds_threshold):
+        if not key:
             raise ValueError("scan produced no rows")
-        return tuple.__new__(cls, (alpha, beta, thetas, s, exceeds_threshold))
+        return tuple.__new__(cls, (alpha, beta, key, thetas, s, exceeds_threshold))
+
+    def row(self, i: int) -> tuple:
+        """Row i: alpha, beta, the four thetas, S and the flag."""
+        j = self.key[i]
+        columns = len(self.beta)
+        return (self.alpha[i // columns], self.beta[i % columns], *self.thetas[j], self.s[j],
+                self.exceeds_threshold[j])
+
+    @property
+    def exceeding(self) -> int:
+        """The number of flagged rows."""
+        return sum(map(self.exceeds_threshold.__getitem__, self.key))
 
     @property
     def best(self) -> int:
-        return int(np.argmax(self.s))
-
-
-def _sq_modulus(z):
-    """|z|^2 through hypot, which rounds as CPython's abs(complex) does."""
-    return np.hypot(z.real, z.imag) ** 2
+        """The first row with the largest S: the first row of the first such key."""
+        return self.key.index(max(range(len(self.s)), key=self.s.__getitem__))
 
 
 class ChLandscape:
@@ -96,24 +103,25 @@ class ChLandscape:
         4 P(t, inf) = 4 P(inf, t) = n - r sin 2t
         4 P(inf, inf) = 2 n
 
-    alpha and beta may be numpy arrays; then k, q and `value` hold one entry
-    per plate pair.  `value` takes scalars or numpy arrays of angles and
-    broadcasts them against the plates.
+    The complex products are written in reals, and each |z|^2 is h * h
+    with h = abs(z), which is hypot(z.real, z.imag): S is one fixed
+    sequence of rounded operations, which the scan's goldens depend on.
     """
 
-    def __init__(self, alpha, beta, step_index: StepIndex):
+    def __init__(self, alpha: float, beta: float, step_index: StepIndex):
         self.k = overlap_integral(alpha, beta, step_index)
         self.q = overlap_integral(alpha, beta + math.pi, step_index)
 
-    def value(self, theta_a, theta_a_prime, theta_b, theta_b_prime):
+    def value(self, theta_a, theta_a_prime, theta_b, theta_b_prime) -> float:
         k, q = self.k, self.q
 
-        # complex products written in reals, as in `overlap_integral`
         def joint(ta, tb):
-            c, s = np.cos(ta - tb), np.sin(ta + tb)
-            return np.hypot(k.real * c - q.real * s, k.imag * c - q.imag * s) ** 2
+            c, s = math.cos(ta - tb), math.sin(ta + tb)
+            h = abs(complex(k.real * c - q.real * s, k.imag * c - q.imag * s))
+            return h * h
 
-        n = _sq_modulus(k) + _sq_modulus(q)
+        hk, hq = abs(k), abs(q)
+        n = hk * hk + hq * hq
         r = 2.0 * (k.real * q.real + k.imag * q.imag)
         joints = (
             joint(theta_a, theta_b)
@@ -121,11 +129,11 @@ class ChLandscape:
             + joint(theta_a_prime, theta_b)
             + joint(theta_a_prime, theta_b_prime)
         )
-        marginals = 2.0 * n - r * (np.sin(2.0 * theta_a_prime) + np.sin(2.0 * theta_b))
+        marginals = 2.0 * n - r * (math.sin(2.0 * theta_a_prime) + math.sin(2.0 * theta_b))
         return (joints - marginals) / (2.0 * n)
 
 
-def optimize_thetas(alpha, beta, step_index: StepIndex):
+def optimize_thetas(alpha: float, beta: float, step_index: StepIndex):
     """Maximum of S over the four splitter angles, in closed form.
 
     Splitter angle t measures the Bloch direction (-sin 2t, cos 2t) in the
@@ -139,12 +147,12 @@ def optimize_thetas(alpha, beta, step_index: StepIndex):
     the direction at angle d from x towards z is splitter angle d / 2 - pi / 4.
 
     Returns the angles (theta_a, theta_a', theta_b, theta_b') in [0, 2*pi)
-    and S evaluated at them; alpha and beta may be numpy arrays, and then
-    theta_b, theta_b' and S are arrays too.
+    and S evaluated at them.
     """
     land = ChLandscape(alpha, beta, step_index)
-    same, opposite = _sq_modulus(land.k), _sq_modulus(land.q)
-    psi = np.arctan2(same - opposite, same + opposite)
+    hk, hq = abs(land.k), abs(land.q)
+    same, opposite = hk * hk, hq * hq
+    psi = math.atan2(same - opposite, same + opposite)
     # |t| <= 1 puts psi in [-pi/4, pi/4]: the b angles are negative, and
     # one added turn wraps them into [0, 2*pi) as `wrap_angle` would
     quarter = math.pi / 4.0
@@ -155,23 +163,31 @@ def optimize_thetas(alpha, beta, step_index: StepIndex):
 def scan_alpha_beta(grid: ScanGrid, step_index: StepIndex) -> ScanResult:
     """Evaluate S over the alpha x beta lattice covering [0, 2*pi)^2.
 
-    The whole lattice is one array evaluation.  Rows come out in
-    (alpha index, beta index) order; each is flagged when its S exceeds the
+    The plate angles are i * (2*pi / steps), numpy's `linspace(0, 2*pi,
+    steps, endpoint=False)` bit for bit.  With m and n a row's plates, k is
+    a function of the signed difference m - n and q of m - wrap(n + pi), so
+    S and the angles are a function of that pair, the row's key.  Each key
+    is evaluated once, at the first row that has it, which gives every row
+    the bits its own plates give.  A row is flagged when its S exceeds the
     grid threshold.
     """
-    alphas = np.linspace(0.0, TAU, grid.alpha_steps, endpoint=False)
-    betas = np.linspace(0.0, TAU, grid.beta_steps, endpoint=False)
-    alpha = np.repeat(alphas, grid.beta_steps)
-    beta = np.tile(betas, grid.alpha_steps)
-    if grid.theta_policy == "optimize-per-point":
-        thetas, s = optimize_thetas(alpha, beta, step_index)
-    else:
-        thetas = CANONICAL_THETAS
-        s = ChLandscape(alpha, beta, step_index).value(*thetas)
-    return ScanResult(
-        alpha=alpha,
-        beta=beta,
-        thetas=np.column_stack([np.broadcast_to(t, s.shape) for t in thetas]),
-        s=s,
-        exceeds_threshold=s > grid.threshold,
-    )
+    alpha = [i * (TAU / grid.alpha_steps) for i in range(grid.alpha_steps)]
+    beta = [j * (TAU / grid.beta_steps) for j in range(grid.beta_steps)]
+    # each beta with the wrapped angle of its half-turn partner plate
+    opposite = [(n, wrap_angle(n + math.pi)) for n in beta]
+    numbers, key, thetas, s = {}, [], [], []  # key number by key; per row; per key
+    for m in alpha:
+        for n, o in opposite:
+            pair = (m - n, m - o)
+            number = numbers.get(pair)
+            if number is None:
+                number = numbers[pair] = len(s)
+                if grid.theta_policy == "optimize-per-point":
+                    angles, value = optimize_thetas(m, n, step_index)
+                else:
+                    angles = CANONICAL_THETAS
+                    value = ChLandscape(m, n, step_index).value(*angles)
+                thetas.append(angles)
+                s.append(value)
+            key.append(number)
+    return ScanResult(alpha, beta, key, thetas, s, [value > grid.threshold for value in s])

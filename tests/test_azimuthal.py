@@ -182,24 +182,6 @@ def test_overlap_periodic_inputs_are_canonicalized():
         )
 
 
-def test_overlap_array_matches_scalar_bit_for_bit():
-    rng = np.random.default_rng(10)
-    for value in (0.3, 0.5, 1.7, 2.5458, 3.5, 7.5, 123.25):
-        ell = StepIndex(value)
-        # angles outside [0, 2*pi), both argument orders
-        mu, nu = rng.uniform(-2.0 * TAU, 3.0 * TAU, size=(2, 400))
-        array = overlap_integral(mu, nu, ell)
-        assert array.shape == (400,)
-        for m, n, z in zip(mu.tolist(), nu.tolist(), array.tolist()):
-            assert z == overlap_integral(m, n, ell)
-    # broadcasting: one scalar against an array, and a 2-d grid
-    rows = np.linspace(0.0, TAU, 3)[:, None]
-    grid = overlap_integral(rows, np.linspace(-1.0, 8.0, 4), HALF)
-    assert grid.shape == (3, 4)
-    assert grid[2, 1] == overlap_integral(float(rows[2, 0]), 2.0, HALF)
-    assert overlap_integral(1.3, np.array([0.2]), HALF)[0] == overlap_integral(1.3, 0.2, HALF)
-
-
 def test_overlap_quadrature_rows_equal_one_row_calls():
     rng = np.random.default_rng(11)
     # degenerate rows among ordinary ones: mu == nu, a half-turn apart,

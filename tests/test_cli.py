@@ -286,6 +286,16 @@ def _import_probe(tmp_path, commands, blas_threads=None, block_numpy=False) -> l
     return json.loads(report.read_text())
 
 
+def _scans(tmp_path, config, prefix="scan") -> list[list[str]]:
+    """scan in CSV and JSON under both theta policies, each to its own artifact."""
+    return [
+        ["scan", "--config", config, "--out", str(tmp_path / f"{prefix}-{policy}.{fmt}"), "--format", fmt,
+         "--set", f"scan.theta_policy={policy}"]
+        for policy in ("fixed-canonical", "optimize-per-point")
+        for fmt in ("csv", "json")
+    ]
+
+
 def test_probe_ch_and_help_never_load_numpy(tmp_path):
     config = _write_config(tmp_path)
     light = [
@@ -295,13 +305,11 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
         ["ch", "--config", config, "--assert-violation"],
         ["ch", "--config", config, "--format", "json"],
         ["--help"],
+        *_scans(tmp_path, config),
         ["mc", "--config", config],
         ["mc", "--config", config, "--format", "json"],
     ]
-    heavy = [
-        ["scan", "--config", config, "--out", str(tmp_path / "scan.csv")],
-        ["validate", "--suites", "azimuthal"],
-    ]
+    heavy = [["validate", "--suites", "azimuthal"]]
     report = _import_probe(tmp_path, light + heavy)
     assert [r["code"] for r in report] == [0] * len(report)
     assert [r["numpy"] for r in report[: len(light)]] == [[]] * len(light)
@@ -309,16 +317,14 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
     assert [r["stdlib"] for r in report[: len(light)]] == [[]] * len(light)
     assert all("dataclasses" not in r["stdlib"] for r in report)
     # only mc imports the sampler
-    assert [r["sampler"] for r in report[:7]] == [False] * 6 + [True]
+    assert [r["sampler"] for r in report[: len(light)]] == [False] * (len(light) - 2) + [True] * 2
     # main defaults OpenBLAS to one thread before numpy loads, so no pool starts
     assert {r["blas_threads"] for r in report} == {"1"}
     assert report[-1]["threads"] in (1, None)
 
 
 def test_main_keeps_a_preset_blas_thread_count(tmp_path):
-    config = _write_config(tmp_path)
-    report = _import_probe(tmp_path, [["scan", "--config", config, "--out", str(tmp_path / "scan.csv")]],
-                           blas_threads="2")
+    report = _import_probe(tmp_path, [["validate", "--suites", "azimuthal"]], blas_threads="2")
     assert report[0]["code"] == 0
     assert report[0]["blas_threads"] == "2"
 
@@ -334,25 +340,26 @@ def test_missing_numpy_is_a_module_not_found_error(monkeypatch):
     assert info.value.name == "numpy"
 
 
-def test_help_probe_ch_and_mc_run_without_numpy(tmp_path):
-    config = _write_config(tmp_path)
+def test_help_probe_ch_and_mc_run_without_numpy(tmp_path, capsys):
+    config = _write_config(tmp_path, **{"experiment.step_index": 1.7321})
+    scans = _scans(tmp_path, config, prefix="blocked")
     commands = [
         ["--help"],
         ["probe", "--config", config],
         ["ch", "--config", config, "--format", "json"],
         ["mc", "--config", config],
         ["mc", "--config", config, "--format", "json"],
+        *scans,
     ]
-    # these two need numpy: one stderr line and exit 4
-    heavy = [
-        ["scan", "--config", config, "--out", str(tmp_path / "scan.csv")],
-        ["validate"],
-    ]
-    report = _import_probe(tmp_path, commands + heavy, block_numpy=True)
-    assert [r["code"] for r in report] == [0] * len(commands) + [4, 4]
+    report = _import_probe(tmp_path, commands + [["validate"]], block_numpy=True)
+    assert [r["code"] for r in report] == [0] * len(commands) + [4]
     assert [r["stderr"] for r in report] == [""] * len(commands) + [
-        f"missing dependency: {argv[0]} needs numpy, which is not installed\n" for argv in heavy
+        "missing dependency: validate needs numpy, which is not installed\n"
     ]
+    # the scans write the bytes they write where numpy can be imported
+    for blocked, plain in zip(scans, _scans(tmp_path, config, prefix="plain")):
+        assert main(plain) == 0
+        assert Path(blocked[4]).read_bytes() == Path(plain[4]).read_bytes()
 
 
 def test_only_a_missing_numpy_is_exit_4(monkeypatch, capsys):
@@ -432,9 +439,8 @@ def test_scan_csv_lines_format_the_library_columns(tmp_path, capsys, policy):
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 24
     for i, line in enumerate(lines[1:]):
-        values = [result.alpha[i], result.beta[i], *result.thetas[i], result.s[i]]
-        flag = "true" if result.exceeds_threshold[i] else "false"
-        assert line == ",".join([format(float(v), ".9g") for v in values] + [flag])
+        *values, flag = result.row(i)
+        assert line == ",".join([format(v, ".9g") for v in values] + ["true" if flag else "false"])
 
 
 def test_scan_json_artifact(tmp_path, capsys):

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from oamch import cli
 from oamch.azimuthal import TAU, StepIndex
-from oamch.cli import _document, _format_column, _g9, _json_float, main
+from oamch.cli import _document, _g9, _json_float, main
 from oamch.coincidence import ExperimentSettings, amplitude_matrix, amplitude_matrix_quadrature
 from oamch.config import load_config
-from oamch.search import THETA_POLICIES, scan_alpha_beta
+from oamch.chtest import CANONICAL_THETAS
+from oamch.search import THETA_POLICIES, ChLandscape, ScanGrid, optimize_thetas, scan_alpha_beta
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -84,16 +85,43 @@ def test_closed_form_agrees_with_quadrature_at_general_step_index(block):
 @PROFILE
 @given(st.lists(st.one_of(st.floats(), st.sampled_from((0.0, -0.0, math.nan, math.inf))), min_size=1))
 def test_column_cells_equal_per_value_formatting(values):
-    column = np.array(values, dtype=float)
-    assert _format_column(column, _json_float) == [json.dumps(v) for v in values]
-    assert _format_column(column, _g9) == [format(v, ".9g") for v in values]
+    assert [_json_float(v) for v in values] == [json.dumps(v) for v in values]
+    assert [_g9(v) for v in values] == [format(v, ".9g") for v in values]
+
+
+# coprime shapes repeat almost no key, very unequal ones few
+SHAPES = st.one_of(
+    st.sampled_from(((33, 32), (32, 33), (2, 1024), (1024, 2), (3, 64), (33, 33))),
+    st.tuples(st.integers(2, 24), st.integers(2, 24)),
+)
+
+
+@settings(PROFILE, max_examples=60)
+@given(shape=SHAPES, policy=st.sampled_from(THETA_POLICIES), step_index=STEP_VALUES,
+       threshold=st.floats(-0.1, 0.25))
+def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, threshold):
+    step = StepIndex(step_index)
+    result = scan_alpha_beta(ScanGrid(*shape, theta_policy=policy, threshold=threshold), step)
+    alphas = np.linspace(0.0, TAU, shape[0], endpoint=False).tolist()
+    betas = np.linspace(0.0, TAU, shape[1], endpoint=False).tolist()
+    rows = []
+    for alpha in alphas:
+        for beta in betas:
+            if policy == "optimize-per-point":
+                thetas, s = optimize_thetas(alpha, beta, step)
+            else:
+                thetas, s = CANONICAL_THETAS, ChLandscape(alpha, beta, step).value(*CANONICAL_THETAS)
+            rows.append((alpha, beta, *thetas, s, s > threshold))
+    # repr tells -0.0 from 0.0, so the rows are equal bit for bit
+    assert [repr(result.row(i)) for i in range(len(result.key))] == [repr(row) for row in rows]
+    assert result.best == max(range(len(rows)), key=lambda i: rows[i][6])
+    assert result.exceeding == sum(row[7] for row in rows)
 
 
 def _whole_text_artifacts(config) -> tuple[str, str]:
     """The CSV and JSON scan artifacts formatted value by value and written whole."""
     result = scan_alpha_beta(config.scan, config.experiment.step_index)
-    columns = [result.alpha, result.beta, *result.thetas.T, result.s, result.exceeds_threshold]
-    rows = [dict(zip(ROW_KEYS, row)) for row in zip(*(c.tolist() for c in columns))]
+    rows = [dict(zip(ROW_KEYS, result.row(i))) for i in range(len(result.key))]
     csv_lines = ["alpha,beta,theta_a,theta_a_prime,theta_b,theta_b_prime,S,exceeds_threshold"]
     for row in rows:
         *numbers, flag = row.values()

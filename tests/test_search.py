@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -52,18 +53,34 @@ def test_landscape_matches_full_evaluation():
         )
 
 
-def test_landscape_grid_matches_scalar_path():
-    # the four angles broadcast against each other to the lattice values^4
-    land = ChLandscape(0.9, 0.4, HALF)
-    values = np.linspace(0.0, TAU, 5, endpoint=False)
-    grid = land.value(*np.ix_(values, values, values, values))
-    for i, ta in enumerate(values):
-        for j, tap in enumerate(values):
-            for k, tb in enumerate(values):
-                for m, tbp in enumerate(values):
-                    assert grid[i, j, k, m] == pytest.approx(
-                        land.value(ta, tap, tb, tbp), abs=1e-12
-                    )
+def test_landscape_has_the_bits_of_the_array_formula():
+    # the same formula on numpy arrays, squaring with `** 2` (x * x); pow-based
+    # squaring differs in the last bit on some inputs and would move S.  The
+    # sines and cosines come from libm, as numpy's may not on every CPU.
+    def cos(x):
+        return np.array([math.cos(v) for v in x.tolist()])
+
+    def sin(x):
+        return np.array([math.sin(v) for v in x.tolist()])
+
+    rng = np.random.default_rng(56)
+    alpha, beta = rng.uniform(0.0, TAU, size=(2, 4000))
+    ells = np.where(rng.random(4000) < 0.5, rng.integers(0, 8, 4000) + 0.5, rng.uniform(0.1, 8.0, 4000))
+    thetas = rng.uniform(0.0, TAU, size=(4, 4000))
+    lands = [ChLandscape(a, b, StepIndex(ell)) for a, b, ell in zip(alpha, beta, ells)]
+    k = np.array([land.k for land in lands])
+    q = np.array([land.q for land in lands])
+
+    def joint(ta, tb):
+        c, s = cos(ta - tb), sin(ta + tb)
+        return np.hypot(k.real * c - q.real * s, k.imag * c - q.imag * s) ** 2
+
+    ta, tap, tb, tbp = thetas
+    n = np.hypot(k.real, k.imag) ** 2 + np.hypot(q.real, q.imag) ** 2
+    r = 2.0 * (k.real * q.real + k.imag * q.imag)
+    joints = joint(ta, tb) - joint(ta, tbp) + joint(tap, tb) + joint(tap, tbp)
+    s = (joints - (2.0 * n - r * (sin(2.0 * tap) + sin(2.0 * tb)))) / (2.0 * n)
+    assert [land.value(*t) for land, t in zip(lands, thetas.T.tolist())] == s.tolist()
 
 
 def test_optimizer_reaches_maximum_on_aligned_plates():
@@ -75,10 +92,10 @@ def test_optimizer_reaches_maximum_on_aligned_plates():
 
 
 def test_optimizer_never_below_coarse_grid():
-    lattice = np.linspace(0.0, TAU, 12, endpoint=False)
+    lattice = np.linspace(0.0, TAU, 12, endpoint=False).tolist()
     for alpha, beta, step in _random_points(51, count=6):
-        s4 = ChLandscape(alpha, beta, step).value(*np.ix_(lattice, lattice, lattice, lattice))
-        lattice_best = float(np.max(s4))
+        land = ChLandscape(alpha, beta, step)
+        lattice_best = max(land.value(*t) for t in itertools.product(lattice, repeat=4))
         _, s = optimize_thetas(alpha, beta, step)
         assert lattice_best <= s + 1e-12
 
@@ -150,17 +167,16 @@ def test_scan_grid_size_is_bounded():
             ScanGrid(alpha_steps=steps[0], beta_steps=steps[1])
 
 
+def _rows(result) -> list[tuple]:
+    return [result.row(i) for i in range(len(result.key))]
+
+
 def test_scan_bookkeeping_2x2():
     result = scan_alpha_beta(ScanGrid(alpha_steps=2, beta_steps=2), HALF)
-    assert result.s.shape == (4,)
-    assert result.thetas.shape == (4, 4)
-    assert list(zip(result.alpha.tolist(), result.beta.tolist())) == [
-        (0.0, 0.0),
-        (0.0, math.pi),
-        (math.pi, 0.0),
-        (math.pi, math.pi),
-    ]
-    assert result.s[result.best] == result.s.max()
+    rows = _rows(result)
+    assert [len(row) for row in rows] == [8] * 4
+    assert [row[:2] for row in rows] == [(0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi)]
+    assert rows[result.best][6] == max(row[6] for row in rows)
 
 
 @pytest.mark.parametrize("policy", ["fixed-canonical", "optimize-per-point"])
@@ -168,64 +184,74 @@ def test_scan_bookkeeping_2x2():
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)
 @given(alpha_steps=st.integers(2, 9), beta_steps=st.integers(2, 9), threshold=st.floats(0.0, 0.25))
 def test_scan_columns_match_scalar_reference(policy, step, alpha_steps, beta_steps, threshold):
-    # non-square grids among them, so swapping the alpha-major repeat and tile fails
+    # non-square grids among them, so swapping the alpha-major order fails
     grid = ScanGrid(alpha_steps, beta_steps, theta_policy=policy, threshold=threshold)
     result = scan_alpha_beta(grid, step)
-    land = ChLandscape(result.alpha, result.beta, step)
     alphas = np.linspace(0.0, TAU, alpha_steps, endpoint=False)
     betas = np.linspace(0.0, TAU, beta_steps, endpoint=False)
-    rows = [(a, b) for a in alphas.tolist() for b in betas.tolist()]
-    assert list(zip(result.alpha.tolist(), result.beta.tolist())) == rows
-    for i, (a, b) in enumerate(rows):
-        point = ChLandscape(a, b, step)
-        assert (land.k[i], land.q[i]) == (point.k, point.q)
+    plates = [(a, b) for a in alphas.tolist() for b in betas.tolist()]
+    rows = _rows(result)
+    assert [row[:2] for row in rows] == plates
+    for (a, b), row in zip(plates, rows):
         if policy == "optimize-per-point":
             thetas, s = optimize_thetas(a, b, step)
         else:
-            thetas, s = CANONICAL_THETAS, point.value(*CANONICAL_THETAS)
-        assert tuple(result.thetas[i].tolist()) == tuple(float(t) for t in thetas)
-        assert abs(result.s[i] - s) <= 2e-15
-    np.testing.assert_array_equal(result.exceeds_threshold, result.s > threshold)
-    assert result.best == int(np.argmax(result.s))
+            thetas, s = CANONICAL_THETAS, ChLandscape(a, b, step).value(*CANONICAL_THETAS)
+        assert row[2:] == (*thetas, s, s > threshold)
+    assert result.best == max(range(len(rows)), key=lambda i: rows[i][6])
 
 
 def test_scan_diagonal_plateau():
     result = scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=5), HALF)
-    assert (result.thetas == np.array(CANONICAL_THETAS)).all()
-    diagonal = result.alpha == result.beta
-    assert diagonal.sum() == 5
-    np.testing.assert_allclose(result.s[diagonal], MAX_CH_VIOLATION, rtol=0.0, atol=1e-9)
-    assert result.exceeds_threshold[diagonal].all()
+    rows = _rows(result)
+    assert all(row[2:6] == CANONICAL_THETAS for row in rows)
+    diagonal = [row for row in rows if row[0] == row[1]]
+    assert len(diagonal) == 5
+    for row in diagonal:
+        assert row[6] == pytest.approx(MAX_CH_VIOLATION, abs=1e-9)
+        assert row[7] is True
 
 
 def test_scan_origin_shift_invariance():
     result = scan_alpha_beta(ScanGrid(alpha_steps=3, beta_steps=3), HALF)
     shift = 0.37
-    for alpha, beta, thetas, s in zip(result.alpha, result.beta, result.thetas, result.s):
+    for alpha, beta, *thetas, s, _ in _rows(result):
         shifted = ChLandscape(alpha + shift, beta + shift, HALF).value(*thetas)
         assert shifted == pytest.approx(s, abs=1e-8)
 
 
 def test_scan_threshold_flags():
     result = scan_alpha_beta(ScanGrid(alpha_steps=4, beta_steps=4, threshold=0.1), HALF)
-    assert result.exceeds_threshold.dtype == bool
-    np.testing.assert_array_equal(result.exceeds_threshold, result.s > 0.1)
+    rows = _rows(result)
+    assert {type(row[7]) for row in rows} == {bool}
+    assert [row[7] for row in rows] == [row[6] > 0.1 for row in rows]
 
 
 def test_scan_reproducibility():
     grid = ScanGrid(alpha_steps=3, beta_steps=4, theta_policy="optimize-per-point")
     first = scan_alpha_beta(grid, HALF)
     second = scan_alpha_beta(grid, HALF)
-    for name in ("alpha", "beta", "thetas", "s", "exceeds_threshold"):
-        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+    assert first == second
+    assert _rows(first) == _rows(second)
     assert first.best == second.best
 
 
+def test_scan_evaluates_each_relative_orientation_once():
+    # on a square grid, keys repeat along the diagonals: far fewer keys than rows
+    result = scan_alpha_beta(ScanGrid(alpha_steps=33, beta_steps=33), HALF)
+    assert len(result.key) == 33 * 33
+    assert len(result.s) == len(result.thetas) == len(result.exceeds_threshold) == 593
+    # keys are numbered in the order of the rows where they first appear
+    firsts = sorted(set(result.key), key=result.key.index)
+    assert firsts == list(range(593))
+
+
 def test_scan_result_requires_rows():
-    empty = np.zeros(0)
     with pytest.raises(ValueError):
-        ScanResult(alpha=empty, beta=empty, thetas=np.zeros((0, 4)), s=empty, exceeds_threshold=empty > 0)
-    s = np.array([0.1, 0.2, 0.2, -0.3])
-    zeros = np.zeros(4)
-    result = ScanResult(alpha=zeros, beta=zeros, thetas=np.zeros((4, 4)), s=s, exceeds_threshold=s > 0.15)
-    assert result.best == 1
+        ScanResult(alpha=[], beta=[], key=[], thetas=[], s=[], exceeds_threshold=[])
+    # one alpha and four betas, three keys: the best row is the first of two tied maxima
+    s = [0.1, -0.3, 0.2]
+    result = ScanResult(alpha=[0.0], beta=[0.0, 1.0, 2.0, 3.0], key=[0, 1, 2, 2],
+                        thetas=[CANONICAL_THETAS] * 3, s=s, exceeds_threshold=[x > 0.15 for x in s])
+    assert result.best == 2
+    assert result.row(3) == (0.0, 3.0, *CANONICAL_THETAS, 0.2, True)
