@@ -14,7 +14,6 @@ coincidences, 2 config error, 3 output I/O error, 4 numpy missing
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import os
@@ -199,10 +198,9 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
 _CSV_HEADER = "alpha,beta,theta_a,theta_a_prime,theta_b,theta_b_prime,S,exceeds_threshold"
 _ROW_KEYS = ("alpha", "beta", "theta_a", "theta_a_prime", "theta_b", "theta_b_prime", "s",
              "exceeds_threshold")
-# One row of each artifact, with a `%(key)s` per cell: CSV rows end in a
-# newline, and a JSON row, as `json.dumps(indent=2, sort_keys=True)` writes
-# it inside `results.rows`, starts with the ",\n" that separates it from
-# the row before.  alpha and beta come first in both (JSON sorts the keys).
+# One row of each artifact, a `%(key)s` per cell, alpha and beta first: CSV rows
+# end in a newline, and a JSON row, as `json.dumps(indent=2, sort_keys=True)`
+# writes it inside `results.rows`, starts with the ",\n" that separates it.
 _CSV_ROW = ",".join(f"%({k})s" for k in _ROW_KEYS) + "\n"
 _JSON_ROW = ",\n      {\n" + ",\n".join(f'        "{k}": %({k})s' for k in sorted(_ROW_KEYS)) + "\n      }"
 # Rows a writer formats and writes at a time.
@@ -217,25 +215,24 @@ def _json_float(x: float) -> str:
 
 
 def _write_rows(fh, result, row: str, fmt, skip: int = 0) -> None:
-    """Write the scan's rows laid out as `row`, floats in `fmt`, less the first `skip` characters.
+    """Write the scan's rows laid out as `row`, less the first `skip` characters.
 
-    A row is three texts: its start through alpha's cell, beta's cell, and
-    the rest, which depends only on the row's key and so is formatted once
-    per key.  `_CHUNK_ROWS` rows are joined and written at a time.
+    A row is its start through alpha's cell, beta's cell, and a tail that
+    depends only on the row's key, so is formatted (floats with `fmt`) once.
     """
     head, rest = row.split("%(alpha)s")
     middle, tail = rest.split("%(beta)s")
     alphas = [head + fmt(a) + middle for a in result.alpha]
     betas = [fmt(b) for b in result.beta]
-    # keys share most theta values; a scan has no -0.0, which would take 0.0's text
-    cell = functools.cache(fmt)
-    tails = [
-        tail % dict(zip(_ROW_KEYS[2:], [*map(cell, (*thetas, s)), "true" if flag else "false"]))
-        for thetas, s, flag in zip(result.thetas, result.s, result.exceeds_threshold)
-    ]
+    tails, last, texts = [], (None,) * 4, (None,) * 4
+    for thetas, s, flag in zip(result.key_thetas, result.key_s, result.key_exceeds_threshold):
+        # an angle that is the last key's own object keeps its text (shared angles)
+        if thetas is not last:
+            texts = [text if x is y else fmt(x) for x, y, text in zip(thetas, last, texts)]
+            last = thetas
+        tails.append(tail % dict(zip(_ROW_KEYS[2:], (*texts, fmt(s), "true" if flag else "false"))))
     # row i takes alphas[i // len(betas)], betas[i % len(betas)] and its key's tail
-    alpha_cells = itertools.chain.from_iterable(
-        map(itertools.repeat, alphas, itertools.repeat(len(betas))))
+    alpha_cells = itertools.chain.from_iterable(itertools.repeat(a, len(betas)) for a in alphas)
     cells = itertools.chain.from_iterable(
         zip(alpha_cells, itertools.cycle(betas), map(tails.__getitem__, result.key)))
     while text := "".join(itertools.islice(cells, 3 * _CHUNK_ROWS)):
@@ -244,11 +241,7 @@ def _write_rows(fh, result, row: str, fmt, skip: int = 0) -> None:
 
 
 def _write_json_scan(fh, config: RunConfig, result, best: dict) -> None:
-    """Write the artifact `json.dumps(document, indent=2, sort_keys=True)` gives.
-
-    The head and tail come from `json.dumps` of the document with no rows;
-    the rows are streamed, so the whole text is never held in memory.
-    """
+    """Write the artifact `json.dumps(document, indent=2, sort_keys=True)` gives, streaming the rows."""
     empty = json.dumps(_document("scan", config, {"rows": [], "best": best}), indent=2, sort_keys=True)
     head, tail = empty.rsplit('"rows": []', 1)
     fh.write(head + '"rows": [\n')
@@ -266,7 +259,10 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
 
     # open first, so an unwritable path fails before the landscape is computed
     with open(out_path, "w", encoding="utf-8") as fh:
-        result = scan_alpha_beta(grid, settings.step_index)
+        try:
+            result = scan_alpha_beta(grid, settings.step_index)
+        except ValueError as exc:  # a grid with too many relative orientations
+            raise ConfigError(str(exc)) from None
         best = dict(zip(_ROW_KEYS, result.row(result.best)))
         if fmt == "json":
             _write_json_scan(fh, config, result, best)

@@ -7,14 +7,13 @@ in the four angles (`ChLandscape`).  The per-point optimum over the
 splitter angles is exact, read off the x-z block of the state's
 correlation tensor (Horodecki criterion for coplanar settings).
 
-A scan row's overlaps depend only on its relative plate orientation, so
-the alpha x beta scan evaluates, in pure Python, each distinct relative
-orientation once, and its result (`ScanResult`) holds one entry per
-orientation and one number per row, not one object per point.
+A scan row's overlaps depend only on its relative plate orientation, so the
+scan evaluates each distinct one once, in pure Python (`ScanResult`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -23,14 +22,17 @@ from .chtest import CANONICAL_THETAS
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 
-# A scan holds a key number per row and, per distinct key, its angles, S,
-# flag and row text.  A square grid has few keys (35,221 at 1024 x 1024);
-# a grid whose two steps do not divide each other has about one per row.
-# At 2^20 points, 16 times the 256 x 256 scan, a whole 1024 x 1024 scan
-# command takes about 1.9 s as CSV and 2.5-2.8 s as JSON and peaks at
-# 35-50 MB; a 2 x 2^19 grid, a key per row, takes 20-28 s and 0.45-0.9 GB
-# (os.wait4 from a small parent; 2-core Intel Xeon x86-64, Python 3.11).
+# A scan row costs about 1 us and 8 bytes, a key (see `scan_alpha_beta`) 3-15 us
+# and a few hundred bytes.  At 2^20 points, 1024 x 1024 (35,221 keys) takes about
+# 0.9-1.3 s as CSV and 1.9 s as optimized JSON, up to 49 MB; 93 x 91, a key per
+# row and near `max_scan_keys`, 0.23 s and 0.24 s (os.wait4 from a small parent,
+# medians of 7 runs; 2-core Intel Xeon x86-64, Python 3.11).
 MAX_SCAN_POINTS = 2**20
+
+
+def max_scan_keys(points: int) -> int:
+    """The most keys, distinct relative plate orientations, a scan of `points` rows may have."""
+    return 2**13 + points // 24
 
 
 class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy threshold")):
@@ -54,44 +56,38 @@ class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy thres
         return tuple.__new__(cls, fields)
 
 
-class ScanResult(namedtuple("ScanResult", "alpha beta key thetas s exceeds_threshold")):
-    """The scanned lattice: one entry per key, one key number per row.
+class ScanResult(namedtuple("ScanResult", "alpha beta key key_thetas key_s key_exceeds_threshold")):
+    """The scanned lattice: a key number per row, and per key its angles, S and flag.
 
-    `alpha` and `beta` are the grid's plate angles.  Rows run in
-    (alpha index, beta index) order, so row i has plates
-    alpha[i // len(beta)] and beta[i % len(beta)], and key number key[i]
-    (see `scan_alpha_beta`; keys are numbered in the order of their first
-    rows).  Key j has the splitter angles thetas[j] = (theta_a, theta_a',
-    theta_b, theta_b'), S = s[j] and the flag exceeds_threshold[j].
+    Rows run in (alpha index, beta index) order; keys are numbered by first
+    row.  The `key_` fields are indexed by key, not by row: read rows with `row`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, alpha, beta, key, thetas, s, exceeds_threshold):
+    def __new__(cls, alpha, beta, key, key_thetas, key_s, key_exceeds_threshold):
         if not key:
             raise ValueError("scan produced no rows")
-        return tuple.__new__(cls, (alpha, beta, key, thetas, s, exceeds_threshold))
+        return tuple.__new__(cls, (alpha, beta, key, key_thetas, key_s, key_exceeds_threshold))
 
     def row(self, i: int) -> tuple:
         """Row i: alpha, beta, the four thetas, S and the flag."""
-        j = self.key[i]
-        columns = len(self.beta)
-        return (self.alpha[i // columns], self.beta[i % columns], *self.thetas[j], self.s[j],
-                self.exceeds_threshold[j])
+        j, (a, b) = self.key[i], divmod(i, len(self.beta))
+        return self.alpha[a], self.beta[b], *self.key_thetas[j], self.key_s[j], self.key_exceeds_threshold[j]
 
     @property
     def exceeding(self) -> int:
         """The number of flagged rows."""
-        return sum(map(self.exceeds_threshold.__getitem__, self.key))
+        return sum(map(self.key_exceeds_threshold.__getitem__, self.key))
 
     @property
     def best(self) -> int:
         """The first row with the largest S: the first row of the first such key."""
-        return self.key.index(max(range(len(self.s)), key=self.s.__getitem__))
+        return self.key.index(max(range(len(self.key_s)), key=self.key_s.__getitem__))
 
 
 class ChLandscape:
-    """S as a function of the four splitter angles at fixed plates.
+    """S as a function of the four splitter angles, at fixed plates.
 
     The plate overlap depends only on the relative plate orientation, so the
     2x2 overlap matrix is K = [[k, q], [q, k]] with k = I(alpha, beta) and
@@ -103,38 +99,41 @@ class ChLandscape:
         4 P(t, inf) = 4 P(inf, t) = n - r sin 2t
         4 P(inf, inf) = 2 n
 
-    The complex products are written in reals, and each |z|^2 is h * h
-    with h = abs(z), which is hypot(z.real, z.imag): S is one fixed
-    sequence of rounded operations, which the scan's goldens depend on.
+    Plate pair i has overlaps k[i] and q[i] (`at` builds one pair).  S is one
+    fixed sequence of roundings: a complex times a float rounds each part once
+    (a signed zero aside, which abs ignores), and |z|^2 is h * h, h = abs(z).
     """
 
-    def __init__(self, alpha: float, beta: float, step_index: StepIndex):
-        self.k = overlap_integral(alpha, beta, step_index)
-        self.q = overlap_integral(alpha, beta + math.pi, step_index)
+    def __init__(self, k: list, q: list):
+        self.k, self.q = k, q
 
-    def value(self, theta_a, theta_a_prime, theta_b, theta_b_prime) -> float:
-        k, q = self.k, self.q
+    @classmethod
+    def at(cls, alpha: float, beta: float, step_index: StepIndex) -> "ChLandscape":
+        """The landscape of the one plate pair at alpha and beta."""
+        k = overlap_integral(alpha, beta, step_index)
+        return cls([k], [overlap_integral(alpha, beta + math.pi, step_index)])
 
-        def joint(ta, tb):
-            c, s = math.cos(ta - tb), math.sin(ta + tb)
-            h = abs(complex(k.real * c - q.real * s, k.imag * c - q.imag * s))
-            return h * h
+    def value(self, theta_a, theta_a_prime, theta_b, theta_b_prime) -> list:
+        """S at each plate pair; an angle is one float, or a list with one per pair."""
+        angles = [t if isinstance(t, list) else itertools.repeat(t)
+                  for t in (theta_a, theta_a_prime, theta_b, theta_b_prime)]
+        cos, sin = math.cos, math.sin
+        s = []
+        for k, q, ta, tap, tb, tbp in zip(self.k, self.q, *angles):
+            h1 = abs(k * cos(ta - tb) - q * sin(ta + tb))
+            h2 = abs(k * cos(ta - tbp) - q * sin(ta + tbp))
+            h3 = abs(k * cos(tap - tb) - q * sin(tap + tb))
+            h4 = abs(k * cos(tap - tbp) - q * sin(tap + tbp))
+            hk, hq = abs(k), abs(q)
+            n = hk * hk + hq * hq
+            r = 2.0 * (k.real * q.real + k.imag * q.imag)
+            marginals = 2.0 * n - r * (sin(2.0 * tap) + sin(2.0 * tb))
+            s.append((h1 * h1 - h2 * h2 + h3 * h3 + h4 * h4 - marginals) / (2.0 * n))
+        return s
 
-        hk, hq = abs(k), abs(q)
-        n = hk * hk + hq * hq
-        r = 2.0 * (k.real * q.real + k.imag * q.imag)
-        joints = (
-            joint(theta_a, theta_b)
-            - joint(theta_a, theta_b_prime)
-            + joint(theta_a_prime, theta_b)
-            + joint(theta_a_prime, theta_b_prime)
-        )
-        marginals = 2.0 * n - r * (math.sin(2.0 * theta_a_prime) + math.sin(2.0 * theta_b))
-        return (joints - marginals) / (2.0 * n)
 
-
-def optimize_thetas(alpha: float, beta: float, step_index: StepIndex):
-    """Maximum of S over the four splitter angles, in closed form.
+def optimize_thetas(land: ChLandscape):
+    """Maximum of S over the four splitter angles, in closed form, at each plate pair.
 
     Splitter angle t measures the Bloch direction (-sin 2t, cos 2t) in the
     x-z plane, so S = (CHSH - 2) / 4 peaks at the Horodecki optimum for
@@ -146,17 +145,16 @@ def optimize_thetas(alpha: float, beta: float, step_index: StepIndex):
     a = z, a' = x and b, b' = cos(psi) x +/- sin(psi) z with psi = atan(t);
     the direction at angle d from x towards z is splitter angle d / 2 - pi / 4.
 
-    Returns the angles (theta_a, theta_a', theta_b, theta_b') in [0, 2*pi)
-    and S evaluated at them.
+    Returns the angles (theta_a, theta_a', theta_b, theta_b') in [0, 2*pi),
+    theta_b and theta_b' as lists with one per pair, and the S at them.
     """
-    land = ChLandscape(alpha, beta, step_index)
-    hk, hq = abs(land.k), abs(land.q)
-    same, opposite = hk * hk, hq * hq
-    psi = math.atan2(same - opposite, same + opposite)
+    moduli = ((abs(k), abs(q)) for k, q in zip(land.k, land.q))
+    psi = [math.atan2(hk * hk - hq * hq, hk * hk + hq * hq) for hk, hq in moduli]
     # |t| <= 1 puts psi in [-pi/4, pi/4]: the b angles are negative, and
     # one added turn wraps them into [0, 2*pi) as `wrap_angle` would
     quarter = math.pi / 4.0
-    thetas = (0.0, TAU - quarter, psi / 2.0 - quarter + TAU, -psi / 2.0 - quarter + TAU)
+    thetas = (0.0, TAU - quarter, [p / 2.0 - quarter + TAU for p in psi],
+              [-p / 2.0 - quarter + TAU for p in psi])
     return thetas, land.value(*thetas)
 
 
@@ -164,30 +162,36 @@ def scan_alpha_beta(grid: ScanGrid, step_index: StepIndex) -> ScanResult:
     """Evaluate S over the alpha x beta lattice covering [0, 2*pi)^2.
 
     The plate angles are i * (2*pi / steps), numpy's `linspace(0, 2*pi,
-    steps, endpoint=False)` bit for bit.  With m and n a row's plates, k is
-    a function of the signed difference m - n and q of m - wrap(n + pi), so
-    S and the angles are a function of that pair, the row's key.  Each key
-    is evaluated once, at the first row that has it, which gives every row
-    the bits its own plates give.  A row is flagged when its S exceeds the
-    grid threshold.
+    steps, endpoint=False)` bit for bit.  With m and n a row's plates, k is a
+    function of the signed difference m - n alone and q of m - wrap(n + pi),
+    so S and the angles are a function of that pair, the row's key.  Each
+    overlap and key is evaluated once, which gives every row the bits of its
+    own plates; more keys than `max_scan_keys` allows raise a ValueError.
     """
     alpha = [i * (TAU / grid.alpha_steps) for i in range(grid.alpha_steps)]
     beta = [j * (TAU / grid.beta_steps) for j in range(grid.beta_steps)]
-    # each beta with the wrapped angle of its half-turn partner plate
-    opposite = [(n, wrap_angle(n + math.pi)) for n in beta]
-    numbers, key, thetas, s = {}, [], [], []  # key number by key; per row; per key
+    limit = max_scan_keys(len(alpha) * len(beta))
+    opposite = [(n, wrap_angle(n + math.pi)) for n in beta]  # each beta and its half-turn partner
+    numbers, key, firsts = {}, [], []  # key number by key; per row; first plates per key
     for m in alpha:
         for n, o in opposite:
             pair = (m - n, m - o)
             number = numbers.get(pair)
             if number is None:
-                number = numbers[pair] = len(s)
-                if grid.theta_policy == "optimize-per-point":
-                    angles, value = optimize_thetas(m, n, step_index)
-                else:
-                    angles = CANONICAL_THETAS
-                    value = ChLandscape(m, n, step_index).value(*angles)
-                thetas.append(angles)
-                s.append(value)
+                if len(firsts) == limit:
+                    raise ValueError(f"the grid has more than {limit} distinct relative plate "
+                                     "orientations; steps that share a larger factor repeat them")
+                number = numbers[pair] = len(firsts)
+                firsts.append((m, n, o))
             key.append(number)
+    # one overlap per signed plate difference, at any pair of plates with it
+    plates = {m - p: (m, p) for m, n, o in firsts for p in (n, o)}
+    overlaps = {d: overlap_integral(m, p, step_index) for d, (m, p) in plates.items()}
+    land = ChLandscape([overlaps[m - n] for m, n, _ in firsts], [overlaps[m - o] for m, _, o in firsts])
+    if grid.theta_policy == "optimize-per-point":
+        (theta_a, theta_a_prime, theta_b, theta_b_prime), s = optimize_thetas(land)
+        thetas = [(theta_a, theta_a_prime, b, b_prime) for b, b_prime in zip(theta_b, theta_b_prime)]
+    else:
+        s = land.value(*CANONICAL_THETAS)
+        thetas = [CANONICAL_THETAS] * len(s)
     return ScanResult(alpha, beta, key, thetas, s, [value > grid.threshold for value in s])

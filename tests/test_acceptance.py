@@ -254,9 +254,11 @@ def test_criterion_7_property_suites():
 def test_criterion_8_grid_ceiling():
     worst = -math.inf
     for alpha in (0.0, 1.9):
-        land = ChLandscape(alpha, alpha, HALF)
+        # the aligned pair repeated once per lattice point, each at that point's angles
+        land = ChLandscape.at(alpha, alpha, HALF)
         t = np.linspace(0.0, TAU, 16, endpoint=False).tolist()
-        worst = max(worst, *(land.value(*thetas) for thetas in itertools.product(t, repeat=4)))
+        points = [list(column) for column in zip(*itertools.product(t, repeat=4))]
+        worst = max(worst, *ChLandscape(land.k * 16**4, land.q * 16**4).value(*points))
     assert _report(
         "criterion 8 (aligned 16^4 grid ceiling)",
         worst <= MAX_CH_VIOLATION + 1e-6,

@@ -456,6 +456,17 @@ def test_scan_needs_output_path(tmp_path, capsys):
     assert main(["scan", "--config", _write_config(tmp_path)]) == 2
 
 
+def test_scan_with_too_many_relative_orientations_is_a_config_error(tmp_path, capsys):
+    # 256 and 255 share no factor: each of the 65,280 rows has its own key
+    config = _write_config(tmp_path, **{"scan.alpha_steps": 256, "scan.beta_steps": 255})
+    assert main(["scan", "--config", config, "--out", str(tmp_path / "scan.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "config error: the grid has more than 10912 distinct relative plate orientations; "
+        "steps that share a larger factor repeat them\n")
+    assert captured.out == ""
+
+
 def test_scan_unwritable_path_exits_3(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         pytest.fail("scan computed the landscape before opening its output")

@@ -107,10 +107,12 @@ def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, thresho
     rows = []
     for alpha in alphas:
         for beta in betas:
+            land = ChLandscape.at(alpha, beta, step)
             if policy == "optimize-per-point":
-                thetas, s = optimize_thetas(alpha, beta, step)
+                (theta_a, theta_a_prime, (theta_b,), (theta_b_prime,)), (s,) = optimize_thetas(land)
+                thetas = (theta_a, theta_a_prime, theta_b, theta_b_prime)
             else:
-                thetas, s = CANONICAL_THETAS, ChLandscape(alpha, beta, step).value(*CANONICAL_THETAS)
+                thetas, (s,) = CANONICAL_THETAS, land.value(*CANONICAL_THETAS)
             rows.append((alpha, beta, *thetas, s, s > threshold))
     # repr tells -0.0 from 0.0, so the rows are equal bit for bit
     assert [repr(result.row(i)) for i in range(len(result.key))] == [repr(row) for row in rows]

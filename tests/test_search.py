@@ -14,6 +14,7 @@ from oamch.search import (
     ChLandscape,
     ScanGrid,
     ScanResult,
+    max_scan_keys,
     optimize_thetas,
     scan_alpha_beta,
 )
@@ -42,13 +43,20 @@ def _s_via_ch_parameter(alpha, beta, step, thetas, amplitude_fn=None):
     return ch_parameter(cfg, amplitude_fn=amplitude_fn).s
 
 
+def _optimum(alpha, beta, step):
+    """`optimize_thetas` at one plate pair: its four angles and S."""
+    (theta_a, theta_a_prime, (theta_b,), (theta_b_prime,)), (s,) = optimize_thetas(
+        ChLandscape.at(alpha, beta, step))
+    return (theta_a, theta_a_prime, theta_b, theta_b_prime), s
+
+
 def test_landscape_matches_full_evaluation():
     # general L matters: at half-integer L, Re(k conj(q)) = 0 hides the marginal term
     rng = np.random.default_rng(50)
     for alpha, beta, step in _random_points(55, count=26):
         thetas = tuple(rng.uniform(0.0, TAU, size=4))
-        land = ChLandscape(alpha, beta, step)
-        assert land.value(*thetas) == pytest.approx(
+        land = ChLandscape.at(alpha, beta, step)
+        assert land.value(*thetas)[0] == pytest.approx(
             _s_via_ch_parameter(alpha, beta, step, thetas), abs=1e-12
         )
 
@@ -67,9 +75,9 @@ def test_landscape_has_the_bits_of_the_array_formula():
     alpha, beta = rng.uniform(0.0, TAU, size=(2, 4000))
     ells = np.where(rng.random(4000) < 0.5, rng.integers(0, 8, 4000) + 0.5, rng.uniform(0.1, 8.0, 4000))
     thetas = rng.uniform(0.0, TAU, size=(4, 4000))
-    lands = [ChLandscape(a, b, StepIndex(ell)) for a, b, ell in zip(alpha, beta, ells)]
-    k = np.array([land.k for land in lands])
-    q = np.array([land.q for land in lands])
+    lands = [ChLandscape.at(a, b, StepIndex(ell)) for a, b, ell in zip(alpha, beta, ells)]
+    k = np.array([land.k[0] for land in lands])
+    q = np.array([land.q[0] for land in lands])
 
     def joint(ta, tb):
         c, s = cos(ta - tb), sin(ta + tb)
@@ -80,12 +88,13 @@ def test_landscape_has_the_bits_of_the_array_formula():
     r = 2.0 * (k.real * q.real + k.imag * q.imag)
     joints = joint(ta, tb) - joint(ta, tbp) + joint(tap, tb) + joint(tap, tbp)
     s = (joints - (2.0 * n - r * (sin(2.0 * tap) + sin(2.0 * tb)))) / (2.0 * n)
-    assert [land.value(*t) for land, t in zip(lands, thetas.T.tolist())] == s.tolist()
+    # one landscape of the 4,000 pairs, each at its own four angles
+    assert ChLandscape(k.tolist(), q.tolist()).value(*thetas.tolist()) == s.tolist()
 
 
 def test_optimizer_reaches_maximum_on_aligned_plates():
     for alpha in (0.0, 0.8, 3.9):
-        thetas, s = optimize_thetas(alpha, alpha, HALF)
+        thetas, s = _optimum(alpha, alpha, HALF)
         assert s == pytest.approx(MAX_CH_VIOLATION, abs=1e-12)
         # reported quadruple reproduces the reported value
         assert _s_via_ch_parameter(alpha, alpha, HALF, thetas) == pytest.approx(s, abs=1e-12)
@@ -94,9 +103,11 @@ def test_optimizer_reaches_maximum_on_aligned_plates():
 def test_optimizer_never_below_coarse_grid():
     lattice = np.linspace(0.0, TAU, 12, endpoint=False).tolist()
     for alpha, beta, step in _random_points(51, count=6):
-        land = ChLandscape(alpha, beta, step)
-        lattice_best = max(land.value(*t) for t in itertools.product(lattice, repeat=4))
-        _, s = optimize_thetas(alpha, beta, step)
+        # the pair repeated once per lattice point, each at that point's angles
+        land = ChLandscape.at(alpha, beta, step)
+        points = [list(column) for column in zip(*itertools.product(lattice, repeat=4))]
+        lattice_best = max(ChLandscape(land.k * 12**4, land.q * 12**4).value(*points))
+        _, s = _optimum(alpha, beta, step)
         assert lattice_best <= s + 1e-12
 
 
@@ -110,26 +121,26 @@ def test_optimizer_matches_horodecki_closed_form():
             [[np.vdot(k, si @ k @ sj).real for sj in (SIGMA_X, SIGMA_Z)] for si in (SIGMA_X, SIGMA_Z)]
         ) / np.vdot(k, k).real
         s1, s2 = np.linalg.svd(block, compute_uv=False)
-        thetas, s = optimize_thetas(alpha, beta, step)
+        thetas, s = _optimum(alpha, beta, step)
         assert s == pytest.approx((math.hypot(s1, s2) - 1.0) / 2.0, abs=1e-12)
         assert _s_via_ch_parameter(alpha, beta, step, thetas) == pytest.approx(s, abs=1e-12)
 
 
 def test_optimizer_is_locally_optimal():
     for alpha, beta, step in _random_points(53):
-        thetas, s = optimize_thetas(alpha, beta, step)
-        land = ChLandscape(alpha, beta, step)
+        thetas, s = _optimum(alpha, beta, step)
+        land = ChLandscape.at(alpha, beta, step)
         for k in range(4):
             for shift in (-1e-4, 1e-4):
                 moved = list(thetas)
                 moved[k] += shift
                 # S sums O(1) terms, so a flat direction may still move it by rounding
-                assert land.value(*moved) <= s + 1e-15
+                assert land.value(*moved)[0] <= s + 1e-15
 
 
 def test_optimizer_matches_quadrature_ch_parameter():
     for alpha, beta, step in _random_points(54, count=6):
-        thetas, s = optimize_thetas(alpha, beta, step)
+        thetas, s = _optimum(alpha, beta, step)
         s_quad = _s_via_ch_parameter(
             alpha, beta, step, thetas, amplitude_fn=amplitude_matrix_quadrature
         )
@@ -138,7 +149,7 @@ def test_optimizer_matches_quadrature_ch_parameter():
 
 def test_optimizer_half_turn_misalignment_cross_check():
     alpha = 0.7
-    thetas, s = optimize_thetas(alpha, alpha + math.pi, HALF)
+    thetas, s = _optimum(alpha, alpha + math.pi, HALF)
     s_quad = _s_via_ch_parameter(
         alpha, alpha + math.pi, HALF, thetas, amplitude_fn=amplitude_matrix_quadrature
     )
@@ -146,7 +157,7 @@ def test_optimizer_half_turn_misalignment_cross_check():
 
 
 def test_optimizer_finds_violation_next_to_diagonal():
-    _, s = optimize_thetas(TAU / 33.0, 0.0, HALF)
+    _, s = _optimum(TAU / 33.0, 0.0, HALF)
     assert s > 0.204
 
 
@@ -194,9 +205,9 @@ def test_scan_columns_match_scalar_reference(policy, step, alpha_steps, beta_ste
     assert [row[:2] for row in rows] == plates
     for (a, b), row in zip(plates, rows):
         if policy == "optimize-per-point":
-            thetas, s = optimize_thetas(a, b, step)
+            thetas, s = _optimum(a, b, step)
         else:
-            thetas, s = CANONICAL_THETAS, ChLandscape(a, b, step).value(*CANONICAL_THETAS)
+            thetas, s = CANONICAL_THETAS, ChLandscape.at(a, b, step).value(*CANONICAL_THETAS)[0]
         assert row[2:] == (*thetas, s, s > threshold)
     assert result.best == max(range(len(rows)), key=lambda i: rows[i][6])
 
@@ -216,7 +227,7 @@ def test_scan_origin_shift_invariance():
     result = scan_alpha_beta(ScanGrid(alpha_steps=3, beta_steps=3), HALF)
     shift = 0.37
     for alpha, beta, *thetas, s, _ in _rows(result):
-        shifted = ChLandscape(alpha + shift, beta + shift, HALF).value(*thetas)
+        shifted = ChLandscape.at(alpha + shift, beta + shift, HALF).value(*thetas)[0]
         assert shifted == pytest.approx(s, abs=1e-8)
 
 
@@ -240,7 +251,7 @@ def test_scan_evaluates_each_relative_orientation_once():
     # on a square grid, keys repeat along the diagonals: far fewer keys than rows
     result = scan_alpha_beta(ScanGrid(alpha_steps=33, beta_steps=33), HALF)
     assert len(result.key) == 33 * 33
-    assert len(result.s) == len(result.thetas) == len(result.exceeds_threshold) == 593
+    assert len(result.key_s) == len(result.key_thetas) == len(result.key_exceeds_threshold) == 593
     # keys are numbered in the order of the rows where they first appear
     firsts = sorted(set(result.key), key=result.key.index)
     assert firsts == list(range(593))
@@ -248,10 +259,33 @@ def test_scan_evaluates_each_relative_orientation_once():
 
 def test_scan_result_requires_rows():
     with pytest.raises(ValueError):
-        ScanResult(alpha=[], beta=[], key=[], thetas=[], s=[], exceeds_threshold=[])
+        ScanResult(alpha=[], beta=[], key=[], key_thetas=[], key_s=[], key_exceeds_threshold=[])
     # one alpha and four betas, three keys: the best row is the first of two tied maxima
     s = [0.1, -0.3, 0.2]
     result = ScanResult(alpha=[0.0], beta=[0.0, 1.0, 2.0, 3.0], key=[0, 1, 2, 2],
-                        thetas=[CANONICAL_THETAS] * 3, s=s, exceeds_threshold=[x > 0.15 for x in s])
+                        key_thetas=[CANONICAL_THETAS] * 3, key_s=s,
+                        key_exceeds_threshold=[x > 0.15 for x in s])
     assert result.best == 2
     assert result.row(3) == (0.0, 3.0, *CANONICAL_THETAS, 0.2, True)
+    assert result.exceeding == 2
+    # per-key fields are named as such: a row index cannot read them by the old names
+    for name in ("s", "thetas", "exceeds_threshold"):
+        assert not hasattr(result, name)
+
+
+def test_scan_key_count_is_bounded(monkeypatch):
+    # square grids repeat relative orientations; coprime steps almost never do
+    assert max_scan_keys(1024 * 1024) == 2**13 + 2**20 // 24
+    assert len(scan_alpha_beta(ScanGrid(alpha_steps=1024, beta_steps=2), HALF).key_s) == 2048
+    assert len(scan_alpha_beta(ScanGrid(alpha_steps=93, beta_steps=91), HALF).key_s) == 93 * 91
+    assert max_scan_keys(93 * 92) < 93 * 92
+    for steps in ((93, 92), (256, 255), (512, 2048), (2, 2**19), (2**19, 2)):
+        with pytest.raises(ValueError, match="distinct relative plate orientations"):
+            scan_alpha_beta(ScanGrid(*steps), HALF)
+    # the limit is exact: as many keys as allowed pass, one more raises
+    keys = len(scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=3), HALF).key_s)
+    monkeypatch.setattr("oamch.search.max_scan_keys", lambda points: keys)
+    assert len(scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=3), HALF).key_s) == keys
+    monkeypatch.setattr("oamch.search.max_scan_keys", lambda points: keys - 1)
+    with pytest.raises(ValueError, match=f"more than {keys - 1} distinct"):
+        scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=3), HALF)
