@@ -119,19 +119,22 @@ def spp_phase(chi, phi, step_index: StepIndex):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def overlap_integral(mu: float, nu: float, step_index: StepIndex) -> complex:
-    """Closed form of the full-turn overlap of two plate phase profiles.
+def difference_overlaps(differences, step_index: StepIndex, sign: complex = -1j) -> list[complex]:
+    """The closed-form overlap at each signed difference d = wrap(mu) - wrap(nu) in a collection.
 
-    Conjugate-symmetric by construction: the mu < nu branch is the
-    conjugate of the swapped call.  It depends on the plates only through
-    the signed difference of the wrapped angles, in `math`/`cmath` alone.
+    Conjugate-symmetric by construction: d < 0 (for finite wrapped angles,
+    exactly mu < nu) gives the conjugate of the overlap at -d.  The leading
+    phase factor is exp(sign * L * |d|).
     """
-    m = wrap_angle(mu)
-    n = wrap_angle(nu)
     ell = step_index.value
-    d = abs(m - n)
-    value = cmath.exp(-1j * ell * d) * (TAU - d * (1.0 - cmath.exp(1j * TAU * ell)))
-    return value.conjugate() if m < n else value
+    phase, jump = sign * ell, 1.0 - cmath.exp(1j * TAU * ell)
+    overlaps = [cmath.exp(phase * a) * (TAU - a * jump) for a in map(abs, differences)]
+    return [value.conjugate() if d < 0.0 else value for d, value in zip(differences, overlaps)]
+
+
+def overlap_integral(mu: float, nu: float, step_index: StepIndex) -> complex:
+    """Closed form of the full-turn overlap of two plate phase profiles, in `math`/`cmath` alone."""
+    return difference_overlaps((wrap_angle(mu) - wrap_angle(nu),), step_index)[0]
 
 
 def overlap_integral_opposite_phase(mu: float, nu: float, step_index: StepIndex) -> complex:
@@ -141,12 +144,7 @@ def overlap_integral_opposite_phase(mu: float, nu: float, step_index: StepIndex)
     shows this variant disagrees with direct quadrature while the primary
     closed form agrees.  Do not use for physics.
     """
-    m = wrap_angle(mu)
-    n = wrap_angle(nu)
-    ell = step_index.value
-    d = abs(m - n)
-    value = cmath.exp(1j * ell * d) * (TAU - d * (1.0 - cmath.exp(1j * TAU * ell)))
-    return value.conjugate() if m < n else value
+    return difference_overlaps((wrap_angle(mu) - wrap_angle(nu),), step_index, 1j)[0]
 
 
 _GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

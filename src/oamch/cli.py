@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -224,13 +225,17 @@ def _write_rows(fh, result, row: str, fmt, skip: int = 0) -> None:
     middle, tail = rest.split("%(beta)s")
     alphas = [head + fmt(a) + middle for a in result.alpha]
     betas = [fmt(b) for b in result.beta]
+    # the tail as a positional template, and its cells in the order it names them
+    names = sorted(_ROW_KEYS[2:], key=lambda k: tail.index(f"%({k})s"))
+    order = operator.itemgetter(*map(_ROW_KEYS[2:].index, names))
+    tail = tail % dict.fromkeys(names, "%s")
     tails, last, texts = [], (None,) * 4, (None,) * 4
     for thetas, s, flag in zip(result.key_thetas, result.key_s, result.key_exceeds_threshold):
         # an angle that is the last key's own object keeps its text (shared angles)
         if thetas is not last:
             texts = [text if x is y else fmt(x) for x, y, text in zip(thetas, last, texts)]
             last = thetas
-        tails.append(tail % dict(zip(_ROW_KEYS[2:], (*texts, fmt(s), "true" if flag else "false"))))
+        tails.append(tail % order((*texts, fmt(s), "true" if flag else "false")))
     # row i takes alphas[i // len(betas)], betas[i % len(betas)] and its key's tail
     alpha_cells = itertools.chain.from_iterable(itertools.repeat(a, len(betas)) for a in alphas)
     cells = itertools.chain.from_iterable(
@@ -257,13 +262,18 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("scan needs an output path (--out or output.path)")
     fmt = args.format or config.output.format
 
-    # open first, so an unwritable path fails before the landscape is computed
+    # open first, so an unwritable path fails before the landscape is computed;
+    # "a" truncates nothing, so a refused grid leaves the path as it was
+    created = not os.path.exists(out_path)
+    open(out_path, "a", encoding="utf-8").close()
+    try:
+        result = scan_alpha_beta(grid, settings.step_index)
+    except ValueError as exc:  # a grid with too many relative orientations
+        if created:
+            os.remove(out_path)
+        raise ConfigError(str(exc)) from None
+    best = dict(zip(_ROW_KEYS, result.row(result.best)))
     with open(out_path, "w", encoding="utf-8") as fh:
-        try:
-            result = scan_alpha_beta(grid, settings.step_index)
-        except ValueError as exc:  # a grid with too many relative orientations
-            raise ConfigError(str(exc)) from None
-        best = dict(zip(_ROW_KEYS, result.row(result.best)))
         if fmt == "json":
             _write_json_scan(fh, config, result, best)
         else:

@@ -15,18 +15,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import namedtuple
+import operator
+from collections import defaultdict, namedtuple
 
-from .azimuthal import TAU, StepIndex, overlap_integral, wrap_angle
+from .azimuthal import TAU, StepIndex, difference_overlaps, overlap_integral, wrap_angle
 from .chtest import CANONICAL_THETAS
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 
-# A scan row costs about 1 us and 8 bytes, a key (see `scan_alpha_beta`) 3-15 us
-# and a few hundred bytes.  At 2^20 points, 1024 x 1024 (35,221 keys) takes about
-# 0.9-1.3 s as CSV and 1.9 s as optimized JSON, up to 49 MB; 93 x 91, a key per
-# row and near `max_scan_keys`, 0.23 s and 0.24 s (os.wait4 from a small parent,
-# medians of 7 runs; 2-core Intel Xeon x86-64, Python 3.11).
+# A scan row costs about 0.5 us as CSV and 1.1 us as JSON, and 8 bytes; a key (see
+# `scan_alpha_beta`) 6-11 us and a few hundred bytes.  At 2^20 points, 1024 x 1024
+# (35,221 keys) takes about 1.5 s as CSV and 2.2 s as optimized JSON, up to 49 MB;
+# 93 x 91, a key per row and near `max_scan_keys`, 0.25 s and 0.33 s (os.wait4
+# from a small parent, medians of 7 runs; 2-core Intel Xeon x86-64 VM, Python 3.11).
 MAX_SCAN_POINTS = 2**20
 
 
@@ -115,20 +116,26 @@ class ChLandscape:
 
     def value(self, theta_a, theta_a_prime, theta_b, theta_b_prime) -> list:
         """S at each plate pair; an angle is one float, or a list with one per pair."""
-        angles = [t if isinstance(t, list) else itertools.repeat(t)
-                  for t in (theta_a, theta_a_prime, theta_b, theta_b_prime)]
-        cos, sin = math.cos, math.sin
+        def each(f, op, x, y):  # f(op(x, y)) at each pair: once, if x and y are floats
+            if isinstance(x, list) or isinstance(y, list):
+                columns = (t if isinstance(t, list) else itertools.repeat(t) for t in (x, y))
+                return map(f, map(op, *columns))
+            return itertools.repeat(f(op(x, y)))
+
+        trig = [each(f, op, x, y) for x in (theta_a, theta_a_prime) for y in (theta_b, theta_b_prime)
+                for f, op in ((math.cos, operator.sub), (math.sin, operator.add))]
+        marginal = map(operator.add, each(math.sin, operator.mul, 2.0, theta_a_prime),
+                       each(math.sin, operator.mul, 2.0, theta_b))
         s = []
-        for k, q, ta, tap, tb, tbp in zip(self.k, self.q, *angles):
-            h1 = abs(k * cos(ta - tb) - q * sin(ta + tb))
-            h2 = abs(k * cos(ta - tbp) - q * sin(ta + tbp))
-            h3 = abs(k * cos(tap - tb) - q * sin(tap + tb))
-            h4 = abs(k * cos(tap - tbp) - q * sin(tap + tbp))
+        for k, q, c1, s1, c2, s2, c3, s3, c4, s4, sines in zip(self.k, self.q, *trig, marginal):
+            h1 = abs(k * c1 - q * s1)
+            h2 = abs(k * c2 - q * s2)
+            h3 = abs(k * c3 - q * s3)
+            h4 = abs(k * c4 - q * s4)
             hk, hq = abs(k), abs(q)
             n = hk * hk + hq * hq
             r = 2.0 * (k.real * q.real + k.imag * q.imag)
-            marginals = 2.0 * n - r * (sin(2.0 * tap) + sin(2.0 * tb))
-            s.append((h1 * h1 - h2 * h2 + h3 * h3 + h4 * h4 - marginals) / (2.0 * n))
+            s.append((h1 * h1 - h2 * h2 + h3 * h3 + h4 * h4 - (2.0 * n - r * sines)) / (2.0 * n))
         return s
 
 
@@ -170,24 +177,24 @@ def scan_alpha_beta(grid: ScanGrid, step_index: StepIndex) -> ScanResult:
     """
     alpha = [i * (TAU / grid.alpha_steps) for i in range(grid.alpha_steps)]
     beta = [j * (TAU / grid.beta_steps) for j in range(grid.beta_steps)]
+    # a row's key as complex(m, m) - complex(n, wrap(n + pi)): complex subtraction
+    # rounds each part on its own, so equal keys are equal float pairs
+    opposite = [complex(n, wrap_angle(n + math.pi)) for n in beta]
     limit = max_scan_keys(len(alpha) * len(beta))
-    opposite = [(n, wrap_angle(n + math.pi)) for n in beta]  # each beta and its half-turn partner
-    numbers, key, firsts = {}, [], []  # key number by key; per row; first plates per key
+
+    def next_number() -> int:  # numbers keys in order of first appearance
+        if len(numbers) == limit:
+            raise ValueError(f"the grid has more than {limit} distinct relative plate "
+                             "orientations; steps that share a larger factor repeat them")
+        return len(numbers)
+
+    numbers, key = defaultdict(next_number), []
     for m in alpha:
-        for n, o in opposite:
-            pair = (m - n, m - o)
-            number = numbers.get(pair)
-            if number is None:
-                if len(firsts) == limit:
-                    raise ValueError(f"the grid has more than {limit} distinct relative plate "
-                                     "orientations; steps that share a larger factor repeat them")
-                number = numbers[pair] = len(firsts)
-                firsts.append((m, n, o))
-            key.append(number)
-    # one overlap per signed plate difference, at any pair of plates with it
-    plates = {m - p: (m, p) for m, n, o in firsts for p in (n, o)}
-    overlaps = {d: overlap_integral(m, p, step_index) for d, (m, p) in plates.items()}
-    land = ChLandscape([overlaps[m - n] for m, n, _ in firsts], [overlaps[m - o] for m, _, o in firsts])
+        key.extend(map(numbers.__getitem__, map(complex(m, m).__sub__, opposite)))
+    # one overlap per signed plate difference
+    differences = {d for z in numbers for d in (z.real, z.imag)}
+    overlaps = dict(zip(differences, difference_overlaps(differences, step_index)))
+    land = ChLandscape([overlaps[z.real] for z in numbers], [overlaps[z.imag] for z in numbers])
     if grid.theta_policy == "optimize-per-point":
         (theta_a, theta_a_prime, theta_b, theta_b_prime), s = optimize_thetas(land)
         thetas = [(theta_a, theta_a_prime, b, b_prime) for b, b_prime in zip(theta_b, theta_b_prime)]

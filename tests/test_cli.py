@@ -459,12 +459,26 @@ def test_scan_needs_output_path(tmp_path, capsys):
 def test_scan_with_too_many_relative_orientations_is_a_config_error(tmp_path, capsys):
     # 256 and 255 share no factor: each of the 65,280 rows has its own key
     config = _write_config(tmp_path, **{"scan.alpha_steps": 256, "scan.beta_steps": 255})
-    assert main(["scan", "--config", config, "--out", str(tmp_path / "scan.csv")]) == 2
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", config, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
         "config error: the grid has more than 10912 distinct relative plate orientations; "
         "steps that share a larger factor repeat them\n")
     assert captured.out == ""
+    # the refused scan leaves no file behind
+    assert not out.exists()
+
+
+def test_refused_scan_leaves_an_existing_artifact_as_it_was(tmp_path, capsys):
+    config = _write_config(tmp_path, **{"scan.alpha_steps": 256, "scan.beta_steps": 255})
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"alpha,beta\n0,0\n")
+    os.utime(out, ns=(10**18, 10**18))
+    assert main(["scan", "--config", config, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert out.read_bytes() == b"alpha,beta\n0,0\n"
+    assert out.stat().st_mtime_ns == 10**18
 
 
 def test_scan_unwritable_path_exits_3(tmp_path, capsys, monkeypatch):

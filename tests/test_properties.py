@@ -5,6 +5,7 @@ Hypothesis runs derandomized with a fixed example budget, so the examples
 are the same on every run and the suite stays deterministic.
 """
 
+import cmath
 import contextlib
 import io
 import json
@@ -16,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oamch import cli
-from oamch.azimuthal import TAU, StepIndex
+from oamch.azimuthal import (
+    TAU,
+    StepIndex,
+    difference_overlaps,
+    overlap_integral,
+    overlap_integral_opposite_phase,
+    wrap_angle,
+)
 from oamch.cli import _document, _g9, _json_float, main
 from oamch.coincidence import ExperimentSettings, amplitude_matrix, amplitude_matrix_quadrature
 from oamch.config import load_config
@@ -118,6 +126,59 @@ def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, thresho
     assert [repr(result.row(i)) for i in range(len(result.key))] == [repr(row) for row in rows]
     assert result.best == max(range(len(rows)), key=lambda i: rows[i][6])
     assert result.exceeding == sum(row[7] for row in rows)
+
+
+@settings(PROFILE, max_examples=40)
+@given(shape=st.one_of(SHAPES, st.sampled_from(((93, 91), (91, 93), (31, 29))),
+                       st.tuples(st.just(2), st.integers(2, 512))))
+def test_key_numbers_equal_first_appearance_of_float_pairs(shape):
+    result = scan_alpha_beta(ScanGrid(*shape), StepIndex(1.5))
+    alphas = np.linspace(0.0, TAU, shape[0], endpoint=False).tolist()
+    betas = np.linspace(0.0, TAU, shape[1], endpoint=False).tolist()
+    numbers = {}
+    assert result.key == [numbers.setdefault((m - n, m - wrap_angle(n + math.pi)), len(numbers))
+                          for m in alphas for n in betas]
+
+
+def _reference_overlap(mu, nu, step, sign):
+    """The closed form as written for canonical m >= n, conjugated for m < n."""
+    m, n = wrap_angle(mu), wrap_angle(nu)
+    d = abs(m - n)
+    value = cmath.exp(sign * step.value * d) * (TAU - d * (1.0 - cmath.exp(1j * TAU * step.value)))
+    return value.conjugate() if m < n else value
+
+
+WIDE_ANGLES = st.one_of(ANGLES, st.floats(-20.0, 20.0))
+
+
+@PROFILE
+@given(pairs=st.lists(st.one_of(st.tuples(WIDE_ANGLES, WIDE_ANGLES), WIDE_ANGLES.map(lambda a: (a, a))),
+                      min_size=1, max_size=8),
+       step_index=STEP_VALUES)
+def test_difference_kernel_equals_overlap_integral(pairs, step_index):
+    step = StepIndex(step_index)
+    differences = [wrap_angle(mu) - wrap_angle(nu) for mu, nu in pairs]
+    # repr tells -0.0 from 0.0, so the values are equal bit for bit
+    assert repr(difference_overlaps(differences, step)) == repr(
+        [overlap_integral(mu, nu, step) for mu, nu in pairs]) == repr(
+        [_reference_overlap(mu, nu, step, -1j) for mu, nu in pairs])
+    assert repr([overlap_integral_opposite_phase(mu, nu, step) for mu, nu in pairs]) == repr(
+        [_reference_overlap(mu, nu, step, 1j) for mu, nu in pairs])
+    # a signed zero difference is the overlap of equal plates
+    assert repr(difference_overlaps([-0.0], step)) == repr([overlap_integral(1.0, 1.0, step)])
+
+
+@PROFILE
+@given(pairs=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=6),
+       thetas=st.tuples(WIDE_ANGLES, WIDE_ANGLES, WIDE_ANGLES, WIDE_ANGLES),
+       listed=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+       step_index=STEP_VALUES)
+def test_landscape_value_at_scalar_angles_equals_per_pair_lists(pairs, thetas, listed, step_index):
+    step = StepIndex(step_index)
+    land = ChLandscape([overlap_integral(a, b, step) for a, b in pairs],
+                       [overlap_integral(a, b + math.pi, step) for a, b in pairs])
+    lists = [[t] * len(pairs) if flag else t for t, flag in zip(thetas, listed)]
+    assert repr(land.value(*thetas)) == repr(land.value(*lists))
 
 
 def _whole_text_artifacts(config) -> tuple[str, str]:
