@@ -1,12 +1,14 @@
-"""numpy's multinomial draw, computed with Python ints and floats.
+"""numpy's random draws, computed with Python ints and floats.
 
+`pcg64(entropy)` steps the PCG64 generator (M. E. O'Neill, HMC-CS-2014-0905,
+2014) that `numpy.random.default_rng(entropy)` seeds through
+`SeedSequence(entropy)`, and `Generator` draws from it as numpy's Generator
+does: doubles, `uniform` and `integers`, for the validation suites.
 `multinomial(entropy, trials, pvals)` returns the counts that numpy (2.0 or
 later) returns for `numpy.random.default_rng(entropy).multinomial(trials,
-pvals)`, without importing numpy.  It takes the same four steps:
-`SeedSequence(entropy)`, the PCG64 generator seeded from it (M. E. O'Neill,
-HMC-CS-2014-0905, 2014), its doubles, and one binomial draw per cell, by
-inversion for small means and by BTPE (V. Kachitvichyanukul and B. W.
-Schmeiser, Commun. ACM 31(2), 216, 1988) for large ones.
+pvals)`, for `mc`: one binomial draw per cell, by inversion for small means
+and by BTPE (V. Kachitvichyanukul and B. W. Schmeiser, Commun. ACM 31(2),
+216, 1988) for large ones.  None of it imports numpy.
 
 Each float operation follows numpy's C code in the same order, so every
 rounding agrees: an int64 meets a double as C converts it (`float(n)`, not
@@ -79,24 +81,74 @@ def _seed_words(entropy, n_words: int) -> list[int]:
     return state
 
 
-def pcg64_doubles(entropy):
-    """`next_double` of `numpy.random.PCG64(entropy)`: uniforms on [0, 1), 53 bits each."""
+def pcg64(entropy):
+    """`next_uint64` of `numpy.random.PCG64(entropy)`: its 64-bit outputs, in order."""
     w = _seed_words(entropy, 8)
     # the words pair up little-endian into four uint64: state hi, lo; increment hi, lo
     s0, s1, i0, i1 = (w[k] | w[k + 1] << 32 for k in range(0, 8, 2))
     inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
     state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
 
-    def next_double() -> float:
+    def next_uint64() -> int:
         nonlocal state
         state = (state * _PCG_MULT + inc) & _MASK128
         # XSL-RR: the xor of the two halves, rotated right by the top 6 bits
         x = (state >> 64 ^ state) & _MASK64
         rot = state >> 122
-        x = (x >> rot | x << (-rot & 63)) & _MASK64
-        return (x >> 11) * (1.0 / 9007199254740992.0)
+        return (x >> rot | x << (-rot & 63)) & _MASK64
 
-    return next_double
+    return next_uint64
+
+
+class Generator:
+    """The draws of numpy's `Generator` on a stream of 64-bit outputs, such as `pcg64`'s.
+
+    `Generator(pcg64(entropy))` draws what `numpy.random.default_rng(entropy)`
+    draws, call for call, interleaved in any order.
+    """
+
+    __slots__ = ("_next_uint64", "_half")
+
+    def __init__(self, next_uint64):
+        self._next_uint64 = next_uint64
+        self._half = None  # the upper 32 bits of the last output `integers` split
+
+    def random(self) -> float:
+        """A uniform double on [0, 1): the top 53 bits of one output."""
+        return (self._next_uint64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """`low + (high - low) * random()`, or a list of `size` of them."""
+        span = high - low
+        if size is None:
+            return low + span * self.random()
+        return [low + span * self.random() for _ in range(size)]
+
+    def _next_uint32(self) -> int:
+        # PCG64's next_uint32: the low half of an output, then its high half
+        if self._half is None:
+            value = self._next_uint64()
+            self._half = value >> 32
+            return value & _MASK32
+        value, self._half = self._half, None
+        return value
+
+    def integers(self, low: int, high: int) -> int:
+        """An int on [low, high), for 0 < high - low < 2**32, by Lemire's method.
+
+        D. Lemire, ACM Trans. Model. Comput. Simul. 29(1), 3, 2019: the high
+        word of a 32-bit draw times the range, redrawn while the low word
+        falls below 2**32 mod the range.  A range of one draws nothing.
+        """
+        span = high - low
+        if span == 1:
+            return low
+        m = self._next_uint32() * span
+        if m & _MASK32 < span:
+            threshold = (_MASK32 - span + 1) % span
+            while m & _MASK32 < threshold:
+                m = self._next_uint32() * span
+        return low + (m >> 32)
 
 
 def _int64(value: int) -> int:
@@ -234,7 +286,7 @@ def multinomial(entropy, trials: int, pvals) -> list[int]:
     `pvals` are floats in [0, 1] whose first len - 1 sum to at most 1, and
     `trials` lies in [0, 2**63), as numpy requires; they are not checked here.
     """
-    next_double = pcg64_doubles(entropy)
+    next_double = Generator(pcg64(entropy)).random
     counts = [0] * len(pvals)
     remaining_p = 1.0
     left = trials

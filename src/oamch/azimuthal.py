@@ -21,9 +21,11 @@ with conjugate symmetry under swapping mu and nu.  For half-integer
 L = l + 1/2 this collapses to 2*pi*exp(-i*L*(mu - nu))*(1 - |mu - nu|/pi),
 which vanishes at |mu - nu| = pi: plate states a half-turn apart are
 orthogonal.  The sign of the leading phase factor is adjudicated against
-direct piecewise Gauss-Legendre quadrature (`overlap_integral_quadrature`);
-the conjugate-phase variant is retained only so the validation suite can
-demonstrate that it disagrees with the numerical oracle.
+direct piecewise Gauss-Legendre quadrature (`overlap_integral_quadrature`),
+which sums the cosine and sine of the real phase difference
+f(mu, phi) - f(nu, phi) over the nodes; the conjugate-phase variant is
+retained only so the validation suite can demonstrate that it disagrees
+with the numerical oracle.
 """
 
 from __future__ import annotations
@@ -37,9 +39,13 @@ from ._np import np
 TAU = 2.0 * math.pi
 
 # Closed form and quadrature both round phases L*x with x < 2*pi, each to
-# within half an ulp: up to L*2*pi*2^-53 rad.  Each method rounds two such
-# phases, and each moves a term of modulus up to 2*pi, so they may disagree
-# by 4 * 2*pi * L*2*pi*2^-53.  Keeping that within the oracle suites' 1e-9
+# within half an ulp: up to L*2*pi*2^-53 rad.  Both take the jump 2*pi*L as
+# one double, and the closed form is exact for whatever jump the profiles
+# carry, so that rounding cancels.  Besides it the closed form rounds one
+# phase, L*|mu - nu|, and the quadrature three at each node: the two
+# profiles and their difference, whose cosine and sine it sums.  Each
+# rounding moves a term of modulus up to 2*pi, so the two may disagree by
+# 4 * 2*pi * L*2*pi*2^-53.  Keeping that within the oracle suites' 1e-9
 # bounds the step index at about 5.7e4.
 MAX_STEP_INDEX = 1e-9 / (4.0 * TAU * TAU * 2.0**-53)
 
@@ -103,20 +109,32 @@ def _wrap_array(phi) -> np.ndarray:
     return np.where(ph >= TAU, 0.0, ph)
 
 
-def spp_phase(chi, phi, step_index: StepIndex):
-    """Unit-modulus transmission factor of a plate oriented at chi.
+def spp_profile(chi, phi, step_index: StepIndex):
+    """The real phase f(chi, phi) that a plate oriented at chi imprints, in [0, 2*pi*L).
 
     chi and phi are scalars or arrays that broadcast against each other,
     such as a column of n orientations against n rows of azimuths.  On the
-    dislocation itself (phi == chi exactly) the phi >= chi branch wins, so
-    the factor stays unit-modulus everywhere.
+    dislocation itself (phi == chi exactly) the phi >= chi branch wins.
     """
     c = _wrap_array(chi)
     ph = _wrap_array(phi)
     ell = step_index.value
-    exponent = ell * (ph - c) + (TAU * ell) * (ph < c)
-    out = np.exp(1j * exponent)
-    return complex(out) if np.ndim(out) == 0 else out
+    return ell * (ph - c) + (TAU * ell) * (ph < c)
+
+
+def spp_phase(chi, phi, step_index: StepIndex, conjugate: bool = False):
+    """Unit-modulus transmission factor exp(i*f(chi, phi)) of a plate oriented at chi.
+
+    Broadcasts as `spp_profile`, and is cos f + i*sin f of its one profile;
+    `conjugate` gives exp(-i*f), the factor of the complementary plate.
+    """
+    f = np.asarray(spp_profile(chi, phi, step_index))
+    out = np.empty(f.shape, dtype=complex)
+    np.cos(f, out=out.real)
+    np.sin(f, out=out.imag)
+    if conjugate:
+        np.negative(out.imag, out=out.imag)
+    return complex(out) if out.ndim == 0 else out
 
 
 def difference_overlaps(differences, step_index: StepIndex, sign: complex = -1j) -> list[complex]:
@@ -163,7 +181,9 @@ def gauss_segments(cut_points, order: int = 64) -> tuple[np.ndarray, np.ndarray]
     everywhere.
     """
     if order not in _GAUSS_CACHE:
-        _GAUSS_CACHE[order] = np.polynomial.legendre.leggauss(order)
+        from ._gauss import gauss_legendre  # loaded by `validate` alone
+
+        _GAUSS_CACHE[order] = tuple(map(np.array, gauss_legendre(order)))
     base_x, base_w = _GAUSS_CACHE[order]
     cuts = np.sort(_wrap_array(cut_points), axis=-1)
     rows = cuts.shape[:-1]
@@ -178,16 +198,17 @@ def gauss_segments(cut_points, order: int = 64) -> tuple[np.ndarray, np.ndarray]
 def overlap_integral_quadrature(mu, nu, step_index: StepIndex):
     """Numerical oracle for `overlap_integral`.
 
-    Integrates exp(i*(f(mu, phi) - f(nu, phi))) directly, splitting [0, 2*pi)
-    at the two dislocation angles so each Gauss-Legendre panel sees a smooth
-    integrand.  Absolute error is far below 1e-10.  Scalar mu and nu give a
-    complex; arrays broadcast and give a complex array, each element equal
-    to the scalar call on its pair.
+    Integrates exp(i*d) directly over the real phase difference
+    d = f(mu, phi) - f(nu, phi), as the sum of w*cos(d) plus i times the sum
+    of w*sin(d), splitting [0, 2*pi) at the two dislocation angles so each
+    Gauss-Legendre panel sees a smooth integrand.  Absolute error is far
+    below 1e-10.  Scalar mu and nu give a complex; arrays broadcast and give
+    a complex array, each element equal to the scalar call on its pair.
     """
     m, n = np.broadcast_arrays(_wrap_array(mu), _wrap_array(nu))
     x, w = gauss_segments(np.stack((m, n), axis=-1))
-    vals = spp_phase(m[..., np.newaxis], x, step_index) * np.conjugate(
-        spp_phase(n[..., np.newaxis], x, step_index)
-    )
-    out = np.sum(w * vals, axis=-1)
+    d = spp_profile(m[..., np.newaxis], x, step_index) - spp_profile(n[..., np.newaxis], x, step_index)
+    out = np.empty(m.shape, dtype=complex)
+    np.sum(w * np.cos(d), axis=-1, out=out.real)
+    np.sum(w * np.sin(d), axis=-1, out=out.imag)
     return complex(out) if out.ndim == 0 else out

@@ -186,9 +186,9 @@ def amplitude_matrix_quadrature(settings):
         [(s.alpha, s.beta, s.theta_a, s.theta_b, *s.aux_phases) for s in rows]
     ).T[..., np.newaxis]
     x, w = gauss_segments(np.concatenate((alpha, alpha + _PI, beta, beta + _PI), axis=-1))
-    a = arm_amplitude(alpha, theta_a, a1, a2, x, step)
+    a = [w * arm for arm in arm_amplitude(alpha, theta_a, a1, a2, x, step)]
     b = arm_amplitude(beta, theta_b, b1, b2, x, step, conjugate_plates=True)
-    g = np.array([[np.sum(w * a[i] * b[j], axis=-1) for j in (0, 1)] for i in (0, 1)])
+    g = np.array([[np.sum(a[i] * b[j], axis=-1) for j in (0, 1)] for i in (0, 1)])
     mats = [AmplitudeMatrix(c=c) for c in np.asarray(SIGMA) * np.moveaxis(g, -1, 0)]
     return mats[0] if isinstance(settings, ExperimentSettings) else mats
 

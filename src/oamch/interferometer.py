@@ -48,12 +48,10 @@ def arm_amplitude(chi, theta, aux_phase_1, aux_phase_2, phi, step_index: StepInd
     come from one evaluation of the two plate phases and always satisfy
     |A1|^2 + |A2|^2 = 1: a unitary applied to a unit-norm vector.
     """
-    e1 = spp_phase(chi, phi, step_index)
-    e2 = spp_phase(chi + math.pi, phi, step_index)
-    if conjugate_plates:
-        e1, e2 = np.conjugate(e1), np.conjugate(e2)
-    # The two rows of `mz_unitary`, for every analyzer at once.
-    cos, sin = np.cos(theta), np.sin(theta)
+    e1 = spp_phase(chi, phi, step_index, conjugate_plates)
+    e2 = spp_phase(chi + math.pi, phi, step_index, conjugate_plates)
+    # The two rows of `mz_unitary` over sqrt(2), as columns for every analyzer at once.
+    cos, sin = np.cos(theta) / _SQRT2, np.sin(theta) / _SQRT2
     p1 = np.exp(1j * aux_phase_1)
     p2 = np.exp(1j * aux_phase_2)
-    return (p1 * cos * e1 - p2 * sin * e2) / _SQRT2, (p1 * sin * e1 + p2 * cos * e2) / _SQRT2
+    return (p1 * cos) * e1 - (p2 * sin) * e2, (p1 * sin) * e1 + (p2 * cos) * e2

@@ -2,13 +2,16 @@
 
 Each suite compares a closed-form path against its independent numerical
 oracle over a fixed-seed random sweep and reports the worst discrepancy.
-The sign suite additionally evaluates the conjugate-phase overlap variant
-and passes only if that variant *fails* against the oracle, recording the
-adjudication numbers in its detail string.
+The sweeps are the draws of `numpy.random.default_rng(seed)`, bit for bit,
+computed by `_pcg64` so that `numpy.random` never loads.  The sign suite
+additionally evaluates the conjugate-phase overlap variant and passes only
+if that variant *fails* against the oracle, recording the adjudication
+numbers in its detail string.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from operator import attrgetter, itemgetter
 
@@ -33,19 +36,26 @@ _SEED = 20240913
 
 # Samples per oracle call.  Blocks fill as the samples are drawn and are
 # evaluated when full, so a suite holds at most one block per step index.
-# Compared with one oracle call per sample, 8-sample blocks cut the suite
-# time from 0.23 to 0.09 s and raise the peak memory of the suites by
-# 0.4 MB; 16-sample ones raise it by 0.8 MB and buy 2.5% less suite time,
-# and one call for a whole suite raises it by about 9 MB (Python 3.11,
-# numpy 2.4, one core of an x86-64 host).
+# Compared with one oracle call per sample, 8-sample blocks cut the CPU
+# time of the four suites from 0.43 to 0.15 s and raise their peak memory
+# by 0.1 MB; 16-sample ones raise it by 0.5 MB and buy no measurable time,
+# and one call for a whole suite raises it by about 8.4 MB (Python 3.11,
+# numpy 2.4, medians of 7 runs on one core of a shared 2-core x86-64 host).
 ORACLE_BLOCK = 8
 
 
 SuiteResult = namedtuple("SuiteResult", "name passed max_error tolerance detail", defaults=("",))
 
 
+def _rng(seed: int):
+    """`numpy.random.default_rng(seed)`'s draws, without numpy.random."""
+    from ._pcg64 import Generator, pcg64  # loaded by `mc` and `validate` alone
+
+    return Generator(pcg64((seed,)))
+
+
 def _random_half_integer(rng) -> StepIndex:
-    return StepIndex.half_integer(int(rng.integers(0, 4)))
+    return StepIndex.half_integer(rng.integers(0, 4))
 
 
 def _with_oracle(samples, step_of, oracle):
@@ -69,7 +79,7 @@ def _with_oracle(samples, step_of, oracle):
 
 
 def _random_pairs(seed: int, samples: int):
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(samples):
         mu, nu = rng.uniform(0.0, TAU, size=2)
         yield mu, nu, _random_half_integer(rng)
@@ -98,7 +108,7 @@ def run_azimuthal_suite(
 
 
 def _coincidence_settings(samples: int):
-    rng = np.random.default_rng(_SEED + 1)
+    rng = _rng(_SEED + 1)
     for k in range(samples):
         aux = tuple(rng.uniform(0.0, TAU, size=4)) if k % 2 else (0.0, 0.0, 0.0, 0.0)
         yield ExperimentSettings(
@@ -130,16 +140,16 @@ def run_coincidence_suite(
 
 
 def _closed_form_settings(samples: int):
-    rng = np.random.default_rng(_SEED + 2)
+    rng = _rng(_SEED + 2)
     for _ in range(samples):
-        delta = rng.uniform(-np.pi, np.pi)
+        delta = rng.uniform(-math.pi, math.pi)
         beta = rng.uniform(0.0, TAU)
         yield ExperimentSettings(
             alpha=beta + delta,
             beta=beta,
             theta_a=rng.uniform(0.0, TAU),
             theta_b=rng.uniform(0.0, TAU),
-            step_index=StepIndex.half_integer(int(rng.integers(0, 3))),
+            step_index=StepIndex.half_integer(rng.integers(0, 3)),
         )
 
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from oamch import azimuthal
+from oamch._gauss import gauss_legendre
 from oamch.azimuthal import (
     MAX_STEP_INDEX,
     TAU,
@@ -13,6 +15,7 @@ from oamch.azimuthal import (
     overlap_integral_opposite_phase,
     overlap_integral_quadrature,
     spp_phase,
+    spp_profile,
     wrap_angle,
     wrap_signed,
 )
@@ -198,6 +201,33 @@ def test_overlap_quadrature_rows_equal_one_row_calls():
         assert np.array_equal(grid, rows.reshape(4, 4))
         column = overlap_integral_quadrature(0.3, np.array(nu), ell)
         assert column.tolist() == [overlap_integral_quadrature(0.3, n, ell) for n in nu]
+
+
+def test_overlap_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
+    # two plates: two phase profiles per block, however many rows it has
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return spp_profile(*args)
+
+    monkeypatch.setattr(azimuthal, "spp_profile", counting)
+    rng = np.random.default_rng(25)
+    mu, nu = rng.uniform(0.0, TAU, size=(2, 8))
+    overlap_integral_quadrature(mu, nu, StepIndex(1.7))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("order", [8, 64])
+def test_gauss_legendre_nodes_are_leggauss(order):
+    x, w = gauss_legendre(order)
+    want_x, want_w = np.polynomial.legendre.leggauss(order)
+    np.testing.assert_allclose(x, want_x, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(w, want_w, rtol=0.0, atol=1e-14)
+    # an order-n rule integrates every polynomial of degree 2n - 1 exactly
+    for k in range(2 * order):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert math.fsum(wi * xi**k for xi, wi in zip(x, w)) == pytest.approx(exact, abs=1e-14)
 
 
 def test_gauss_segments_rows_give_coincident_cuts_zero_weight():

@@ -234,9 +234,9 @@ def _run_cli(*argv):
 
 
 # Runs each argv with `main` in one interpreter and records, after each, its
-# exit code and stderr, the numpy submodules, the watched stdlib modules and
-# whether the sampler was loaded so far, OPENBLAS_NUM_THREADS and, where /proc
-# lists them, the process's threads.
+# exit code and stderr, the numpy submodules, the watched stdlib modules,
+# whether the sampler and the Gauss nodes were loaded so far,
+# OPENBLAS_NUM_THREADS and, where /proc lists them, the process's threads.
 _IMPORT_PROBE = """
 import contextlib, io, json, os, sys
 if sys.argv[3] == "block-numpy":
@@ -256,6 +256,7 @@ for argv in json.loads(sys.argv[2]):
         "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
         "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
         "sampler": "oamch._pcg64" in sys.modules,
+        "nodes": "oamch._gauss" in sys.modules,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     })
@@ -318,6 +319,9 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
     assert all("dataclasses" not in r["stdlib"] for r in report)
     # only mc imports the sampler
     assert [r["sampler"] for r in report[: len(light)]] == [False] * (len(light) - 2) + [True] * 2
+    # validate draws its samples with the sampler and computes its Gauss nodes itself
+    assert [r["nodes"] for r in report] == [False] * len(light) + [True]
+    assert not [m for m in report[-1]["numpy"] if m.startswith(("numpy.random", "numpy.polynomial"))]
     # main defaults OpenBLAS to one thread before numpy loads, so no pool starts
     assert {r["blas_threads"] for r in report} == {"1"}
     assert report[-1]["threads"] in (1, None)

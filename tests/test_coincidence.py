@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oamch import interferometer
-from oamch.azimuthal import TAU, StepIndex, overlap_integral, spp_phase
+from oamch import azimuthal
+from oamch.azimuthal import TAU, StepIndex, overlap_integral, spp_profile
 from oamch.coincidence import (
     AmplitudeMatrix,
     DegenerateStateError,
@@ -173,9 +173,9 @@ def test_amplitude_quadrature_block_evaluates_each_plate_phase_once(monkeypatch)
 
     def counting(*args):
         calls.append(args)
-        return spp_phase(*args)
+        return spp_profile(*args)
 
-    monkeypatch.setattr(interferometer, "spp_phase", counting)
+    monkeypatch.setattr(azimuthal, "spp_profile", counting)
     rng = np.random.default_rng(24)
     block = [_settings(*rng.uniform(0.0, TAU, size=4), step=StepIndex(1.7)) for _ in range(8)]
     amplitude_matrix_quadrature(block)
