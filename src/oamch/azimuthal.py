@@ -34,8 +34,6 @@ import cmath
 import math
 from collections import namedtuple
 
-from ._np import np
-
 TAU = 2.0 * math.pi
 
 # Closed form and quadrature both round phases L*x with x < 2*pi, each to
@@ -99,7 +97,9 @@ def wrap_signed(raw: float) -> float:
     return r - TAU if r > math.pi else r
 
 
-def _wrap_array(phi) -> np.ndarray:
+def _wrap_array(phi):
+    import numpy as np
+
     ph = np.asarray(phi, dtype=float)
     if ph.size and 0.0 <= ph.min() and ph.max() < TAU:
         return ph  # already canonical (quadrature nodes are); np.mod is the slow part
@@ -125,16 +125,18 @@ def spp_profile(chi, phi, step_index: StepIndex):
 def spp_phase(chi, phi, step_index: StepIndex, conjugate: bool = False):
     """Unit-modulus transmission factor exp(i*f(chi, phi)) of a plate oriented at chi.
 
-    Broadcasts as `spp_profile`, and is cos f + i*sin f of its one profile;
-    `conjugate` gives exp(-i*f), the factor of the complementary plate.
+    Broadcasts as `spp_profile` into a complex array, cos f + i*sin f of its
+    one profile; `conjugate` gives exp(-i*f), the complementary plate's factor.
     """
+    import numpy as np
+
     f = np.asarray(spp_profile(chi, phi, step_index))
     out = np.empty(f.shape, dtype=complex)
     np.cos(f, out=out.real)
     np.sin(f, out=out.imag)
     if conjugate:
         np.negative(out.imag, out=out.imag)
-    return complex(out) if out.ndim == 0 else out
+    return out
 
 
 def difference_overlaps(differences, step_index: StepIndex, sign: complex = -1j) -> list[complex]:
@@ -165,26 +167,29 @@ def overlap_integral_opposite_phase(mu: float, nu: float, step_index: StepIndex)
     return difference_overlaps((wrap_angle(mu) - wrap_angle(nu),), step_index, 1j)[0]
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GAUSS_NODES = None  # the 64 Gauss-Legendre nodes and weights on [-1, 1], as arrays
 
 
-def gauss_segments(cut_points, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def gauss_segments(cut_points):
     """Gauss-Legendre nodes and weights over [0, 2*pi) split at cut points.
 
     `cut_points` holds k angles, giving nodes and weights of shape
-    ((k + 1) * order,), or is an array of shape (n, k) whose rows are cut
-    independently, giving shape (n, (k + 1) * order).  The cuts are wrapped
+    ((k + 1) * 64,), or is an array of shape (n, k) whose rows are cut
+    independently, giving shape (n, (k + 1) * 64).  The cuts are wrapped
     into [0, 2*pi) and sorted, so every row has k + 1 segments.  A segment
     between coincident cuts (equal angles, or a cut at 0) has zero width and
     zero weight; every node of nonzero weight is interior to a segment, so
     integrands that are smooth between dislocations are seen as smooth
     everywhere.
     """
-    if order not in _GAUSS_CACHE:
+    global _GAUSS_NODES
+    import numpy as np
+
+    if _GAUSS_NODES is None:
         from ._gauss import gauss_legendre  # loaded by `validate` alone
 
-        _GAUSS_CACHE[order] = tuple(map(np.array, gauss_legendre(order)))
-    base_x, base_w = _GAUSS_CACHE[order]
+        _GAUSS_NODES = tuple(map(np.array, gauss_legendre(64)))
+    base_x, base_w = _GAUSS_NODES
     cuts = np.sort(_wrap_array(cut_points), axis=-1)
     rows = cuts.shape[:-1]
     edges = np.concatenate((np.zeros(rows + (1,)), cuts, np.full(rows + (1,), TAU)), axis=-1)
@@ -202,13 +207,16 @@ def overlap_integral_quadrature(mu, nu, step_index: StepIndex):
     d = f(mu, phi) - f(nu, phi), as the sum of w*cos(d) plus i times the sum
     of w*sin(d), splitting [0, 2*pi) at the two dislocation angles so each
     Gauss-Legendre panel sees a smooth integrand.  Absolute error is far
-    below 1e-10.  Scalar mu and nu give a complex; arrays broadcast and give
-    a complex array, each element equal to the scalar call on its pair.
+    below 1e-10.  Scalar mu and nu give a complex; arrays or sequences
+    broadcast and give nested lists of complex, each element equal to the
+    scalar call on its pair.
     """
+    import numpy as np
+
     m, n = np.broadcast_arrays(_wrap_array(mu), _wrap_array(nu))
     x, w = gauss_segments(np.stack((m, n), axis=-1))
     d = spp_profile(m[..., np.newaxis], x, step_index) - spp_profile(n[..., np.newaxis], x, step_index)
     out = np.empty(m.shape, dtype=complex)
     np.sum(w * np.cos(d), axis=-1, out=out.real)
     np.sum(w * np.sin(d), axis=-1, out=out.imag)
-    return complex(out) if out.ndim == 0 else out
+    return out.tolist()

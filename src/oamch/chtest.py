@@ -89,9 +89,9 @@ def ch_parameter(cfg: ChSettings, amplitude_fn=amplitude_matrix) -> ChResult:
     """
     mats = amplitude_fn(cfg.runs())
     p = [m.p for m in mats]
-    p_joint = tuple(float(pm[0][0]) for pm in p)
-    p_marg_a = float(p[2][0][0] + p[2][0][1])  # theta_a' run; independent of theta_b
-    p_marg_b = float(p[0][0][0] + p[0][1][0])  # theta_b run; independent of theta_a
+    p_joint = tuple(pm[0][0] for pm in p)
+    p_marg_a = p[2][0][0] + p[2][0][1]  # theta_a' run; independent of theta_b
+    p_marg_b = p[0][0][0] + p[0][1][0]  # theta_b run; independent of theta_a
     p_total = mats[0].p_total
     s = ch_from_probabilities(*p_joint, p_marg_a, p_marg_b, p_total)
     return ChResult(s=s, p_joint=p_joint, p_marg_a=p_marg_a, p_marg_b=p_marg_b, p_total=p_total)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from ._np import np
 from .azimuthal import (
     StepIndex,
     gauss_segments,
@@ -88,9 +87,8 @@ def _squared_moduli(c):
 class AmplitudeMatrix(namedtuple("AmplitudeMatrix", "c")):
     """The four complex coincidence amplitudes C_ij of one setting.
 
-    c is a 2x2 nested sequence, rows first: tuples of complex from the
-    closed form, a (2, 2) array from the quadrature oracle.  The properties
-    index and iterate c, so they read both alike.
+    c is a 2x2 nested tuple of complex, rows first, from the closed form
+    and the quadrature oracle alike.
     """
 
     __slots__ = ()
@@ -103,7 +101,7 @@ class AmplitudeMatrix(namedtuple("AmplitudeMatrix", "c")):
     @property
     def p_total(self) -> float:
         (p11, p12), (p21, p22) = self.p
-        return float(p11 + p12 + p21 + p22)
+        return p11 + p12 + p21 + p22
 
 
 class NormalizedState(namedtuple("NormalizedState", "lam")):
@@ -171,10 +169,12 @@ def amplitude_matrix_quadrature(settings):
     Integrates the arm-amplitude products directly over azimuth, splitting
     at the four plate dislocations; shares no code with the closed-form
     overlap path beyond the phase profile itself.  `settings` is one
-    ExperimentSettings, giving one AmplitudeMatrix with c of shape (2, 2),
-    or a sequence of n of them sharing one step index, giving one
-    AmplitudeMatrix per setting, equal to the one-settings call.
+    ExperimentSettings, giving one AmplitudeMatrix, or a sequence of n of
+    them sharing one step index, giving one AmplitudeMatrix per setting,
+    equal to the one-settings call.
     """
+    import numpy as np
+
     rows = (settings,) if isinstance(settings, ExperimentSettings) else tuple(settings)
     if not rows:
         raise ValueError("no settings to evaluate")
@@ -189,7 +189,8 @@ def amplitude_matrix_quadrature(settings):
     a = [w * arm for arm in arm_amplitude(alpha, theta_a, a1, a2, x, step)]
     b = arm_amplitude(beta, theta_b, b1, b2, x, step, conjugate_plates=True)
     g = np.array([[np.sum(a[i] * b[j], axis=-1) for j in (0, 1)] for i in (0, 1)])
-    mats = [AmplitudeMatrix(c=c) for c in np.asarray(SIGMA) * np.moveaxis(g, -1, 0)]
+    c = np.asarray(SIGMA) * np.moveaxis(g, -1, 0)
+    mats = [AmplitudeMatrix(c=tuple(map(tuple, ci))) for ci in c.tolist()]
     return mats[0] if isinstance(settings, ExperimentSettings) else mats
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from ._np import np
 from .azimuthal import StepIndex, spp_phase
 
 _SQRT2 = math.sqrt(2.0)
@@ -48,6 +47,8 @@ def arm_amplitude(chi, theta, aux_phase_1, aux_phase_2, phi, step_index: StepInd
     come from one evaluation of the two plate phases and always satisfy
     |A1|^2 + |A2|^2 = 1: a unitary applied to a unit-norm vector.
     """
+    import numpy as np
+
     e1 = spp_phase(chi, phi, step_index, conjugate_plates)
     e2 = spp_phase(chi + math.pi, phi, step_index, conjugate_plates)
     # The two rows of `mz_unitary` over sqrt(2), as columns for every analyzer at once.

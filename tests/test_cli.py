@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -234,9 +233,10 @@ def _run_cli(*argv):
 
 
 # Runs each argv with `main` in one interpreter and records, after each, its
-# exit code and stderr, the numpy submodules, the watched stdlib modules,
-# whether the sampler and the Gauss nodes were loaded so far,
-# OPENBLAS_NUM_THREADS and, where /proc lists them, the process's threads.
+# exit code and stderr, whether numpy was loaded so far and its submodules,
+# the watched stdlib modules, whether the sampler and the Gauss nodes were
+# loaded so far, OPENBLAS_NUM_THREADS and, where /proc lists them, the
+# process's threads.
 _IMPORT_PROBE = """
 import contextlib, io, json, os, sys
 if sys.argv[3] == "block-numpy":
@@ -253,6 +253,7 @@ for argv in json.loads(sys.argv[2]):
     report.append({
         "code": code,
         "stderr": err.getvalue(),
+        "numpy_loaded": "numpy" in sys.modules,
         "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
         "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
         "sampler": "oamch._pcg64" in sys.modules,
@@ -313,6 +314,7 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
     heavy = [["validate", "--suites", "azimuthal"]]
     report = _import_probe(tmp_path, light + heavy)
     assert [r["code"] for r in report] == [0] * len(report)
+    assert [r["numpy_loaded"] for r in report] == [False] * len(light) + [True]
     assert [r["numpy"] for r in report[: len(light)]] == [[]] * len(light)
     # no oamch module needs dataclasses or inspect; numpy itself imports inspect
     assert [r["stdlib"] for r in report[: len(light)]] == [[]] * len(light)
@@ -331,17 +333,6 @@ def test_main_keeps_a_preset_blas_thread_count(tmp_path):
     report = _import_probe(tmp_path, [["validate", "--suites", "azimuthal"]], blas_threads="2")
     assert report[0]["code"] == 0
     assert report[0]["blas_threads"] == "2"
-
-
-def test_missing_numpy_is_a_module_not_found_error(monkeypatch):
-    # on an interpreter without numpy, find_spec gives None
-    from oamch import _np
-
-    monkeypatch.delitem(sys.modules, "numpy")
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
-    with pytest.raises(ModuleNotFoundError) as info:
-        _np._numpy().ndarray
-    assert info.value.name == "numpy"
 
 
 def test_help_probe_ch_and_mc_run_without_numpy(tmp_path, capsys):

@@ -66,7 +66,7 @@ def test_block_oracle_rows_equal_one_row_calls(block):
     c = [m.c for m in amplitude_matrix_quadrature(block)]
     assert len(c) == len(block)
     for s, row in zip(block, c):
-        assert np.array_equal(row, amplitude_matrix_quadrature(s).c)
+        assert row == amplitude_matrix_quadrature(s).c
 
 
 @st.composite
