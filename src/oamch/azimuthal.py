@@ -21,11 +21,11 @@ with conjugate symmetry under swapping mu and nu.  For half-integer
 L = l + 1/2 this collapses to 2*pi*exp(-i*L*(mu - nu))*(1 - |mu - nu|/pi),
 which vanishes at |mu - nu| = pi: plate states a half-turn apart are
 orthogonal.  The sign of the leading phase factor is adjudicated against
-direct piecewise Gauss-Legendre quadrature (`overlap_integral_quadrature`),
-which sums the cosine and sine of the real phase difference
-f(mu, phi) - f(nu, phi) over the nodes; the conjugate-phase variant is
-retained only so the validation suite can demonstrate that it disagrees
-with the numerical oracle.
+direct quadrature over the segments between the two dislocations, where the
+integrand is constant (`overlap_integral_quadrature`); it sums the cosine
+and sine of the real phase difference f(mu, phi) - f(nu, phi) over the
+nodes.  The conjugate-phase variant is retained only so the validation
+suite can demonstrate that it disagrees with the numerical oracle.
 """
 
 from __future__ import annotations
@@ -36,15 +36,16 @@ from collections import namedtuple
 
 TAU = 2.0 * math.pi
 
-# Closed form and quadrature both round phases L*x with x < 2*pi, each to
-# within half an ulp: up to L*2*pi*2^-53 rad.  Both take the jump 2*pi*L as
-# one double, and the closed form is exact for whatever jump the profiles
-# carry, so that rounding cancels.  Besides it the closed form rounds one
-# phase, L*|mu - nu|, and the quadrature three at each node: the two
-# profiles and their difference, whose cosine and sine it sums.  Each
-# rounding moves a term of modulus up to 2*pi, so the two may disagree by
-# 4 * 2*pi * L*2*pi*2^-53.  Keeping that within the oracle suites' 1e-9
-# bounds the step index at about 5.7e4.
+# Closed form and oracle round phases of up to 2*pi*L, each by at most
+# u = L*2*pi*2^-53 rad.  Both take the jump 2*pi*L as one double, and the
+# closed form is exact for whatever jump the profiles carry, so that rounding
+# cancels.  Counting one rounding per phase (the closed form's L*|mu - nu|;
+# at each oracle node the two profiles and their difference) and node
+# weights summing to 2*pi, the two may disagree by 4 * 2*pi * u; keeping
+# that within the suites' 1e-9 bounds the step index at about 5.7e4.
+# Operation by operation a profile rounds by up to 2u, 7 * 2*pi * u in all,
+# but half-ulps of independent sign do not add up so: at 0.999 times the
+# bound the worst of 200 random pairs is 2.4e-10.
 MAX_STEP_INDEX = 1e-9 / (4.0 * TAU * TAU * 2.0**-53)
 
 
@@ -97,46 +98,26 @@ def wrap_signed(raw: float) -> float:
     return r - TAU if r > math.pi else r
 
 
-def _wrap_array(phi):
-    import numpy as np
-
-    ph = np.asarray(phi, dtype=float)
-    if ph.size and 0.0 <= ph.min() and ph.max() < TAU:
-        return ph  # already canonical (quadrature nodes are); np.mod is the slow part
-    if not np.all(np.isfinite(ph)):
-        raise ValueError("azimuth angles must be finite")
-    ph = np.mod(ph, TAU)
-    return np.where(ph >= TAU, 0.0, ph)
-
-
-def spp_profile(chi, phi, step_index: StepIndex):
+def spp_profile(chi: float, phi: float, step_index: StepIndex) -> float:
     """The real phase f(chi, phi) that a plate oriented at chi imprints, in [0, 2*pi*L).
 
-    chi and phi are scalars or arrays that broadcast against each other,
-    such as a column of n orientations against n rows of azimuths.  On the
-    dislocation itself (phi == chi exactly) the phi >= chi branch wins.
+    On the dislocation itself (phi == chi after wrapping) the phi >= chi
+    branch wins.
     """
-    c = _wrap_array(chi)
-    ph = _wrap_array(phi)
+    c = wrap_angle(chi)
+    ph = wrap_angle(phi)
     ell = step_index.value
-    return ell * (ph - c) + (TAU * ell) * (ph < c)
+    return ell * (ph - c) + (TAU * ell if ph < c else 0.0)
 
 
-def spp_phase(chi, phi, step_index: StepIndex, conjugate: bool = False):
+def spp_phase(chi: float, phi: float, step_index: StepIndex, conjugate: bool = False) -> complex:
     """Unit-modulus transmission factor exp(i*f(chi, phi)) of a plate oriented at chi.
 
-    Broadcasts as `spp_profile` into a complex array, cos f + i*sin f of its
-    one profile; `conjugate` gives exp(-i*f), the complementary plate's factor.
+    cos f + i*sin f of its one profile; `conjugate` gives exp(-i*f), the
+    complementary plate's factor.
     """
-    import numpy as np
-
-    f = np.asarray(spp_profile(chi, phi, step_index))
-    out = np.empty(f.shape, dtype=complex)
-    np.cos(f, out=out.real)
-    np.sin(f, out=out.imag)
-    if conjugate:
-        np.negative(out.imag, out=out.imag)
-    return out
+    f = spp_profile(chi, phi, step_index)
+    return complex(math.cos(f), -math.sin(f) if conjugate else math.sin(f))
 
 
 def difference_overlaps(differences, step_index: StepIndex, sign: complex = -1j) -> list[complex]:
@@ -167,56 +148,64 @@ def overlap_integral_opposite_phase(mu: float, nu: float, step_index: StepIndex)
     return difference_overlaps((wrap_angle(mu) - wrap_angle(nu),), step_index, 1j)[0]
 
 
-_GAUSS_NODES = None  # the 64 Gauss-Legendre nodes and weights on [-1, 1], as arrays
+_NODE = 1.0 / math.sqrt(3.0)  # the 2-point Gauss-Legendre nodes on [-1, 1] are -+1/sqrt(3)
 
 
-def gauss_segments(cut_points):
-    """Gauss-Legendre nodes and weights over [0, 2*pi) split at cut points.
+class PiecewiseConstantError(ArithmeticError):
+    """A quadrature oracle's integrand varied within a segment between dislocations."""
 
-    `cut_points` holds k angles, giving nodes and weights of shape
-    ((k + 1) * 64,), or is an array of shape (n, k) whose rows are cut
-    independently, giving shape (n, (k + 1) * 64).  The cuts are wrapped
-    into [0, 2*pi) and sorted, so every row has k + 1 segments.  A segment
-    between coincident cuts (equal angles, or a cut at 0) has zero width and
-    zero weight; every node of nonzero weight is interior to a segment, so
-    integrands that are smooth between dislocations are seen as smooth
-    everywhere.
+
+def gauss_segments(cut_points) -> list[tuple[float, float, float]]:
+    """The 2-point Gauss-Legendre rule over [0, 2*pi) split at cut points.
+
+    Each segment [a, b) between neighbouring wrapped, sorted cuts gives
+    (h, x1, x2): its half-width h, the weight of each node, and the nodes
+    (a + b)/2 -+ h/sqrt(3).  A segment is skipped unless both nodes fall
+    strictly inside it, so every node lies on its segment's side of every
+    cut: between coincident cuts (or a cut at 0) it has zero width, and one
+    at most three ulps wide, too narrow for them, carries under 3e-15.
     """
-    global _GAUSS_NODES
-    import numpy as np
-
-    if _GAUSS_NODES is None:
-        from ._gauss import gauss_legendre  # loaded by `validate` alone
-
-        _GAUSS_NODES = tuple(map(np.array, gauss_legendre(64)))
-    base_x, base_w = _GAUSS_NODES
-    cuts = np.sort(_wrap_array(cut_points), axis=-1)
-    rows = cuts.shape[:-1]
-    edges = np.concatenate((np.zeros(rows + (1,)), cuts, np.full(rows + (1,), TAU)), axis=-1)
-    a = edges[..., :-1, np.newaxis]
-    b = edges[..., 1:, np.newaxis]
-    half = 0.5 * (b - a)
-    nodes = half * base_x + 0.5 * (a + b)
-    return nodes.reshape(rows + (-1,)), (half * base_w).reshape(rows + (-1,))
+    edges = [0.0, *sorted(map(wrap_angle, cut_points)), TAU]
+    rule = []
+    for a, b in zip(edges, edges[1:]):
+        mid, h = 0.5 * (a + b), 0.5 * (b - a)
+        x1, x2 = mid - h * _NODE, mid + h * _NODE
+        if a < x1 <= x2 < b:
+            rule.append((h, x1, x2))
+    return rule
 
 
-def overlap_integral_quadrature(mu, nu, step_index: StepIndex):
+def check_node_values(v1, v2, step_index: StepIndex, x1: float, x2: float) -> None:
+    """Raise PiecewiseConstantError unless an integrand's values at a segment's nodes agree.
+
+    v1 and v2 hold the values at nodes x1 and x2.  Between dislocations every
+    oracle integrand is constant, so they differ by rounding alone: at most
+    10u across the two nodes (u = L*2*pi*2^-53: 2u per profile, see
+    `MAX_STEP_INDEX`) and some 24 ulps of 1 from the trigonometric functions
+    and complex products.  The bound, 32 * (u + 2^-53), covers that.
+    """
+    gap = max(abs(p - q) for p, q in zip(v1, v2))
+    bound = 32.0 * (TAU * step_index.value + 1.0) * 2.0**-53
+    if not gap <= bound:
+        raise PiecewiseConstantError(
+            f"integrand differs by {gap:.3e} between azimuths {x1:.6g} and {x2:.6g} "
+            f"of one segment, where rounding allows {bound:.3e}"
+        )
+
+
+def overlap_integral_quadrature(mu: float, nu: float, step_index: StepIndex) -> complex:
     """Numerical oracle for `overlap_integral`.
 
     Integrates exp(i*d) directly over the real phase difference
     d = f(mu, phi) - f(nu, phi), as the sum of w*cos(d) plus i times the sum
-    of w*sin(d), splitting [0, 2*pi) at the two dislocation angles so each
-    Gauss-Legendre panel sees a smooth integrand.  Absolute error is far
-    below 1e-10.  Scalar mu and nu give a complex; arrays or sequences
-    broadcast and give nested lists of complex, each element equal to the
-    scalar call on its pair.
+    of w*sin(d), splitting [0, 2*pi) at the two dislocation angles.  d is
+    constant between them, so the 2-point rule of each segment is exact up
+    to rounding; `check_node_values` holds the oracle to that premise.
     """
-    import numpy as np
-
-    m, n = np.broadcast_arrays(_wrap_array(mu), _wrap_array(nu))
-    x, w = gauss_segments(np.stack((m, n), axis=-1))
-    d = spp_profile(m[..., np.newaxis], x, step_index) - spp_profile(n[..., np.newaxis], x, step_index)
-    out = np.empty(m.shape, dtype=complex)
-    np.sum(w * np.cos(d), axis=-1, out=out.real)
-    np.sum(w * np.sin(d), axis=-1, out=out.imag)
-    return out.tolist()
+    total = 0j
+    for h, x1, x2 in gauss_segments((mu, nu)):
+        d1, d2 = (spp_profile(mu, x, step_index) - spp_profile(nu, x, step_index) for x in (x1, x2))
+        v1, v2 = complex(math.cos(d1), math.sin(d1)), complex(math.cos(d2), math.sin(d2))
+        check_node_values((v1,), (v2,), step_index, x1, x2)
+        total += h * (v1 + v2)
+    return total

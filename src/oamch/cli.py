@@ -7,8 +7,7 @@ analytic-vs-quadrature suites).  Every command is deterministic given its
 full config, including the seed.
 
 Exit codes: 0 success, 1 assertion or suite failure or an `mc` run without
-coincidences, 2 config error, 3 output I/O error, 4 numpy missing
-(`validate` needs it).
+coincidences, 2 config error, 3 output I/O error.
 """
 
 from __future__ import annotations
@@ -371,9 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # oamch makes no BLAS call, so OpenBLAS's thread pool would only spin.
-    # OpenBLAS reads this when numpy loads, on first use, after this line.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
@@ -397,12 +393,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except ModuleNotFoundError as exc:
-        if exc.name != "numpy":
-            raise
-        print(f"missing dependency: {args.command} needs numpy, which is not installed",
-              file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

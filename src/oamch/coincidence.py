@@ -12,8 +12,7 @@ K[k, m] = I(alpha_k, beta_m, L) contracted with the two splitter matrices:
     C = sigma * (Ua @ K @ Ub^T) / 2.
 
 Only two of the overlaps differ, K = [[k, q], [q, k]].  The closed form
-works on 2x2 nested tuples with `math`/`cmath` alone; only the quadrature
-oracle uses numpy.
+and its quadrature oracle work on 2x2 nested tuples with `math`/`cmath` alone.
 
 All probabilities are reported without the constant radial mode integral,
 which is independent of every knob; only ratios of these quantities are
@@ -32,12 +31,14 @@ from collections import namedtuple
 
 from .azimuthal import (
     StepIndex,
+    check_node_values,
     gauss_segments,
     overlap_integral,
+    spp_phase,
     wrap_angle,
     wrap_signed,
 )
-from .interferometer import arm_amplitude, mz_unitary
+from .interferometer import arm_amplitude, mz_unitary  # noqa: F401  (bench/traced_cli.py times it here)
 
 _PI = math.pi
 
@@ -166,31 +167,37 @@ def amplitude_matrix(settings, overlap=overlap_integral):
 def amplitude_matrix_quadrature(settings):
     """Numerical oracle for `amplitude_matrix`.
 
-    Integrates the arm-amplitude products directly over azimuth, splitting
-    at the four plate dislocations; shares no code with the closed-form
-    overlap path beyond the phase profile itself.  `settings` is one
-    ExperimentSettings, giving one AmplitudeMatrix, or a sequence of n of
-    them sharing one step index, giving one AmplitudeMatrix per setting,
-    equal to the one-settings call.
+    Integrates the arm-amplitude products A_i B_j over azimuth from the four
+    plate phases at each node and the splitter rows, which do not vary with
+    azimuth; shares no code with the closed-form overlap path beyond the
+    phase profile.  The products are constant between the
+    plate dislocations, so the 2-point rule of each segment is exact up to
+    rounding, as `check_node_values` verifies.  `settings` is one
+    ExperimentSettings, giving one AmplitudeMatrix, or a sequence of them
+    sharing one step index, giving one AmplitudeMatrix per setting.
     """
-    import numpy as np
-
     rows = (settings,) if isinstance(settings, ExperimentSettings) else tuple(settings)
     if not rows:
         raise ValueError("no settings to evaluate")
     step = rows[0].step_index
     if any(s.step_index != step for s in rows):
         raise ValueError("settings evaluated together must share one step index")
-    # One column of n values per angle, broadcasting against the n rows of nodes.
-    alpha, beta, theta_a, theta_b, a1, a2, b1, b2 = np.array(
-        [(s.alpha, s.beta, s.theta_a, s.theta_b, *s.aux_phases) for s in rows]
-    ).T[..., np.newaxis]
-    x, w = gauss_segments(np.concatenate((alpha, alpha + _PI, beta, beta + _PI), axis=-1))
-    a = [w * arm for arm in arm_amplitude(alpha, theta_a, a1, a2, x, step)]
-    b = arm_amplitude(beta, theta_b, b1, b2, x, step, conjugate_plates=True)
-    g = np.array([[np.sum(a[i] * b[j], axis=-1) for j in (0, 1)] for i in (0, 1)])
-    c = np.asarray(SIGMA) * np.moveaxis(g, -1, 0)
-    mats = [AmplitudeMatrix(c=tuple(map(tuple, ci))) for ci in c.tolist()]
+    (s11, s12), (s21, s22) = SIGMA
+    mats = []
+    for s in rows:
+        ua, ub = mz_unitary(s.theta_a, *s.aux_phases[:2]), mz_unitary(s.theta_b, *s.aux_phases[2:])
+        plates = (s.alpha, wrap_angle(s.alpha + _PI), s.beta, wrap_angle(s.beta + _PI))
+        g = [0j] * 4  # the integrals of A1 B1, A1 B2, A2 B1, A2 B2
+        for h, x1, x2 in gauss_segments(plates):
+            nodes = []
+            for x in (x1, x2):
+                # photon b's plates are complementary: conjugated phases
+                e1, e2, e3, e4 = (spp_phase(c, x, step, k > 1) for k, c in enumerate(plates))
+                b = [u1 * e3 + u2 * e4 for u1, u2 in ub]
+                nodes.append([0.5 * (u1 * e1 + u2 * e2) * bj for u1, u2 in ua for bj in b])
+            check_node_values(*nodes, step, x1, x2)
+            g = [gk + h * (p + q) for gk, p, q in zip(g, *nodes)]
+        mats.append(AmplitudeMatrix(c=((s11 * g[0], s12 * g[1]), (s21 * g[2], s22 * g[3]))))
     return mats[0] if isinstance(settings, ExperimentSettings) else mats
 
 

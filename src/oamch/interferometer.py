@@ -35,24 +35,18 @@ def mz_unitary(theta: float, aux_phase_1: float = 0.0, aux_phase_2: float = 0.0)
     return ((p1 * c, -p2 * s), (p1 * s, p2 * c))
 
 
-def arm_amplitude(chi, theta, aux_phase_1, aux_phase_2, phi, step_index: StepIndex,
-                  conjugate_plates: bool = False):
-    """Azimuthal amplitudes (A1, A2) in output arms 1 and 2 of one analyzer, or of several.
+def arm_amplitude(chi: float, theta: float, aux_phase_1: float, aux_phase_2: float, phi: float,
+                  step_index: StepIndex, conjugate_plates: bool = False) -> tuple[complex, complex]:
+    """Azimuthal amplitudes (A1, A2) in output arms 1 and 2 of one analyzer at azimuth phi.
 
     The first plate sits at chi and the second at chi + pi; theta is the
-    output-splitter angle and aux_phase_1, aux_phase_2 the per-arm phases.
-    All the angles broadcast against phi, such as a column of n analyzers
-    against n rows of azimuths; conjugate_plates selects the complementary
-    plates (negated azimuthal phase) used on the second photon.  Both arms
-    come from one evaluation of the two plate phases and always satisfy
-    |A1|^2 + |A2|^2 = 1: a unitary applied to a unit-norm vector.
+    output-splitter angle and aux_phase_1, aux_phase_2 the per-arm phases;
+    conjugate_plates selects the complementary plates (negated azimuthal
+    phase) used on the second photon.  Both arms come from one evaluation of
+    the two plate phases and always satisfy |A1|^2 + |A2|^2 = 1: a unitary
+    applied to a unit-norm vector.
     """
-    import numpy as np
-
     e1 = spp_phase(chi, phi, step_index, conjugate_plates)
     e2 = spp_phase(chi + math.pi, phi, step_index, conjugate_plates)
-    # The two rows of `mz_unitary` over sqrt(2), as columns for every analyzer at once.
-    cos, sin = np.cos(theta) / _SQRT2, np.sin(theta) / _SQRT2
-    p1 = np.exp(1j * aux_phase_1)
-    p2 = np.exp(1j * aux_phase_2)
-    return (p1 * cos) * e1 - (p2 * sin) * e2, (p1 * sin) * e1 + (p2 * cos) * e2
+    (u11, u12), (u21, u22) = mz_unitary(theta, aux_phase_1, aux_phase_2)
+    return (u11 * e1 + u12 * e2) / _SQRT2, (u21 * e1 + u22 * e2) / _SQRT2

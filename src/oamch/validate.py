@@ -3,7 +3,10 @@
 Each suite compares a closed-form path against its independent numerical
 oracle over a fixed-seed random sweep and reports the worst discrepancy.
 The sweeps are the draws of `numpy.random.default_rng(seed)`, bit for bit,
-computed by `_pcg64` so that `numpy.random` never loads.  The sign suite
+computed by `_pcg64`, and each sample takes one oracle call: nothing here
+or in the oracles loads numpy.  A suite whose oracle finds its integrand
+not constant between the plate dislocations (PiecewiseConstantError) fails
+with an infinite error and says so in its detail.  The sign suite
 additionally evaluates the conjugate-phase overlap variant and passes only
 if that variant *fails* against the oracle, recording the adjudication
 numbers in its detail string.
@@ -13,10 +16,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from operator import attrgetter, itemgetter
 
 from .azimuthal import (
     TAU,
+    PiecewiseConstantError,
     StepIndex,
     overlap_integral,
     overlap_integral_opposite_phase,
@@ -33,48 +36,23 @@ SUITE_NAMES = ("azimuthal", "coincidence", "appendix-a", "sign-check")
 
 _SEED = 20240913
 
-# Samples per oracle call.  Blocks fill as the samples are drawn and are
-# evaluated when full, so a suite holds at most one block per step index.
-# Compared with one oracle call per sample, 8-sample blocks cut the CPU
-# time of the four suites from 0.43 to 0.15 s and raise their peak memory
-# by 0.1 MB; 16-sample ones raise it by 0.5 MB and buy no measurable time,
-# and one call for a whole suite raises it by about 8.4 MB (Python 3.11,
-# numpy 2.4, medians of 7 runs on one core of a shared 2-core x86-64 host).
-ORACLE_BLOCK = 8
-
-
 SuiteResult = namedtuple("SuiteResult", "name passed max_error tolerance detail", defaults=("",))
 
 
 def _rng(seed: int):
-    """`numpy.random.default_rng(seed)`'s draws, without numpy.random."""
+    """`numpy.random.default_rng(seed)`'s draws, without numpy."""
     from ._pcg64 import Generator, pcg64  # loaded by `mc` and `validate` alone
 
     return Generator(pcg64((seed,)))
 
 
+def _broken_premise(name: str, tolerance: float, exc: PiecewiseConstantError) -> SuiteResult:
+    """The failed result of a suite whose oracle found its integrand not piecewise constant."""
+    return SuiteResult(name, False, math.inf, tolerance, f"oracle premise broken: {exc}")
+
+
 def _random_half_integer(rng) -> StepIndex:
     return StepIndex.half_integer(rng.integers(0, 4))
-
-
-def _with_oracle(samples, step_of, oracle):
-    """Yield (sample, oracle value) for every sample, in blocks.
-
-    Samples that share a step index collect in a block of up to
-    ORACLE_BLOCK; `oracle(block)` returns one value per sample of a block.
-    The worst errors the suites take are independent of the order in which
-    samples come back.
-    """
-    pending: dict[StepIndex, list] = {}
-    for sample in samples:
-        block = pending.setdefault(step_of(sample), [])
-        block.append(sample)
-        if len(block) == ORACLE_BLOCK:
-            yield from zip(block, oracle(block))
-            block.clear()
-    for block in pending.values():
-        if block:
-            yield from zip(block, oracle(block))
 
 
 def _random_pairs(seed: int, samples: int):
@@ -84,19 +62,17 @@ def _random_pairs(seed: int, samples: int):
         yield mu, nu, _random_half_integer(rng)
 
 
-def _overlap_oracle(block) -> list[complex]:
-    mu, nu, _ = zip(*block)
-    return overlap_integral_quadrature(mu, nu, block[0][2])
-
-
 def run_azimuthal_suite(
     samples: int = 500, tolerance: float = 1e-9, closed_form=overlap_integral
 ) -> SuiteResult:
     """Closed-form plate overlap against direct quadrature."""
     worst = 0.0
-    pairs = _random_pairs(_SEED, samples)
-    for (mu, nu, step), oracle in _with_oracle(pairs, itemgetter(2), _overlap_oracle):
-        worst = max(worst, abs(closed_form(mu, nu, step) - oracle))
+    try:
+        for mu, nu, step in _random_pairs(_SEED, samples):
+            oracle = overlap_integral_quadrature(mu, nu, step)
+            worst = max(worst, abs(closed_form(mu, nu, step) - oracle))
+    except PiecewiseConstantError as exc:
+        return _broken_premise("azimuthal", tolerance, exc)
     return SuiteResult(
         name="azimuthal",
         passed=worst <= tolerance,
@@ -125,10 +101,13 @@ def run_coincidence_suite(
 ) -> SuiteResult:
     """Closed-form coincidence amplitudes against azimuthal quadrature."""
     worst = 0.0
-    settings = _coincidence_settings(samples)
-    for s, quad in _with_oracle(settings, attrgetter("step_index"), amplitude_matrix_quadrature):
-        closed = amplitude_matrix(s, overlap=overlap)
-        worst = max(worst, *(abs(c - q) for row in zip(closed.c, quad.c) for c, q in zip(*row)))
+    try:
+        for s in _coincidence_settings(samples):
+            quad = amplitude_matrix_quadrature(s)
+            closed = amplitude_matrix(s, overlap=overlap)
+            worst = max(worst, *(abs(c - q) for row in zip(closed.c, quad.c) for c, q in zip(*row)))
+    except PiecewiseConstantError as exc:
+        return _broken_premise("coincidence", tolerance, exc)
     return SuiteResult(
         name="coincidence",
         passed=worst <= tolerance,
@@ -155,14 +134,17 @@ def _closed_form_settings(samples: int):
 def run_closed_form_suite(samples: int = 500, tolerance: float = 1e-8) -> SuiteResult:
     """Closed-form probability sums against quadrature p-sums, relative error."""
     worst = 0.0
-    settings = _closed_form_settings(samples)
-    for s, m in _with_oracle(settings, attrgetter("step_index"), amplitude_matrix_quadrature):
-        closed = closed_form_probabilities(s.delta(), s.theta_a, s.theta_b)
-        (p11, p12), (p21, _) = m.p
-        quad = (p11, p11 + p12, p11 + p21, m.p_total)
-        scale = quad[3]
-        for c, q in zip(closed, quad):
-            worst = max(worst, abs(c - q) / max(abs(q), 1e-9 * scale))
+    try:
+        for s in _closed_form_settings(samples):
+            m = amplitude_matrix_quadrature(s)
+            closed = closed_form_probabilities(s.delta(), s.theta_a, s.theta_b)
+            (p11, p12), (p21, _) = m.p
+            quad = (p11, p11 + p12, p11 + p21, m.p_total)
+            scale = quad[3]
+            for c, q in zip(closed, quad):
+                worst = max(worst, abs(c - q) / max(abs(q), 1e-9 * scale))
+    except PiecewiseConstantError as exc:
+        return _broken_premise("appendix-a", tolerance, exc)
     return SuiteResult(
         name="appendix-a",
         passed=worst <= tolerance,
@@ -183,12 +165,15 @@ def run_sign_suite(
     """
     worst_primary = 0.0
     worst_flipped = 0.0
-    pairs = _random_pairs(_SEED + 3, samples)
-    for (mu, nu, step), oracle in _with_oracle(pairs, itemgetter(2), _overlap_oracle):
-        worst_primary = max(worst_primary, abs(closed_form(mu, nu, step) - oracle))
-        worst_flipped = max(
-            worst_flipped, abs(overlap_integral_opposite_phase(mu, nu, step) - oracle)
-        )
+    try:
+        for mu, nu, step in _random_pairs(_SEED + 3, samples):
+            oracle = overlap_integral_quadrature(mu, nu, step)
+            worst_primary = max(worst_primary, abs(closed_form(mu, nu, step) - oracle))
+            worst_flipped = max(
+                worst_flipped, abs(overlap_integral_opposite_phase(mu, nu, step) - oracle)
+            )
+    except PiecewiseConstantError as exc:
+        return _broken_premise("sign-check", tolerance, exc)
     passed = worst_primary <= tolerance and worst_flipped > 1e-3
     return SuiteResult(
         name="sign-check",

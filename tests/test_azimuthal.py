@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from oamch import azimuthal
-from oamch._gauss import gauss_legendre
 from oamch.azimuthal import (
     MAX_STEP_INDEX,
     TAU,
+    PiecewiseConstantError,
     StepIndex,
+    check_node_values,
     gauss_segments,
     overlap_integral,
     overlap_integral_opposite_phase,
@@ -107,8 +108,8 @@ def test_spp_phase_unit_modulus():
     rng = np.random.default_rng(3)
     phis = rng.uniform(0.0, TAU, size=400)
     for chi, ell in [(0.3, HALF), (5.1, StepIndex(2.5)), (2.2, StepIndex(0.77))]:
-        vals = spp_phase(chi, phis, ell)
-        assert np.max(np.abs(np.abs(vals) - 1.0)) <= 1e-14
+        vals = [spp_phase(chi, phi, ell) for phi in phis]
+        assert max(abs(abs(v) - 1.0) for v in vals) <= 1e-14
 
 
 def test_overlap_equal_orientations_is_full_turn():
@@ -185,27 +186,21 @@ def test_overlap_periodic_inputs_are_canonicalized():
         )
 
 
-def test_overlap_quadrature_rows_equal_one_row_calls():
+def test_overlap_quadrature_handles_degenerate_cuts():
     rng = np.random.default_rng(11)
-    # degenerate rows among ordinary ones: mu == nu, a half-turn apart,
+    # degenerate pairs among ordinary ones: mu == nu, a half-turn apart,
     # cuts at 0 and 2*pi, both cuts at 0, angles outside [0, 2*pi)
     mu = [1.3, 0.4 + math.pi, 0.0, TAU, 0.0, -1.0, 2.0, *rng.uniform(0.0, TAU, size=9)]
     nu = [1.3, 0.4, 2.0, 1.0, 0.0, 7.5, 0.5, *rng.uniform(0.0, TAU, size=9)]
     for ell in (HALF, StepIndex(2.5), StepIndex(1.7)):
-        rows = overlap_integral_quadrature(mu, nu, ell)
-        assert [type(z) for z in rows] == [complex] * 16
-        for m, n, z in zip(mu, nu, rows):
-            one = overlap_integral_quadrature(m, n, ell)
-            assert type(one) is complex and z == one
+        for m, n in zip(mu, nu):
+            z = overlap_integral_quadrature(m, n, ell)
+            assert type(z) is complex
             assert abs(z - overlap_integral(m, n, ell)) <= 1e-9
-        grid = overlap_integral_quadrature(np.reshape(mu, (4, 4)), np.reshape(nu, (4, 4)), ell)
-        assert grid == [rows[i : i + 4] for i in range(0, 16, 4)]
-        column = overlap_integral_quadrature(0.3, nu, ell)
-        assert column == [overlap_integral_quadrature(0.3, n, ell) for n in nu]
 
 
 def test_overlap_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
-    # two plates: two phase profiles per block, however many rows it has
+    # two plates: two phase profiles per node, one node pair per segment
     calls = []
 
     def counting(*args):
@@ -215,33 +210,48 @@ def test_overlap_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
     monkeypatch.setattr(azimuthal, "spp_profile", counting)
     rng = np.random.default_rng(25)
     mu, nu = rng.uniform(0.0, TAU, size=(2, 8))
-    overlap_integral_quadrature(mu, nu, StepIndex(1.7))
-    assert len(calls) == 2
+    for m, n in zip(mu, nu):
+        overlap_integral_quadrature(m, n, StepIndex(1.7))
+    nodes = sum(2 * len(gauss_segments((m, n))) for m, n in zip(mu, nu))
+    assert nodes == 8 * 2 * 3
+    assert len(calls) == 2 * nodes
 
 
-@pytest.mark.parametrize("order", [8, 64])
-def test_gauss_legendre_nodes_are_leggauss(order):
-    x, w = gauss_legendre(order)
-    want_x, want_w = np.polynomial.legendre.leggauss(order)
-    np.testing.assert_allclose(x, want_x, rtol=0.0, atol=1e-14)
-    np.testing.assert_allclose(w, want_w, rtol=0.0, atol=1e-14)
-    # an order-n rule integrates every polynomial of degree 2n - 1 exactly
-    for k in range(2 * order):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert math.fsum(wi * xi**k for xi, wi in zip(x, w)) == pytest.approx(exact, abs=1e-14)
+def test_two_point_rule_integrates_cubics_exactly():
+    # -+1/sqrt(3) with unit weights is numpy's 2-point Gauss-Legendre rule
+    want_x, want_w = np.polynomial.legendre.leggauss(2)
+    ((h, x1, x2),) = gauss_segments(())
+    np.testing.assert_allclose([(x1 - math.pi) / h, (x2 - math.pi) / h], want_x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose([1.0, 1.0], want_w, rtol=0.0, atol=1e-15)
+    # a 2-point rule integrates every polynomial of degree 3 exactly, on every segment
+    for cuts in ((), (1.0, 4.0), (2.5,)):
+        for k in range(4):
+            exact = TAU ** (k + 1) / (k + 1)
+            got = math.fsum(h * (x1**k + x2**k) for h, x1, x2 in gauss_segments(cuts))
+            assert got == pytest.approx(exact, rel=1e-14)
 
 
 def test_gauss_segments_rows_give_coincident_cuts_zero_weight():
-    cuts = np.array([[1.0, 2.0], [1.0, 1.0], [0.0, 3.0], [TAU, -1.0]])
-    x, w = gauss_segments(cuts)
-    assert x.shape == w.shape == (4, 192)
-    for row, (xr, wr) in enumerate(zip(x, w)):
-        x1, w1 = gauss_segments(cuts[row])
-        assert np.array_equal(xr, x1) and np.array_equal(wr, w1)
-        assert wr.sum() == pytest.approx(TAU, abs=1e-13)
-        assert np.all((0.0 <= xr) & (xr < TAU))
-    # a coincident pair and a cut at 0 each leave one empty segment
-    assert np.count_nonzero(w[1]) == 128 and np.count_nonzero(w[2]) == 128
+    rows = [(1.0, 2.0), (1.0, 1.0), (0.0, 3.0), (TAU, -1.0)]
+    rules = [gauss_segments(cuts) for cuts in rows]
+    for rule in rules:
+        assert math.fsum(2.0 * h for h, _, _ in rule) == pytest.approx(TAU, abs=1e-13)
+        assert all(0.0 < x1 < x2 < TAU for _, x1, x2 in rule)
+    # a coincident pair and a cut at 0 each leave one empty segment out
+    assert [len(rule) for rule in rules] == [3, 2, 2, 2]
+    # a segment too narrow to hold its nodes strictly inside is skipped too
+    assert len(gauss_segments((1.0, math.nextafter(1.0, 2.0)))) == 2
+    assert len(gauss_segments((1.0, 1.0 + 1e-9))) == 3
+
+
+def test_node_values_that_differ_beyond_rounding_are_refused():
+    ell = StepIndex(2.5)
+    bound = 32.0 * (TAU * 2.5 + 1.0) * 2.0**-53
+    check_node_values((1j, 1.0), (1j, 1.0 + 0.5 * bound), ell, 0.1, 0.2)
+    with pytest.raises(PiecewiseConstantError, match="between azimuths 0.1 and 0.2"):
+        check_node_values((1j, 1.0), (1j, 1.0 + 2.0 * bound), ell, 0.1, 0.2)
+    with pytest.raises(PiecewiseConstantError):
+        check_node_values((complex("nan"),), (complex("nan"),), ell, 0.1, 0.2)
 
 
 def test_opposite_phase_variant_fails_against_oracle():

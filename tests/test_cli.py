@@ -233,10 +233,9 @@ def _run_cli(*argv):
 
 
 # Runs each argv with `main` in one interpreter and records, after each, its
-# exit code and stderr, whether numpy was loaded so far and its submodules,
-# the watched stdlib modules, whether the sampler and the Gauss nodes were
-# loaded so far, OPENBLAS_NUM_THREADS and, where /proc lists them, the
-# process's threads.
+# exit code, stdout and stderr, whether numpy was loaded so far and its
+# submodules, the watched stdlib modules, whether the sampler was loaded so
+# far, OPENBLAS_NUM_THREADS and, where /proc lists them, the process's threads.
 _IMPORT_PROBE = """
 import contextlib, io, json, os, sys
 if sys.argv[3] == "block-numpy":
@@ -244,20 +243,20 @@ if sys.argv[3] == "block-numpy":
 from oamch.cli import main
 report = []
 for argv in json.loads(sys.argv[2]):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
     report.append({
         "code": code,
+        "stdout": out.getvalue(),
         "stderr": err.getvalue(),
         "numpy_loaded": "numpy" in sys.modules,
         "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
         "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
         "sampler": "oamch._pcg64" in sys.modules,
-        "nodes": "oamch._gauss" in sys.modules,
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     })
@@ -311,28 +310,25 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
         ["mc", "--config", config],
         ["mc", "--config", config, "--format", "json"],
     ]
-    heavy = [["validate", "--suites", "azimuthal"]]
-    report = _import_probe(tmp_path, light + heavy)
+    validate = [["validate", "--suites", "azimuthal"], ["validate"]]
+    report = _import_probe(tmp_path, light + validate)
     assert [r["code"] for r in report] == [0] * len(report)
-    assert [r["numpy_loaded"] for r in report] == [False] * len(light) + [True]
-    assert [r["numpy"] for r in report[: len(light)]] == [[]] * len(light)
-    # no oamch module needs dataclasses or inspect; numpy itself imports inspect
-    assert [r["stdlib"] for r in report[: len(light)]] == [[]] * len(light)
-    assert all("dataclasses" not in r["stdlib"] for r in report)
-    # only mc imports the sampler
+    assert [r["numpy_loaded"] for r in report] == [False] * len(report)
+    assert [r["numpy"] for r in report] == [[]] * len(report)
+    # no oamch module needs dataclasses or inspect
+    assert [r["stdlib"] for r in report] == [[]] * len(report)
+    # only mc and validate import the sampler
     assert [r["sampler"] for r in report[: len(light)]] == [False] * (len(light) - 2) + [True] * 2
-    # validate draws its samples with the sampler and computes its Gauss nodes itself
-    assert [r["nodes"] for r in report] == [False] * len(light) + [True]
-    assert not [m for m in report[-1]["numpy"] if m.startswith(("numpy.random", "numpy.polynomial"))]
-    # main defaults OpenBLAS to one thread before numpy loads, so no pool starts
-    assert {r["blas_threads"] for r in report} == {"1"}
-    assert report[-1]["threads"] in (1, None)
+    # nothing starts a thread
+    assert {r["threads"] for r in report} <= {1, None}
 
 
 def test_main_keeps_a_preset_blas_thread_count(tmp_path):
-    report = _import_probe(tmp_path, [["validate", "--suites", "azimuthal"]], blas_threads="2")
-    assert report[0]["code"] == 0
-    assert report[0]["blas_threads"] == "2"
+    # main leaves OPENBLAS_NUM_THREADS as it finds it, set or unset
+    for preset in ("2", None):
+        report = _import_probe(tmp_path, [["validate", "--suites", "azimuthal"]], blas_threads=preset)
+        assert report[0]["code"] == 0
+        assert report[0]["blas_threads"] == preset
 
 
 def test_help_probe_ch_and_mc_run_without_numpy(tmp_path, capsys):
@@ -346,31 +342,22 @@ def test_help_probe_ch_and_mc_run_without_numpy(tmp_path, capsys):
         ["mc", "--config", config, "--format", "json"],
         *scans,
     ]
-    report = _import_probe(tmp_path, commands + [["validate"]], block_numpy=True)
-    assert [r["code"] for r in report] == [0] * len(commands) + [4]
-    assert [r["stderr"] for r in report] == [""] * len(commands) + [
-        "missing dependency: validate needs numpy, which is not installed\n"
-    ]
+    report = _import_probe(tmp_path, commands, block_numpy=True)
+    assert [r["code"] for r in report] == [0] * len(commands)
+    assert [r["stderr"] for r in report] == [""] * len(commands)
     # the scans write the bytes they write where numpy can be imported
     for blocked, plain in zip(scans, _scans(tmp_path, config, prefix="plain")):
         assert main(plain) == 0
         assert Path(blocked[4]).read_bytes() == Path(plain[4]).read_bytes()
 
 
-def test_only_a_missing_numpy_is_exit_4(monkeypatch, capsys):
-    def missing(name):
-        def run(args):
-            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
-
-        return run
-
-    monkeypatch.setattr(cli, "cmd_validate", missing("numpy"))
-    assert main(["validate"]) == 4
-    err = capsys.readouterr().err
-    assert err == "missing dependency: validate needs numpy, which is not installed\n"
-    monkeypatch.setattr(cli, "cmd_validate", missing("scipy"))
-    with pytest.raises(ModuleNotFoundError):
-        main(["validate"])
+def test_validate_prints_the_same_bytes_without_numpy(tmp_path):
+    blocked = _import_probe(tmp_path, [["validate"]], block_numpy=True)
+    plain = _import_probe(tmp_path, [["validate"]])
+    assert blocked[0]["code"] == plain[0]["code"] == 0
+    assert blocked[0]["stderr"] == plain[0]["stderr"] == ""
+    assert blocked[0]["stdout"] == plain[0]["stdout"]
+    assert plain[0]["stdout"].count(" PASS ") == 4
 
 
 def _assert_one_line_config_error(proc):

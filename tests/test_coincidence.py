@@ -169,7 +169,7 @@ def test_amplitude_sequence_equals_one_setting_calls():
 
 
 def test_amplitude_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
-    # two analyzers with two plates each: four phase profiles per block
+    # two analyzers with two plates each: four phase profiles per node, two nodes per segment
     calls = []
 
     def counting(*args):
@@ -180,7 +180,10 @@ def test_amplitude_quadrature_block_evaluates_each_plate_phase_once(monkeypatch)
     rng = np.random.default_rng(24)
     block = [_settings(*rng.uniform(0.0, TAU, size=4), step=StepIndex(1.7)) for _ in range(8)]
     amplitude_matrix_quadrature(block)
-    assert len(calls) == 4
+    plates = [(s.alpha, (s.alpha + math.pi) % TAU, s.beta, (s.beta + math.pi) % TAU) for s in block]
+    nodes = sum(2 * len(azimuthal.gauss_segments(p)) for p in plates)
+    assert nodes == 8 * 2 * 5
+    assert len(calls) == 4 * nodes
 
 
 def test_marginals_do_not_depend_on_far_splitter():
