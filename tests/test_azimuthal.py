@@ -217,12 +217,22 @@ def test_overlap_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
     assert len(calls) == 2 * nodes
 
 
-def test_two_point_rule_integrates_cubics_exactly():
-    # -+1/sqrt(3) with unit weights is numpy's 2-point Gauss-Legendre rule
+@pytest.mark.parametrize("segments", [8, 64])
+def test_gauss_legendre_nodes_are_leggauss(segments):
+    # on each of n equal segments the nodes and weights are numpy's 2-point
+    # Gauss-Legendre rule, mapped from [-1, 1] onto that segment
     want_x, want_w = np.polynomial.legendre.leggauss(2)
-    ((h, x1, x2),) = gauss_segments(())
-    np.testing.assert_allclose([(x1 - math.pi) / h, (x2 - math.pi) / h], want_x, rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose([1.0, 1.0], want_w, rtol=0.0, atol=1e-15)
+    cuts = [TAU * k / segments for k in range(1, segments)]
+    rule = gauss_segments(cuts)
+    assert len(rule) == segments
+    for (h, x1, x2), a, b in zip(rule, [0.0, *cuts], [*cuts, TAU]):
+        mid = 0.5 * (a + b)
+        assert h == pytest.approx(0.5 * (b - a), rel=1e-14)
+        np.testing.assert_allclose([(x1 - mid) / h, (x2 - mid) / h], want_x, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose([1.0, 1.0], want_w, rtol=0.0, atol=1e-15)
+
+
+def test_two_point_rule_integrates_cubics_exactly():
     # a 2-point rule integrates every polynomial of degree 3 exactly, on every segment
     for cuts in ((), (1.0, 4.0), (2.5,)):
         for k in range(4):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oamch
 import oamch.azimuthal
 import oamch.coincidence
 import oamch.validate
@@ -120,6 +125,38 @@ def test_an_integrand_that_varies_within_a_segment_fails_the_overlap_suites(monk
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1:3] for line in lines] == [["azimuthal", "FAIL"], ["sign-check", "FAIL"]]
     assert all("oracle premise broken" in line for line in lines)
+
+
+def _simd_levels() -> list[str]:
+    """The dispatched CPU features this host has, lowest first (numpy 2.x and 1.24 names)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    if not hasattr(umath, "__cpu_dispatch__"):
+        pytest.skip("this numpy does not list its dispatched CPU features")
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def test_overlap_suites_print_the_same_bytes_at_every_simd_level():
+    # numpy picks its SIMD kernels when it loads; validate loads none, so
+    # disabling every dispatched feature from one level up must not move a byte
+    levels = _simd_levels()
+    env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = {}
+    for k in range(len(levels) + 1):
+        disabled = " ".join(levels[k:])
+        proc = subprocess.run(
+            [sys.executable, "-m", "oamch.cli", "validate", "--suites", "azimuthal,sign-check"],
+            capture_output=True,
+            text=True,
+            env={**env, "NPY_DISABLE_CPU_FEATURES": disabled} if disabled else env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[disabled or "native"] = proc.stdout
+    assert len(set(outputs.values())) == 1, outputs
 
 
 def _numpy_samples(seed, samples, draw):
