@@ -13,9 +13,7 @@ scan evaluates each distinct one once, in pure Python (`ScanResult`).
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from collections import defaultdict, namedtuple
 
 from .azimuthal import TAU, StepIndex, difference_overlaps, overlap_integral, wrap_angle
@@ -23,11 +21,12 @@ from .chtest import CANONICAL_THETAS
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 
-# A scan row costs about 0.5 us as CSV and 1.1 us as JSON, and 8 bytes; a key (see
-# `scan_alpha_beta`) 6-11 us and a few hundred bytes.  At 2^20 points, 1024 x 1024
-# (35,221 keys) takes about 1.5 s as CSV and 2.2 s as optimized JSON, up to 49 MB;
-# 93 x 91, a key per row and near `max_scan_keys`, 0.25 s and 0.33 s (os.wait4
-# from a small parent, medians of 7 runs; 2-core Intel Xeon x86-64 VM, Python 3.11).
+# A scan row costs about 0.5 us as CSV and 0.9 us as JSON, and 8 bytes; a key (see
+# `scan_alpha_beta`) 5-6 us and a few hundred bytes.  At 2^20 points, 1024 x 1024
+# (35,221 keys) takes 0.7-0.8 s as CSV and 1.1-1.4 s as optimized JSON, up to 49 MB;
+# 93 x 91, a key per row and near `max_scan_keys`, 0.13-0.19 s and 0.15-0.21 s
+# (os.wait4 from a small parent, medians of 7 runs, two passes; 2-core Intel Xeon
+# x86-64 VM, Python 3.11).
 MAX_SCAN_POINTS = 2**20
 
 
@@ -114,20 +113,15 @@ class ChLandscape:
         k = overlap_integral(alpha, beta, step_index)
         return cls([k], [overlap_integral(alpha, beta + math.pi, step_index)])
 
-    def value(self, theta_a, theta_a_prime, theta_b, theta_b_prime) -> list:
-        """S at each plate pair; an angle is one float, or a list with one per pair."""
-        def each(f, op, x, y):  # f(op(x, y)) at each pair: once, if x and y are floats
-            if isinstance(x, list) or isinstance(y, list):
-                columns = (t if isinstance(t, list) else itertools.repeat(t) for t in (x, y))
-                return map(f, map(op, *columns))
-            return itertools.repeat(f(op(x, y)))
-
-        trig = [each(f, op, x, y) for x in (theta_a, theta_a_prime) for y in (theta_b, theta_b_prime)
-                for f, op in ((math.cos, operator.sub), (math.sin, operator.add))]
-        marginal = map(operator.add, each(math.sin, operator.mul, 2.0, theta_a_prime),
-                       each(math.sin, operator.mul, 2.0, theta_b))
+    def value(self, theta_a: float, theta_a_prime: float, theta_b: float, theta_b_prime: float) -> list:
+        """S at each plate pair, at the four splitter angles."""
+        c1, s1 = math.cos(theta_a - theta_b), math.sin(theta_a + theta_b)
+        c2, s2 = math.cos(theta_a - theta_b_prime), math.sin(theta_a + theta_b_prime)
+        c3, s3 = math.cos(theta_a_prime - theta_b), math.sin(theta_a_prime + theta_b)
+        c4, s4 = math.cos(theta_a_prime - theta_b_prime), math.sin(theta_a_prime + theta_b_prime)
+        sines = math.sin(2.0 * theta_a_prime) + math.sin(2.0 * theta_b)
         s = []
-        for k, q, c1, s1, c2, s2, c3, s3, c4, s4, sines in zip(self.k, self.q, *trig, marginal):
+        for k, q in zip(self.k, self.q):
             h1 = abs(k * c1 - q * s1)
             h2 = abs(k * c2 - q * s2)
             h3 = abs(k * c3 - q * s3)
@@ -152,17 +146,23 @@ def optimize_thetas(land: ChLandscape):
     a = z, a' = x and b, b' = cos(psi) x +/- sin(psi) z with psi = atan(t);
     the direction at angle d from x towards z is splitter angle d / 2 - pi / 4.
 
-    Returns the angles (theta_a, theta_a', theta_b, theta_b') in [0, 2*pi),
-    theta_b and theta_b' as lists with one per pair, and the S at them.
+    S is taken as t^2 / (2 (sqrt(1 + t^2) + 1)), which cancels nothing; the
+    landscape at these angles sums terms of order 1 and can read S < 0.
+
+    Returns one (theta_a, theta_a', theta_b, theta_b') in [0, 2*pi) per
+    pair, all sharing one theta_a and one theta_a', and the S at each pair.
     """
-    moduli = ((abs(k), abs(q)) for k, q in zip(land.k, land.q))
-    psi = [math.atan2(hk * hk - hq * hq, hk * hk + hq * hq) for hk, hq in moduli]
     # |t| <= 1 puts psi in [-pi/4, pi/4]: the b angles are negative, and
     # one added turn wraps them into [0, 2*pi) as `wrap_angle` would
     quarter = math.pi / 4.0
-    thetas = (0.0, TAU - quarter, [p / 2.0 - quarter + TAU for p in psi],
-              [-p / 2.0 - quarter + TAU for p in psi])
-    return thetas, land.value(*thetas)
+    theta_a, theta_a_prime, thetas, s = 0.0, TAU - quarter, [], []
+    for k, q in zip(land.k, land.q):
+        hk, hq = abs(k), abs(q)
+        n, d = hk * hk + hq * hq, hk * hk - hq * hq
+        psi, t = math.atan2(d, n), d / n
+        thetas.append((theta_a, theta_a_prime, psi / 2.0 - quarter + TAU, -psi / 2.0 - quarter + TAU))
+        s.append(t * t / (2.0 * (math.sqrt(1.0 + t * t) + 1.0)))
+    return thetas, s
 
 
 def scan_alpha_beta(grid: ScanGrid, step_index: StepIndex) -> ScanResult:
@@ -196,8 +196,7 @@ def scan_alpha_beta(grid: ScanGrid, step_index: StepIndex) -> ScanResult:
     overlaps = dict(zip(differences, difference_overlaps(differences, step_index)))
     land = ChLandscape([overlaps[z.real] for z in numbers], [overlaps[z.imag] for z in numbers])
     if grid.theta_policy == "optimize-per-point":
-        (theta_a, theta_a_prime, theta_b, theta_b_prime), s = optimize_thetas(land)
-        thetas = [(theta_a, theta_a_prime, b, b_prime) for b, b_prime in zip(theta_b, theta_b_prime)]
+        thetas, s = optimize_thetas(land)
     else:
         s = land.value(*CANONICAL_THETAS)
         thetas = [CANONICAL_THETAS] * len(s)

@@ -265,16 +265,20 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def _import_probe(tmp_path, commands, blas_threads=None, block_numpy=False) -> list[dict]:
+def _import_probe(tmp_path, commands, blas_threads=None, block_numpy=False, tunables=None) -> list[dict]:
     """The probe's report on `commands`, with OPENBLAS_NUM_THREADS unset or preset.
 
-    With `block_numpy` the interpreter cannot import numpy.
+    With `block_numpy` the interpreter cannot import numpy; `tunables`, if
+    given, is the child's GLIBC_TUNABLES, which is otherwise unset.
     """
     report = tmp_path / "report.json"
     env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
     env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("GLIBC_TUNABLES", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
+    if tunables is not None:
+        env["GLIBC_TUNABLES"] = tunables
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(report), json.dumps(commands),
          "block-numpy" if block_numpy else "-"],
@@ -358,6 +362,37 @@ def test_validate_prints_the_same_bytes_without_numpy(tmp_path):
     assert blocked[0]["stderr"] == plain[0]["stderr"] == ""
     assert blocked[0]["stdout"] == plain[0]["stdout"]
     assert plain[0]["stdout"].count(" PASS ") == 4
+
+
+# On x86-64, glibc (2.36 at least) picks FMA variants of sin, cos, exp, atan2
+# and log at run time; these tunables, read by the child alone, hide the CPU
+# features that select them
+_NO_FMA = "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX,-AVX512F"
+_SINES = ("import math, random; r = random.Random(0); "
+          "print(hash(tuple(math.sin(r.uniform(-10.0, 10.0)) for _ in range(300000))))")
+
+
+def test_commands_print_the_same_bytes_at_every_libm_dispatch_level(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "GLIBC_TUNABLES"}
+    sines = {subprocess.run([sys.executable, "-c", _SINES], capture_output=True, text=True, env=e,
+                            timeout=60, check=True).stdout for e in (env, {**env, "GLIBC_TUNABLES": _NO_FMA})}
+    if len(sines) == 1:
+        pytest.skip(f"GLIBC_TUNABLES={_NO_FMA} changes no math.sin result here")
+    config = _write_config(tmp_path, **{"experiment.alpha": 0.3, "experiment.beta": 1.1,
+                                        "experiment.step_index": 1.7321})
+    artifact = tmp_path / "scan.csv"
+    # a key per row, and S below 1e-10 on most keys
+    scan = ["scan", "--config", config, "--out", str(artifact), "--format", "csv",
+            "--set", "scan.alpha_steps=93", "--set", "scan.beta_steps=91",
+            "--set", "scan.theta_policy=optimize-per-point", "--set", "experiment.step_index=0.9979"]
+    commands = [[command, "--config", config, "--format", fmt]
+                for command in ("probe", "ch", "mc") for fmt in ("text", "json")] + [["validate"], scan]
+    native = _import_probe(tmp_path, commands)
+    rows = artifact.read_bytes()
+    masked = _import_probe(tmp_path, commands, tunables=_NO_FMA)
+    assert [r["code"] for r in native] == [0] * len(commands)
+    assert [(r["code"], r["stdout"]) for r in masked] == [(r["code"], r["stdout"]) for r in native]
+    assert artifact.read_bytes() == rows
 
 
 def _assert_one_line_config_error(proc):

@@ -117,8 +117,7 @@ def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, thresho
         for beta in betas:
             land = ChLandscape.at(alpha, beta, step)
             if policy == "optimize-per-point":
-                (theta_a, theta_a_prime, (theta_b,), (theta_b_prime,)), (s,) = optimize_thetas(land)
-                thetas = (theta_a, theta_a_prime, theta_b, theta_b_prime)
+                (thetas,), (s,) = optimize_thetas(land)
             else:
                 thetas, (s,) = CANONICAL_THETAS, land.value(*CANONICAL_THETAS)
             rows.append((alpha, beta, *thetas, s, s > threshold))
@@ -166,19 +165,6 @@ def test_difference_kernel_equals_overlap_integral(pairs, step_index):
         [_reference_overlap(mu, nu, step, 1j) for mu, nu in pairs])
     # a signed zero difference is the overlap of equal plates
     assert repr(difference_overlaps([-0.0], step)) == repr([overlap_integral(1.0, 1.0, step)])
-
-
-@PROFILE
-@given(pairs=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=6),
-       thetas=st.tuples(WIDE_ANGLES, WIDE_ANGLES, WIDE_ANGLES, WIDE_ANGLES),
-       listed=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
-       step_index=STEP_VALUES)
-def test_landscape_value_at_scalar_angles_equals_per_pair_lists(pairs, thetas, listed, step_index):
-    step = StepIndex(step_index)
-    land = ChLandscape([overlap_integral(a, b, step) for a, b in pairs],
-                       [overlap_integral(a, b + math.pi, step) for a, b in pairs])
-    lists = [[t] * len(pairs) if flag else t for t, flag in zip(thetas, listed)]
-    assert repr(land.value(*thetas)) == repr(land.value(*lists))
 
 
 def _whole_text_artifacts(config) -> tuple[str, str]:

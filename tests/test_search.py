@@ -45,9 +45,8 @@ def _s_via_ch_parameter(alpha, beta, step, thetas, amplitude_fn=None):
 
 def _optimum(alpha, beta, step):
     """`optimize_thetas` at one plate pair: its four angles and S."""
-    (theta_a, theta_a_prime, (theta_b,), (theta_b_prime,)), (s,) = optimize_thetas(
-        ChLandscape.at(alpha, beta, step))
-    return (theta_a, theta_a_prime, theta_b, theta_b_prime), s
+    (thetas,), (s,) = optimize_thetas(ChLandscape.at(alpha, beta, step))
+    return thetas, s
 
 
 def test_landscape_matches_full_evaluation():
@@ -88,8 +87,8 @@ def test_landscape_has_the_bits_of_the_array_formula():
     r = 2.0 * (k.real * q.real + k.imag * q.imag)
     joints = joint(ta, tb) - joint(ta, tbp) + joint(tap, tb) + joint(tap, tbp)
     s = (joints - (2.0 * n - r * (sin(2.0 * tap) + sin(2.0 * tb)))) / (2.0 * n)
-    # one landscape of the 4,000 pairs, each at its own four angles
-    assert ChLandscape(k.tolist(), q.tolist()).value(*thetas.tolist()) == s.tolist()
+    # each of the 4,000 pairs at its own four angles
+    assert [land.value(*angles)[0] for land, angles in zip(lands, thetas.T.tolist())] == s.tolist()
 
 
 def test_optimizer_reaches_maximum_on_aligned_plates():
@@ -103,12 +102,25 @@ def test_optimizer_reaches_maximum_on_aligned_plates():
 def test_optimizer_never_below_coarse_grid():
     lattice = np.linspace(0.0, TAU, 12, endpoint=False).tolist()
     for alpha, beta, step in _random_points(51, count=6):
-        # the pair repeated once per lattice point, each at that point's angles
         land = ChLandscape.at(alpha, beta, step)
-        points = [list(column) for column in zip(*itertools.product(lattice, repeat=4))]
-        lattice_best = max(ChLandscape(land.k * 12**4, land.q * 12**4).value(*points))
+        lattice_best = max(land.value(*point)[0] for point in itertools.product(lattice, repeat=4))
         _, s = _optimum(alpha, beta, step)
         assert lattice_best <= s + 1e-12
+
+
+def test_optimized_scan_takes_s_in_the_stable_form():
+    # S is below 1e-10 on most keys at L = 0.9979; the landscape at the optimum
+    # sums terms of order 1 there, and reads below zero on two rows of this grid
+    step = StepIndex(0.9979)
+    result = scan_alpha_beta(ScanGrid(93, 91, theta_policy="optimize-per-point"), step)
+    assert len(result.key_s) == 93 * 91
+    for i in range(len(result.key)):
+        alpha, beta, *thetas, s, _ = result.row(i)
+        land = ChLandscape.at(alpha, beta, step)
+        hk, hq = abs(land.k[0]), abs(land.q[0])
+        t = (hk * hk - hq * hq) / (hk * hk + hq * hq)
+        assert s == t * t / (2.0 * (math.sqrt(1.0 + t * t) + 1.0)) >= 0.0
+        assert abs(land.value(*thetas)[0] - s) <= 1e-15
 
 
 def test_optimizer_matches_horodecki_closed_form():
