@@ -117,12 +117,9 @@ class Generator:
         """A uniform double on [0, 1): the top 53 bits of one output."""
         return (self._next_uint64() >> 11) * (1.0 / 9007199254740992.0)
 
-    def uniform(self, low: float, high: float, size: int | None = None):
-        """`low + (high - low) * random()`, or a list of `size` of them."""
-        span = high - low
-        if size is None:
-            return low + span * self.random()
-        return [low + span * self.random() for _ in range(size)]
+    def uniform(self, low: float, high: float) -> float:
+        """`low + (high - low) * random()`."""
+        return low + (high - low) * self.random()
 
     def _next_uint32(self) -> int:
         # PCG64's next_uint32: the low half of an output, then its high half

@@ -84,10 +84,10 @@ def ch_parameter(cfg: ChSettings, amplitude_fn=amplitude_matrix) -> ChResult:
     """Evaluate the six CH probabilities and S for one experiment.
 
     `amplitude_fn` selects the closed-form path (default) or the quadrature
-    oracle; the two must agree.  It is called once, on the four settings of
-    the protocol, which share plates and step index.
+    oracle; the two must agree.  It is called once per setting of the
+    protocol, in protocol order.
     """
-    mats = amplitude_fn(cfg.runs())
+    mats = [amplitude_fn(s) for s in cfg.runs()]
     p = [m.p for m in mats]
     p_joint = tuple(pm[0][0] for pm in p)
     p_marg_a = p[2][0][0] + p[2][0][1]  # theta_a' run; independent of theta_b

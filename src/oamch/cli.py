@@ -71,6 +71,12 @@ def _require(section, name: str):
     return section
 
 
+def _require_zero_aux_phases(settings, command: str) -> None:
+    """Refuse the phases that the CH settings and landscape leave out."""
+    if settings.has_aux_phases:
+        raise ConfigError(f"{command} requires zero auxiliary phases (experiment.aux_phases)")
+
+
 def cmd_probe(config: RunConfig, args: argparse.Namespace) -> int:
     settings = _require(config.experiment, "experiment")
     m = amplitude_matrix(settings)
@@ -122,6 +128,7 @@ def cmd_probe(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_ch(config: RunConfig, args: argparse.Namespace) -> int:
     cfg = _require(config.ch, "ch")
+    _require_zero_aux_phases(config.experiment, "ch")
     result = ch_parameter(cfg)
     violated, margin = ch_violated(result)
 
@@ -155,6 +162,7 @@ def cmd_ch(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
     cfg = _require(config.ch, "ch")
     mc = _require(config.mc, "mc")
+    _require_zero_aux_phases(config.experiment, "mc")
     runs = simulate_ch_runs(cfg, mc)
     est = estimate_S(runs)
 
@@ -256,6 +264,7 @@ def _write_json_scan(fh, config: RunConfig, result, best: dict) -> None:
 def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     grid = _require(config.scan, "scan")
     settings = _require(config.experiment, "experiment")
+    _require_zero_aux_phases(settings, "scan")
     out_path = args.out or config.output.path
     if out_path is None:
         raise ConfigError("scan needs an output path (--out or output.path)")

@@ -12,7 +12,8 @@ K[k, m] = I(alpha_k, beta_m, L) contracted with the two splitter matrices:
     C = sigma * (Ua @ K @ Ub^T) / 2.
 
 Only two of the overlaps differ, K = [[k, q], [q, k]].  The closed form
-and its quadrature oracle work on 2x2 nested tuples with `math`/`cmath` alone.
+and its quadrature oracle each take one setting and work on 2x2 nested
+tuples with `math`/`cmath` alone.
 
 All probabilities are reported without the constant radial mode integral,
 which is independent of every knob; only ratios of these quantities are
@@ -133,72 +134,48 @@ def _matmul(a, b):
     return tuple(tuple(row[0] * b[0][j] + row[1] * b[1][j] for j in (0, 1)) for row in a)
 
 
-def amplitude_matrix(settings, overlap=overlap_integral):
-    """Coincidence amplitudes via the closed-form plate overlaps.
+def amplitude_matrix(settings: ExperimentSettings, overlap=overlap_integral) -> AmplitudeMatrix:
+    """Coincidence amplitudes of one setting via the closed-form plate overlaps.
 
-    `settings` is one ExperimentSettings, giving one AmplitudeMatrix, or a
-    sequence of them sharing plates and step index, giving one
-    AmplitudeMatrix per setting; the plate overlaps are evaluated once for
-    the whole sequence.  `overlap` is injectable so the validation suite can
-    demonstrate the sensitivity of the pipeline to a wrong overlap sign.
+    `overlap` is injectable so the validation suite can demonstrate the
+    sensitivity of the pipeline to a wrong overlap sign.
     """
-    rows = (settings,) if isinstance(settings, ExperimentSettings) else tuple(settings)
-    if not rows:
-        raise ValueError("no settings to evaluate")
-    first = rows[0]
-    plates = (first.alpha, first.beta, first.step_index)
-    if any((s.alpha, s.beta, s.step_index) != plates for s in rows):
-        raise ValueError("settings evaluated together must share plates and step index")
-    k = plate_overlap_matrix(first, overlap=overlap)
-    mats = []
-    for s in rows:
-        a1, a2, b1, b2 = s.aux_phases
-        ua = mz_unitary(s.theta_a, a1, a2)
-        ub = mz_unitary(s.theta_b, b1, b2)
-        g = _matmul(_matmul(ua, k), tuple(zip(*ub)))  # ua @ k @ ub^T
-        c = tuple(
-            tuple(0.5 * sigma * x for sigma, x in zip(s_row, g_row))
-            for s_row, g_row in zip(SIGMA, g)
-        )
-        mats.append(AmplitudeMatrix(c=c))
-    return mats[0] if isinstance(settings, ExperimentSettings) else mats
+    a1, a2, b1, b2 = settings.aux_phases
+    ua = mz_unitary(settings.theta_a, a1, a2)
+    ub = mz_unitary(settings.theta_b, b1, b2)
+    k = plate_overlap_matrix(settings, overlap=overlap)
+    g = _matmul(_matmul(ua, k), tuple(zip(*ub)))  # ua @ k @ ub^T
+    c = tuple(
+        tuple(0.5 * sigma * x for sigma, x in zip(s_row, g_row)) for s_row, g_row in zip(SIGMA, g)
+    )
+    return AmplitudeMatrix(c=c)
 
 
-def amplitude_matrix_quadrature(settings):
-    """Numerical oracle for `amplitude_matrix`.
+def amplitude_matrix_quadrature(settings: ExperimentSettings) -> AmplitudeMatrix:
+    """Numerical oracle for `amplitude_matrix`, one setting per call.
 
     Integrates the arm-amplitude products A_i B_j over azimuth from the four
     plate phases at each node and the splitter rows, which do not vary with
     azimuth; shares no code with the closed-form overlap path beyond the
     phase profile.  The products are constant between the
     plate dislocations, so the 2-point rule of each segment is exact up to
-    rounding, as `check_node_values` verifies.  `settings` is one
-    ExperimentSettings, giving one AmplitudeMatrix, or a sequence of them
-    sharing one step index, giving one AmplitudeMatrix per setting.
+    rounding, as `check_node_values` verifies.
     """
-    rows = (settings,) if isinstance(settings, ExperimentSettings) else tuple(settings)
-    if not rows:
-        raise ValueError("no settings to evaluate")
-    step = rows[0].step_index
-    if any(s.step_index != step for s in rows):
-        raise ValueError("settings evaluated together must share one step index")
+    s, step = settings, settings.step_index
+    ua, ub = mz_unitary(s.theta_a, *s.aux_phases[:2]), mz_unitary(s.theta_b, *s.aux_phases[2:])
+    plates = (s.alpha, wrap_angle(s.alpha + _PI), s.beta, wrap_angle(s.beta + _PI))
+    g = [0j] * 4  # the integrals of A1 B1, A1 B2, A2 B1, A2 B2
+    for h, x1, x2 in gauss_segments(plates):
+        nodes = []
+        for x in (x1, x2):
+            # photon b's plates are complementary: conjugated phases
+            e1, e2, e3, e4 = (spp_phase(c, x, step, k > 1) for k, c in enumerate(plates))
+            b = [u1 * e3 + u2 * e4 for u1, u2 in ub]
+            nodes.append([0.5 * (u1 * e1 + u2 * e2) * bj for u1, u2 in ua for bj in b])
+        check_node_values(*nodes, step, x1, x2)
+        g = [gk + h * (p + q) for gk, p, q in zip(g, *nodes)]
     (s11, s12), (s21, s22) = SIGMA
-    mats = []
-    for s in rows:
-        ua, ub = mz_unitary(s.theta_a, *s.aux_phases[:2]), mz_unitary(s.theta_b, *s.aux_phases[2:])
-        plates = (s.alpha, wrap_angle(s.alpha + _PI), s.beta, wrap_angle(s.beta + _PI))
-        g = [0j] * 4  # the integrals of A1 B1, A1 B2, A2 B1, A2 B2
-        for h, x1, x2 in gauss_segments(plates):
-            nodes = []
-            for x in (x1, x2):
-                # photon b's plates are complementary: conjugated phases
-                e1, e2, e3, e4 = (spp_phase(c, x, step, k > 1) for k, c in enumerate(plates))
-                b = [u1 * e3 + u2 * e4 for u1, u2 in ub]
-                nodes.append([0.5 * (u1 * e1 + u2 * e2) * bj for u1, u2 in ua for bj in b])
-            check_node_values(*nodes, step, x1, x2)
-            g = [gk + h * (p + q) for gk, p, q in zip(g, *nodes)]
-        mats.append(AmplitudeMatrix(c=((s11 * g[0], s12 * g[1]), (s21 * g[2], s22 * g[3]))))
-    return mats[0] if isinstance(settings, ExperimentSettings) else mats
+    return AmplitudeMatrix(c=((s11 * g[0], s12 * g[1]), (s21 * g[2], s22 * g[3])))
 
 
 def normalized_amplitudes(m: AmplitudeMatrix) -> NormalizedState:

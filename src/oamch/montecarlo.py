@@ -118,15 +118,15 @@ def _outcome_probabilities(p, eta: float) -> list[float]:
 def simulate_ch_runs(cfg: ChSettings, mc: McConfig) -> list[CountRecord]:
     """The four CH setting runs, in protocol order; run k draws from sub-stream k.
 
-    The amplitudes of the four settings come from one `amplitude_matrix`
-    call.  Each run is one multinomial draw over its five outcomes,
+    Each run takes its amplitudes from one `amplitude_matrix` call on its
+    setting and is one multinomial draw over its five outcomes,
     deterministic for a given (seed, stream).
     """
     from ._pcg64 import multinomial  # loaded by `mc` alone
 
     eta = mc.efficiency_a * mc.efficiency_b
     runs = []
-    for stream, (label, m) in enumerate(zip(RUN_LABELS, amplitude_matrix(cfg.runs()))):
+    for stream, (label, m) in enumerate(zip(RUN_LABELS, map(amplitude_matrix, cfg.runs()))):
         counts = multinomial((mc.seed, stream), mc.trials, _outcome_probabilities(m.p, eta))
         runs.append(CountRecord(label, (counts[0:2], counts[2:4]), mc.trials, counts[4]))
     return runs

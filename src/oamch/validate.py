@@ -58,14 +58,14 @@ def _random_half_integer(rng) -> StepIndex:
 def _random_pairs(seed: int, samples: int):
     rng = _rng(seed)
     for _ in range(samples):
-        mu, nu = rng.uniform(0.0, TAU, size=2)
+        mu = rng.uniform(0.0, TAU)
+        nu = rng.uniform(0.0, TAU)
         yield mu, nu, _random_half_integer(rng)
 
 
-def run_azimuthal_suite(
-    samples: int = 500, tolerance: float = 1e-9, closed_form=overlap_integral
-) -> SuiteResult:
+def run_azimuthal_suite(samples: int = 500, closed_form=overlap_integral) -> SuiteResult:
     """Closed-form plate overlap against direct quadrature."""
+    tolerance = 1e-9
     worst = 0.0
     try:
         for mu, nu, step in _random_pairs(_SEED, samples):
@@ -85,7 +85,7 @@ def run_azimuthal_suite(
 def _coincidence_settings(samples: int):
     rng = _rng(_SEED + 1)
     for k in range(samples):
-        aux = tuple(rng.uniform(0.0, TAU, size=4)) if k % 2 else (0.0, 0.0, 0.0, 0.0)
+        aux = tuple(rng.uniform(0.0, TAU) for _ in range(4)) if k % 2 else (0.0, 0.0, 0.0, 0.0)
         yield ExperimentSettings(
             alpha=rng.uniform(0.0, TAU),
             beta=rng.uniform(0.0, TAU),
@@ -96,10 +96,9 @@ def _coincidence_settings(samples: int):
         )
 
 
-def run_coincidence_suite(
-    samples: int = 200, tolerance: float = 1e-8, overlap=overlap_integral
-) -> SuiteResult:
+def run_coincidence_suite(samples: int = 200, overlap=overlap_integral) -> SuiteResult:
     """Closed-form coincidence amplitudes against azimuthal quadrature."""
+    tolerance = 1e-8
     worst = 0.0
     try:
         for s in _coincidence_settings(samples):
@@ -131,8 +130,9 @@ def _closed_form_settings(samples: int):
         )
 
 
-def run_closed_form_suite(samples: int = 500, tolerance: float = 1e-8) -> SuiteResult:
+def run_closed_form_suite(samples: int = 500) -> SuiteResult:
     """Closed-form probability sums against quadrature p-sums, relative error."""
+    tolerance = 1e-8
     worst = 0.0
     try:
         for s in _closed_form_settings(samples):
@@ -154,15 +154,14 @@ def run_closed_form_suite(samples: int = 500, tolerance: float = 1e-8) -> SuiteR
     )
 
 
-def run_sign_suite(
-    samples: int = 500, tolerance: float = 1e-9, closed_form=overlap_integral
-) -> SuiteResult:
+def run_sign_suite(samples: int = 500, closed_form=overlap_integral) -> SuiteResult:
     """Adjudicate the overlap phase sign against the quadrature oracle.
 
     Passes only if the primary closed form agrees with quadrature AND the
     conjugate-phase variant disagrees badly, proving the oracle would catch
     a flipped sign.
     """
+    tolerance = 1e-9
     worst_primary = 0.0
     worst_flipped = 0.0
     try:

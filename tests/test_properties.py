@@ -55,21 +55,6 @@ def _experiment(draw, step: StepIndex) -> ExperimentSettings:
 
 
 @st.composite
-def _blocks(draw) -> list:
-    step = StepIndex(draw(STEP_VALUES))
-    return draw(st.lists(_experiment(step), min_size=1, max_size=8))
-
-
-@PROFILE
-@given(_blocks())
-def test_block_oracle_rows_equal_one_row_calls(block):
-    c = [m.c for m in amplitude_matrix_quadrature(block)]
-    assert len(c) == len(block)
-    for s, row in zip(block, c):
-        assert row == amplitude_matrix_quadrature(s).c
-
-
-@st.composite
 def _shared_plates(draw) -> list:
     """Settings sharing plates and a general step index, each with its own angles and phases."""
     first = draw(_experiment(draw(GENERAL_STEPS)))
@@ -84,10 +69,9 @@ def _shared_plates(draw) -> list:
 @PROFILE
 @given(_shared_plates())
 def test_closed_form_agrees_with_quadrature_at_general_step_index(block):
-    closed = amplitude_matrix(block)
-    for s, m, oracle in zip(block, closed, amplitude_matrix_quadrature(block)):
-        assert m == amplitude_matrix(s)
-        np.testing.assert_allclose(m.c, oracle.c, rtol=0, atol=1e-9)
+    for s in block:
+        np.testing.assert_allclose(amplitude_matrix(s).c, amplitude_matrix_quadrature(s).c,
+                                   rtol=0, atol=1e-9)
 
 
 @PROFILE
