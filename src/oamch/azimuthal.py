@@ -80,8 +80,10 @@ class StepIndex(namedtuple("StepIndex", "value")):
 
 
 def wrap_angle(raw: float) -> float:
-    """Reduce an angle in radians to the canonical interval [0, 2*pi)."""
+    """Reduce an angle in radians to [0, 2*pi); an input already in it comes back unchanged, bit for bit."""
     x = float(raw)
+    if 0.0 <= x < TAU:
+        return x
     if not math.isfinite(x):
         raise ValueError(f"angle must be finite, got {raw!r}")
     r = math.fmod(x, TAU)
@@ -182,15 +184,16 @@ def check_node_values(v1, v2, step_index: StepIndex, x1: float, x2: float) -> No
     oracle integrand is constant, so they differ by rounding alone: at most
     10u across the two nodes (u = L*2*pi*2^-53: 2u per profile, see
     `MAX_STEP_INDEX`) and some 24 ulps of 1 from the trigonometric functions
-    and complex products.  The bound, 32 * (u + 2^-53), covers that.
+    and complex products.  The bound, 32 * (u + 2^-53), covers that; no NaN gap does.
     """
-    gap = max(abs(p - q) for p, q in zip(v1, v2))
     bound = 32.0 * (TAU * step_index.value + 1.0) * 2.0**-53
-    if not gap <= bound:
-        raise PiecewiseConstantError(
-            f"integrand differs by {gap:.3e} between azimuths {x1:.6g} and {x2:.6g} "
-            f"of one segment, where rounding allows {bound:.3e}"
-        )
+    for p, q in zip(v1, v2):
+        gap = abs(p - q)
+        if not gap <= bound:
+            raise PiecewiseConstantError(
+                f"integrand differs by {gap:.3e} between azimuths {x1:.6g} and {x2:.6g} "
+                f"of one segment, where rounding allows {bound:.3e}"
+            )
 
 
 def overlap_integral_quadrature(mu: float, nu: float, step_index: StepIndex) -> complex:
@@ -204,7 +207,8 @@ def overlap_integral_quadrature(mu: float, nu: float, step_index: StepIndex) -> 
     """
     total = 0j
     for h, x1, x2 in gauss_segments((mu, nu)):
-        d1, d2 = (spp_profile(mu, x, step_index) - spp_profile(nu, x, step_index) for x in (x1, x2))
+        d1 = spp_profile(mu, x1, step_index) - spp_profile(nu, x1, step_index)
+        d2 = spp_profile(mu, x2, step_index) - spp_profile(nu, x2, step_index)
         v1, v2 = complex(math.cos(d1), math.sin(d1)), complex(math.cos(d2), math.sin(d2))
         check_node_values((v1,), (v2,), step_index, x1, x2)
         total += h * (v1 + v2)

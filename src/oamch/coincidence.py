@@ -162,20 +162,25 @@ def amplitude_matrix_quadrature(settings: ExperimentSettings) -> AmplitudeMatrix
     rounding, as `check_node_values` verifies.
     """
     s, step = settings, settings.step_index
-    ua, ub = mz_unitary(s.theta_a, *s.aux_phases[:2]), mz_unitary(s.theta_b, *s.aux_phases[2:])
-    plates = (s.alpha, wrap_angle(s.alpha + _PI), s.beta, wrap_angle(s.beta + _PI))
-    g = [0j] * 4  # the integrals of A1 B1, A1 B2, A2 B1, A2 B2
+    (a11, a12), (a21, a22) = mz_unitary(s.theta_a, *s.aux_phases[:2])
+    (b11, b12), (b21, b22) = mz_unitary(s.theta_b, *s.aux_phases[2:])
+    p1, p2, p3, p4 = plates = (s.alpha, wrap_angle(s.alpha + _PI), s.beta, wrap_angle(s.beta + _PI))
+    g11 = g12 = g21 = g22 = 0j  # the integrals of A1 B1, A1 B2, A2 B1, A2 B2
     for h, x1, x2 in gauss_segments(plates):
         nodes = []
         for x in (x1, x2):
             # photon b's plates are complementary: conjugated phases
-            e1, e2, e3, e4 = (spp_phase(c, x, step, k > 1) for k, c in enumerate(plates))
-            b = [u1 * e3 + u2 * e4 for u1, u2 in ub]
-            nodes.append([0.5 * (u1 * e1 + u2 * e2) * bj for u1, u2 in ua for bj in b])
+            e1, e2 = spp_phase(p1, x, step, False), spp_phase(p2, x, step, False)
+            e3, e4 = spp_phase(p3, x, step, True), spp_phase(p4, x, step, True)
+            b1, b2 = b11 * e3 + b12 * e4, b21 * e3 + b22 * e4
+            a1, a2 = 0.5 * (a11 * e1 + a12 * e2), 0.5 * (a21 * e1 + a22 * e2)
+            nodes.append((a1 * b1, a1 * b2, a2 * b1, a2 * b2))
         check_node_values(*nodes, step, x1, x2)
-        g = [gk + h * (p + q) for gk, p, q in zip(g, *nodes)]
+        (v11, v12, v21, v22), (w11, w12, w21, w22) = nodes
+        g11, g12 = g11 + h * (v11 + w11), g12 + h * (v12 + w12)
+        g21, g22 = g21 + h * (v21 + w21), g22 + h * (v22 + w22)
     (s11, s12), (s21, s22) = SIGMA
-    return AmplitudeMatrix(c=((s11 * g[0], s12 * g[1]), (s21 * g[2], s22 * g[3])))
+    return AmplitudeMatrix(c=((s11 * g11, s12 * g12), (s21 * g21, s22 * g22)))
 
 
 def normalized_amplitudes(m: AmplitudeMatrix) -> NormalizedState:

@@ -6,7 +6,8 @@ The sweeps are the draws of `numpy.random.default_rng(seed)`, bit for bit,
 computed by `_pcg64`, and each sample takes one oracle call: nothing here
 or in the oracles loads numpy.  A suite whose oracle finds its integrand
 not constant between the plate dislocations (PiecewiseConstantError) fails
-with an infinite error and says so in its detail.  The sign suite
+with an infinite error and says so in its detail; a NaN discrepancy fails
+its suite with a NaN error.  The sign suite
 additionally evaluates the conjugate-phase overlap variant and passes only
 if that variant *fails* against the oracle, recording the adjudication
 numbers in its detail string.
@@ -51,6 +52,11 @@ def _broken_premise(name: str, tolerance: float, exc: PiecewiseConstantError) ->
     return SuiteResult(name, False, math.inf, tolerance, f"oracle premise broken: {exc}")
 
 
+def _worse(worst: float, error: float) -> float:
+    """The larger of two errors, NaN if either is (`max` keeps whichever comes first)."""
+    return worst if error <= worst or worst != worst else error
+
+
 def _random_half_integer(rng) -> StepIndex:
     return StepIndex.half_integer(rng.integers(0, 4))
 
@@ -70,7 +76,7 @@ def run_azimuthal_suite(samples: int = 500, closed_form=overlap_integral) -> Sui
     try:
         for mu, nu, step in _random_pairs(_SEED, samples):
             oracle = overlap_integral_quadrature(mu, nu, step)
-            worst = max(worst, abs(closed_form(mu, nu, step) - oracle))
+            worst = _worse(worst, abs(closed_form(mu, nu, step) - oracle))
     except PiecewiseConstantError as exc:
         return _broken_premise("azimuthal", tolerance, exc)
     return SuiteResult(
@@ -104,7 +110,8 @@ def run_coincidence_suite(samples: int = 200, overlap=overlap_integral) -> Suite
         for s in _coincidence_settings(samples):
             quad = amplitude_matrix_quadrature(s)
             closed = amplitude_matrix(s, overlap=overlap)
-            worst = max(worst, *(abs(c - q) for row in zip(closed.c, quad.c) for c, q in zip(*row)))
+            for c, q in zip(closed.c[0] + closed.c[1], quad.c[0] + quad.c[1]):
+                worst = _worse(worst, abs(c - q))
     except PiecewiseConstantError as exc:
         return _broken_premise("coincidence", tolerance, exc)
     return SuiteResult(
@@ -138,11 +145,10 @@ def run_closed_form_suite(samples: int = 500) -> SuiteResult:
         for s in _closed_form_settings(samples):
             m = amplitude_matrix_quadrature(s)
             closed = closed_form_probabilities(s.delta(), s.theta_a, s.theta_b)
-            (p11, p12), (p21, _) = m.p
-            quad = (p11, p11 + p12, p11 + p21, m.p_total)
-            scale = quad[3]
+            (p11, p12), (p21, p22) = m.p
+            quad = (p11, p11 + p12, p11 + p21, p11 + p12 + p21 + p22)
             for c, q in zip(closed, quad):
-                worst = max(worst, abs(c - q) / max(abs(q), 1e-9 * scale))
+                worst = _worse(worst, abs(c - q) / max(abs(q), 1e-9 * quad[3]))
     except PiecewiseConstantError as exc:
         return _broken_premise("appendix-a", tolerance, exc)
     return SuiteResult(
@@ -167,8 +173,8 @@ def run_sign_suite(samples: int = 500, closed_form=overlap_integral) -> SuiteRes
     try:
         for mu, nu, step in _random_pairs(_SEED + 3, samples):
             oracle = overlap_integral_quadrature(mu, nu, step)
-            worst_primary = max(worst_primary, abs(closed_form(mu, nu, step) - oracle))
-            worst_flipped = max(
+            worst_primary = _worse(worst_primary, abs(closed_form(mu, nu, step) - oracle))
+            worst_flipped = _worse(
                 worst_flipped, abs(overlap_integral_opposite_phase(mu, nu, step) - oracle)
             )
     except PiecewiseConstantError as exc:

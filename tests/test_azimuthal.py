@@ -59,10 +59,21 @@ def test_step_index_bound_keeps_closed_form_within_oracle_tolerance():
             StepIndex(beyond)
 
 
+def _fmod_wrap(x: float) -> float:
+    """The reduction to [0, 2*pi) by fmod alone, without an early return for canonical input."""
+    r = math.fmod(x, TAU)
+    if r < 0.0:
+        r += TAU
+    return 0.0 if r >= TAU else r
+
+
 def test_wrap_angle_basic():
     assert wrap_angle(0.0) == 0.0
     assert wrap_angle(TAU) == 0.0
     assert wrap_angle(-math.pi / 2) == pytest.approx(3 * math.pi / 2, abs=1e-15)
+    # either side of both ends of [0, 2*pi): float.hex tells -0.0 from 0.0
+    for x in (-0.0, 0.0, 5e-324, -5e-324, math.nextafter(TAU, 0.0), TAU, -TAU, 1e300):
+        assert wrap_angle(x).hex() == _fmod_wrap(x).hex(), x
 
 
 def test_wrap_angle_idempotent():
@@ -260,8 +271,11 @@ def test_node_values_that_differ_beyond_rounding_are_refused():
     check_node_values((1j, 1.0), (1j, 1.0 + 0.5 * bound), ell, 0.1, 0.2)
     with pytest.raises(PiecewiseConstantError, match="between azimuths 0.1 and 0.2"):
         check_node_values((1j, 1.0), (1j, 1.0 + 2.0 * bound), ell, 0.1, 0.2)
-    with pytest.raises(PiecewiseConstantError):
-        check_node_values((complex("nan"),), (complex("nan"),), ell, 0.1, 0.2)
+    # a NaN gap fails wherever it falls, not only as the first value
+    for nan_first in (True, False):
+        v = (complex("nan"), 1j) if nan_first else (1j, complex("nan"))
+        with pytest.raises(PiecewiseConstantError, match="differs by nan"):
+            check_node_values(v, v, ell, 0.1, 0.2)
 
 
 def test_opposite_phase_variant_fails_against_oracle():

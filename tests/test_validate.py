@@ -11,9 +11,20 @@ import oamch
 import oamch.azimuthal
 import oamch.coincidence
 import oamch.validate
-from oamch.azimuthal import TAU, StepIndex, overlap_integral_opposite_phase
+from oamch.azimuthal import (
+    TAU,
+    StepIndex,
+    check_node_values,
+    gauss_segments,
+    overlap_integral_opposite_phase,
+    overlap_integral_quadrature,
+    spp_phase,
+    spp_profile,
+    wrap_angle,
+)
 from oamch.cli import main
-from oamch.coincidence import ExperimentSettings
+from oamch.coincidence import SIGMA, AmplitudeMatrix, ExperimentSettings, amplitude_matrix_quadrature
+from oamch.interferometer import mz_unitary
 from oamch.validate import (
     SUITE_NAMES,
     run_azimuthal_suite,
@@ -125,6 +136,69 @@ def test_an_integrand_that_varies_within_a_segment_fails_the_overlap_suites(monk
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1:3] for line in lines] == [["azimuthal", "FAIL"], ["sign-check", "FAIL"]]
     assert all("oracle premise broken" in line for line in lines)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_a_nan_discrepancy_fails_its_suite(monkeypatch, capsys, suite):
+    # the third sample's oracle result turns NaN: in one entry of the amplitude matrix
+    overlaps = suite in ("azimuthal", "sign-check")
+    oracle = "overlap_integral_quadrature" if overlaps else "amplitude_matrix_quadrature"
+    wrapped = getattr(oamch.validate, oracle)
+    calls = []
+
+    def nan_on_the_third_call(*args):
+        calls.append(args)
+        value = wrapped(*args)
+        if len(calls) != 3:
+            return value
+        if overlaps:
+            return complex(math.nan, 0.0)
+        (c11, c12), (_, c22) = value.c
+        return AmplitudeMatrix(c=((c11, c12), (complex(math.nan, 0.0), c22)))
+
+    monkeypatch.setattr(oamch.validate, oracle, nan_on_the_third_call)
+    assert main(["validate", "--suites", suite]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"suite {suite:12s} FAIL  max error nan "), out
+
+
+def _reference_overlap_quadrature(mu, nu, step_index):
+    """`overlap_integral_quadrature` with its nodes from a generator: the same float operations."""
+    total = 0j
+    for h, x1, x2 in gauss_segments((mu, nu)):
+        d1, d2 = (spp_profile(mu, x, step_index) - spp_profile(nu, x, step_index) for x in (x1, x2))
+        v1, v2 = complex(math.cos(d1), math.sin(d1)), complex(math.cos(d2), math.sin(d2))
+        check_node_values((v1,), (v2,), step_index, x1, x2)
+        total += h * (v1 + v2)
+    return total
+
+
+def _reference_amplitude_quadrature(settings):
+    """`amplitude_matrix_quadrature` from comprehensions over splitter rows: the same float operations."""
+    s, step = settings, settings.step_index
+    ua, ub = mz_unitary(s.theta_a, *s.aux_phases[:2]), mz_unitary(s.theta_b, *s.aux_phases[2:])
+    plates = (s.alpha, wrap_angle(s.alpha + math.pi), s.beta, wrap_angle(s.beta + math.pi))
+    g = [0j] * 4
+    for h, x1, x2 in gauss_segments(plates):
+        nodes = []
+        for x in (x1, x2):
+            e1, e2, e3, e4 = (spp_phase(c, x, step, k > 1) for k, c in enumerate(plates))
+            b = [u1 * e3 + u2 * e4 for u1, u2 in ub]
+            nodes.append([0.5 * (u1 * e1 + u2 * e2) * bj for u1, u2 in ua for bj in b])
+        check_node_values(*nodes, step, x1, x2)
+        g = [gk + h * (p + q) for gk, p, q in zip(g, *nodes)]
+    (s11, s12), (s21, s22) = SIGMA
+    return (s11 * g[0], s12 * g[1]), (s21 * g[2], s22 * g[3])
+
+
+def test_oracles_equal_their_reference_bit_for_bit_on_the_suites_samples():
+    seed = oamch.validate._SEED
+    pairs = [*oamch.validate._random_pairs(seed, 500), *oamch.validate._random_pairs(seed + 3, 500)]
+    for mu, nu, step in pairs:
+        assert overlap_integral_quadrature(mu, nu, step) == _reference_overlap_quadrature(mu, nu, step)
+    settings = [*oamch.validate._coincidence_settings(200), *oamch.validate._closed_form_settings(500)]
+    for s in settings:
+        assert amplitude_matrix_quadrature(s).c == _reference_amplitude_quadrature(s), s
 
 
 def _simd_levels() -> list[str]:
