@@ -69,7 +69,7 @@ class StepIndex(namedtuple("StepIndex", "value")):
 
     @classmethod
     def half_integer(cls, l: int) -> "StepIndex":
-        if l != int(l) or l < 0:
+        if not 0 <= l < math.inf or l != int(l):
             raise ValueError(f"l must be a nonnegative integer, got {l!r}")
         return cls(int(l) + 0.5)
 

@@ -80,14 +80,13 @@ def ch_from_probabilities(
     ) / p_total
 
 
-def ch_parameter(cfg: ChSettings, amplitude_fn=amplitude_matrix) -> ChResult:
+def ch_parameter(cfg: ChSettings) -> ChResult:
     """Evaluate the six CH probabilities and S for one experiment.
 
-    `amplitude_fn` selects the closed-form path (default) or the quadrature
-    oracle; the two must agree.  It is called once per setting of the
+    Calls the closed-form `amplitude_matrix` once per setting of the
     protocol, in protocol order.
     """
-    mats = [amplitude_fn(s) for s in cfg.runs()]
+    mats = [amplitude_matrix(s) for s in cfg.runs()]
     p = [m.p for m in mats]
     p_joint = tuple(pm[0][0] for pm in p)
     p_marg_a = p[2][0][0] + p[2][0][1]  # theta_a' run; independent of theta_b

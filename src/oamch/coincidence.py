@@ -117,15 +117,15 @@ class NormalizedState(namedtuple("NormalizedState", "lam")):
         return _squared_moduli(self.lam)
 
 
-def plate_overlap_matrix(settings: ExperimentSettings, overlap=overlap_integral):
+def plate_overlap_matrix(settings: ExperimentSettings):
     """K[k][m] = overlap of a-side plate k against b-side plate m.
 
     The overlap depends only on the relative orientation of the two plates,
     so turning both a half-turn changes nothing: K = ((k, q), (q, k)) with
     k = I(alpha, beta) and q = I(alpha, beta + pi), two overlaps for all four.
     """
-    k = overlap(settings.alpha, settings.beta, settings.step_index)
-    q = overlap(settings.alpha, wrap_angle(settings.beta + _PI), settings.step_index)
+    k = overlap_integral(settings.alpha, settings.beta, settings.step_index)
+    q = overlap_integral(settings.alpha, wrap_angle(settings.beta + _PI), settings.step_index)
     return ((k, q), (q, k))
 
 
@@ -134,16 +134,12 @@ def _matmul(a, b):
     return tuple(tuple(row[0] * b[0][j] + row[1] * b[1][j] for j in (0, 1)) for row in a)
 
 
-def amplitude_matrix(settings: ExperimentSettings, overlap=overlap_integral) -> AmplitudeMatrix:
-    """Coincidence amplitudes of one setting via the closed-form plate overlaps.
-
-    `overlap` is injectable so the validation suite can demonstrate the
-    sensitivity of the pipeline to a wrong overlap sign.
-    """
+def amplitude_matrix(settings: ExperimentSettings) -> AmplitudeMatrix:
+    """Coincidence amplitudes of one setting via the closed-form plate overlaps."""
     a1, a2, b1, b2 = settings.aux_phases
     ua = mz_unitary(settings.theta_a, a1, a2)
     ub = mz_unitary(settings.theta_b, b1, b2)
-    k = plate_overlap_matrix(settings, overlap=overlap)
+    k = plate_overlap_matrix(settings)
     g = _matmul(_matmul(ua, k), tuple(zip(*ub)))  # ua @ k @ ub^T
     c = tuple(
         tuple(0.5 * sigma * x for sigma, x in zip(s_row, g_row)) for s_row, g_row in zip(SIGMA, g)

@@ -47,7 +47,7 @@ class McConfig(namedtuple("McConfig", "trials efficiency_a efficiency_b seed")):
         for name, eta in (("efficiency_a", efficiency_a), ("efficiency_b", efficiency_b)):
             if not 0.0 < eta <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {eta!r}")
-        if int(seed) != seed or not 0 <= seed < 2**64:
+        if not 0 <= seed < 2**64 or int(seed) != seed:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
         return tuple.__new__(cls, (int(trials), efficiency_a, efficiency_b, int(seed)))
 

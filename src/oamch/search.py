@@ -43,7 +43,7 @@ class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy thres
     def __new__(cls, alpha_steps: int, beta_steps: int, theta_policy: str = "fixed-canonical",
                 threshold: float = 0.204):
         for name, value in (("alpha_steps", alpha_steps), ("beta_steps", beta_steps)):
-            if int(value) != value or value < 2:
+            if not 2 <= value < math.inf or int(value) != value:
                 raise ValueError(f"{name} must be an integer >= 2")
         points = int(alpha_steps) * int(beta_steps)
         if points > MAX_SCAN_POINTS:

@@ -1,13 +1,14 @@
 """Analytic-vs-quadrature validation suites.
 
 Each suite compares a closed-form path against its independent numerical
-oracle over a fixed-seed random sweep and reports the worst discrepancy.
-The sweeps are the draws of `numpy.random.default_rng(seed)`, bit for bit,
-computed by `_pcg64`, and each sample takes one oracle call: nothing here
-or in the oracles loads numpy.  A suite whose oracle finds its integrand
-not constant between the plate dislocations (PiecewiseConstantError) fails
-with an infinite error and says so in its detail; a NaN discrepancy fails
-its suite with a NaN error.  The sign suite
+oracle over a fixed-seed random sweep of a fixed size and reports the worst
+discrepancy.  The sweeps are the draws of `numpy.random.default_rng(seed)`,
+bit for bit, computed by `_pcg64`, and each sample takes one oracle call:
+nothing here or in the oracles loads numpy.  Every closed form and oracle
+is called through this module's global name.  A suite whose oracle finds
+its integrand not constant between the plate dislocations
+(PiecewiseConstantError) fails with an infinite error and says so in its
+detail; a NaN discrepancy fails its suite with a NaN error.  The sign suite
 additionally evaluates the conjugate-phase overlap variant and passes only
 if that variant *fails* against the oracle, recording the adjudication
 numbers in its detail string.
@@ -36,6 +37,9 @@ from .coincidence import (
 SUITE_NAMES = ("azimuthal", "coincidence", "appendix-a", "sign-check")
 
 _SEED = 20240913
+_PAIRS = 500  # the azimuthal and sign suites' samples
+_COINCIDENCE_SETTINGS = 200
+_CLOSED_FORM_SETTINGS = 500
 
 SuiteResult = namedtuple("SuiteResult", "name passed max_error tolerance detail", defaults=("",))
 
@@ -47,50 +51,52 @@ def _rng(seed: int):
     return Generator(pcg64((seed,)))
 
 
-def _broken_premise(name: str, tolerance: float, exc: PiecewiseConstantError) -> SuiteResult:
-    """The failed result of a suite whose oracle found its integrand not piecewise constant."""
-    return SuiteResult(name, False, math.inf, tolerance, f"oracle premise broken: {exc}")
-
-
 def _worse(worst: float, error: float) -> float:
     """The larger of two errors, NaN if either is (`max` keeps whichever comes first)."""
     return worst if error <= worst or worst != worst else error
+
+
+def _fold(name: str, tolerance: float, errors, detail) -> SuiteResult:
+    """A suite's result from the generator of its discrepancies.
+
+    The worst discrepancy is NaN if any is, and `detail(worst)` describes
+    the sweep.  An oracle that finds its integrand not piecewise constant
+    fails the suite with an infinite error.
+    """
+    worst = 0.0
+    try:
+        for error in errors:
+            worst = _worse(worst, error)
+    except PiecewiseConstantError as exc:
+        return SuiteResult(name, False, math.inf, tolerance, f"oracle premise broken: {exc}")
+    return SuiteResult(name, worst <= tolerance, worst, tolerance, detail(worst))
 
 
 def _random_half_integer(rng) -> StepIndex:
     return StepIndex.half_integer(rng.integers(0, 4))
 
 
-def _random_pairs(seed: int, samples: int):
+def _random_pairs(seed: int):
     rng = _rng(seed)
-    for _ in range(samples):
+    for _ in range(_PAIRS):
         mu = rng.uniform(0.0, TAU)
         nu = rng.uniform(0.0, TAU)
         yield mu, nu, _random_half_integer(rng)
 
 
-def run_azimuthal_suite(samples: int = 500, closed_form=overlap_integral) -> SuiteResult:
+def run_azimuthal_suite() -> SuiteResult:
     """Closed-form plate overlap against direct quadrature."""
-    tolerance = 1e-9
-    worst = 0.0
-    try:
-        for mu, nu, step in _random_pairs(_SEED, samples):
-            oracle = overlap_integral_quadrature(mu, nu, step)
-            worst = _worse(worst, abs(closed_form(mu, nu, step) - oracle))
-    except PiecewiseConstantError as exc:
-        return _broken_premise("azimuthal", tolerance, exc)
-    return SuiteResult(
-        name="azimuthal",
-        passed=worst <= tolerance,
-        max_error=worst,
-        tolerance=tolerance,
-        detail=f"{samples} random orientation pairs, half-integer step indices",
+    errors = (
+        abs(overlap_integral(mu, nu, step) - overlap_integral_quadrature(mu, nu, step))
+        for mu, nu, step in _random_pairs(_SEED)
     )
+    detail = f"{_PAIRS} random orientation pairs, half-integer step indices"
+    return _fold("azimuthal", 1e-9, errors, lambda _: detail)
 
 
-def _coincidence_settings(samples: int):
+def _coincidence_settings():
     rng = _rng(_SEED + 1)
-    for k in range(samples):
+    for k in range(_COINCIDENCE_SETTINGS):
         aux = tuple(rng.uniform(0.0, TAU) for _ in range(4)) if k % 2 else (0.0, 0.0, 0.0, 0.0)
         yield ExperimentSettings(
             alpha=rng.uniform(0.0, TAU),
@@ -102,30 +108,23 @@ def _coincidence_settings(samples: int):
         )
 
 
-def run_coincidence_suite(samples: int = 200, overlap=overlap_integral) -> SuiteResult:
+def run_coincidence_suite() -> SuiteResult:
     """Closed-form coincidence amplitudes against azimuthal quadrature."""
-    tolerance = 1e-8
-    worst = 0.0
-    try:
-        for s in _coincidence_settings(samples):
+
+    def errors():
+        for s in _coincidence_settings():
             quad = amplitude_matrix_quadrature(s)
-            closed = amplitude_matrix(s, overlap=overlap)
+            closed = amplitude_matrix(s)
             for c, q in zip(closed.c[0] + closed.c[1], quad.c[0] + quad.c[1]):
-                worst = _worse(worst, abs(c - q))
-    except PiecewiseConstantError as exc:
-        return _broken_premise("coincidence", tolerance, exc)
-    return SuiteResult(
-        name="coincidence",
-        passed=worst <= tolerance,
-        max_error=worst,
-        tolerance=tolerance,
-        detail=f"{samples} random settings, auxiliary phases on half of them",
-    )
+                yield abs(c - q)
+
+    detail = f"{_COINCIDENCE_SETTINGS} random settings, auxiliary phases on half of them"
+    return _fold("coincidence", 1e-8, errors(), lambda _: detail)
 
 
-def _closed_form_settings(samples: int):
+def _closed_form_settings():
     rng = _rng(_SEED + 2)
-    for _ in range(samples):
+    for _ in range(_CLOSED_FORM_SETTINGS):
         delta = rng.uniform(-math.pi, math.pi)
         beta = rng.uniform(0.0, TAU)
         yield ExperimentSettings(
@@ -137,59 +136,42 @@ def _closed_form_settings(samples: int):
         )
 
 
-def run_closed_form_suite(samples: int = 500) -> SuiteResult:
+def run_closed_form_suite() -> SuiteResult:
     """Closed-form probability sums against quadrature p-sums, relative error."""
-    tolerance = 1e-8
-    worst = 0.0
-    try:
-        for s in _closed_form_settings(samples):
-            m = amplitude_matrix_quadrature(s)
+
+    def errors():
+        for s in _closed_form_settings():
+            (p11, p12), (p21, p22) = amplitude_matrix_quadrature(s).p
             closed = closed_form_probabilities(s.delta(), s.theta_a, s.theta_b)
-            (p11, p12), (p21, p22) = m.p
             quad = (p11, p11 + p12, p11 + p21, p11 + p12 + p21 + p22)
             for c, q in zip(closed, quad):
-                worst = _worse(worst, abs(c - q) / max(abs(q), 1e-9 * quad[3]))
-    except PiecewiseConstantError as exc:
-        return _broken_premise("appendix-a", tolerance, exc)
-    return SuiteResult(
-        name="appendix-a",
-        passed=worst <= tolerance,
-        max_error=worst,
-        tolerance=tolerance,
-        detail=f"{samples} random (delta, theta_a, theta_b) triples, l in 0..2",
-    )
+                yield abs(c - q) / max(abs(q), 1e-9 * quad[3])
+
+    detail = f"{_CLOSED_FORM_SETTINGS} random (delta, theta_a, theta_b) triples, l in 0..2"
+    return _fold("appendix-a", 1e-8, errors(), lambda _: detail)
 
 
-def run_sign_suite(samples: int = 500, closed_form=overlap_integral) -> SuiteResult:
+def run_sign_suite() -> SuiteResult:
     """Adjudicate the overlap phase sign against the quadrature oracle.
 
     Passes only if the primary closed form agrees with quadrature AND the
     conjugate-phase variant disagrees badly, proving the oracle would catch
     a flipped sign.
     """
-    tolerance = 1e-9
-    worst_primary = 0.0
-    worst_flipped = 0.0
-    try:
-        for mu, nu, step in _random_pairs(_SEED + 3, samples):
+    flipped = [0.0]  # the conjugate-phase variant's worst error
+
+    def errors():
+        for mu, nu, step in _random_pairs(_SEED + 3):
             oracle = overlap_integral_quadrature(mu, nu, step)
-            worst_primary = _worse(worst_primary, abs(closed_form(mu, nu, step) - oracle))
-            worst_flipped = _worse(
-                worst_flipped, abs(overlap_integral_opposite_phase(mu, nu, step) - oracle)
-            )
-    except PiecewiseConstantError as exc:
-        return _broken_premise("sign-check", tolerance, exc)
-    passed = worst_primary <= tolerance and worst_flipped > 1e-3
-    return SuiteResult(
-        name="sign-check",
-        passed=passed,
-        max_error=worst_primary,
-        tolerance=tolerance,
-        detail=(
-            f"primary-sign max error {worst_primary:.3e}; "
-            f"conjugate-phase variant max error {worst_flipped:.3e} (must be large)"
-        ),
-    )
+            flipped[0] = _worse(flipped[0], abs(overlap_integral_opposite_phase(mu, nu, step) - oracle))
+            yield abs(overlap_integral(mu, nu, step) - oracle)
+
+    def detail(worst):
+        return (f"primary-sign max error {worst:.3e}; "
+                f"conjugate-phase variant max error {flipped[0]:.3e} (must be large)")
+
+    result = _fold("sign-check", 1e-9, errors(), detail)
+    return result._replace(passed=result.passed and flipped[0] > 1e-3)
 
 
 def select_suites(names=None) -> tuple[str, ...]:

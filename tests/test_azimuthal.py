@@ -40,8 +40,9 @@ def test_step_index_rejects_nonpositive():
     for bad in (0.0, -0.5, math.nan, math.inf):
         with pytest.raises(ValueError):
             StepIndex(bad)
-    with pytest.raises(ValueError):
-        StepIndex.half_integer(-1)
+    for bad in (-1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="l must be a nonnegative integer"):
+            StepIndex.half_integer(bad)
 
 
 def test_step_index_bound_keeps_closed_form_within_oracle_tolerance():

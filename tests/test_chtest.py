@@ -5,6 +5,8 @@ import pstats
 import numpy as np
 import pytest
 
+import oamch.chtest
+import oamch.coincidence
 from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.chtest import (
     CANONICAL_THETAS,
@@ -34,20 +36,24 @@ def test_canonical_angles_reach_maximum_violation():
         assert result.s == pytest.approx(MAX_CH_VIOLATION, abs=1e-9)
 
 
-def test_ch_parameter_makes_one_amplitude_call_and_two_overlaps():
+def test_ch_parameter_makes_one_amplitude_call_and_two_overlaps(monkeypatch):
+    plain = ch_parameter(canonical_settings(0.7))
     calls = []
 
     def overlap(mu, nu, step):
         calls.append("overlap")
         return overlap_integral(mu, nu, step)
 
-    def amplitude_fn(settings):
+    def amplitude(settings):
         calls.append("amplitude")
-        return amplitude_matrix(settings, overlap=overlap)
+        return amplitude_matrix(settings)
 
-    result = ch_parameter(canonical_settings(0.7), amplitude_fn=amplitude_fn)
+    with monkeypatch.context() as patch:
+        patch.setattr(oamch.coincidence, "overlap_integral", overlap)
+        patch.setattr(oamch.chtest, "amplitude_matrix", amplitude)
+        result = ch_parameter(canonical_settings(0.7))
     assert calls == ["amplitude", "overlap", "overlap"] * 4  # one call per setting
-    assert result == ch_parameter(canonical_settings(0.7))
+    assert result == plain
     # and no evaluation hides inside the overlap itself (its mu < nu branch)
     profiler = cProfile.Profile()
     profiler.runcall(ch_parameter, canonical_settings(0.7))
@@ -87,7 +93,7 @@ def test_ch_combination_rescaling_invariance():
     assert ch_from_probabilities(*(3.7 * p for p in probs)) == pytest.approx(s, rel=1e-13)
 
 
-def test_analytic_and_quadrature_paths_agree():
+def test_analytic_and_quadrature_paths_agree(monkeypatch):
     rng = np.random.default_rng(30)
     for _ in range(10):
         cfg = ChSettings(
@@ -97,7 +103,9 @@ def test_analytic_and_quadrature_paths_agree():
             step_index=StepIndex.half_integer(int(rng.integers(0, 3))),
         )
         s_analytic = ch_parameter(cfg).s
-        s_quad = ch_parameter(cfg, amplitude_fn=amplitude_matrix_quadrature).s
+        with monkeypatch.context() as patch:
+            patch.setattr(oamch.chtest, "amplitude_matrix", amplitude_matrix_quadrature)
+            s_quad = ch_parameter(cfg).s
         assert s_quad == pytest.approx(s_analytic, abs=1e-8)
 
 

@@ -48,6 +48,11 @@ CASES = [
          "total coincidence probability must be positive", "value"),
     Case(McConfig, (1000.0,), (1000, 1.0, 1.0, 0), {"trials": 0},
          "trials must be an integer in [1, 2**63), got 0", "value"),
+    # a non-finite seed is checked against its range before any int() conversion
+    Case(McConfig, (1000.0,), (1000, 1.0, 1.0, 0), {"seed": math.inf},
+         "seed must be a 64-bit unsigned integer, got inf", "value"),
+    Case(McConfig, (1000.0,), (1000, 1.0, 1.0, 0), {"seed": math.nan},
+         "seed must be a 64-bit unsigned integer, got nan", "value"),
     Case(CountRecord, ("ab", [[1, 2], [3, 4]], 12, 2), ("ab", ((1, 2), (3, 4)), 12, 2),
          {"trials": 13}, "counts plus no-coincidence outcomes must equal trials", "value"),
     # counts that add up, with a negative or a fractional no-coincidence count
@@ -71,6 +76,10 @@ CASES = [
          "stderr must be nonnegative", "unhashable"),
     Case(ScanGrid, (4, 5.0), (4, 5, "fixed-canonical", 0.204), {"alpha_steps": 1},
          "alpha_steps must be an integer >= 2", "value"),
+    Case(ScanGrid, (4, 5.0), (4, 5, "fixed-canonical", 0.204), {"alpha_steps": math.inf},
+         "alpha_steps must be an integer >= 2", "value"),
+    Case(ScanGrid, (4, 5.0), (4, 5, "fixed-canonical", 0.204), {"beta_steps": math.nan},
+         "beta_steps must be an integer >= 2", "value"),
     Case(ScanResult, ([0.0], [0.0, 1.0], [0, 1], [CANONICAL_THETAS] * 2, [0.1, 0.3], [False, True]),
          ([0.0], [0.0, 1.0], [0, 1], [CANONICAL_THETAS] * 2, [0.1, 0.3], [False, True]),
          {"key": []}, "scan produced no rows", "unhashable"),
@@ -120,7 +129,6 @@ def test_record_semantics(case):
     if case.equality in ("value", "unhashable"):
         assert rec == twin and not rec != twin
     if case.equality == "value":
-        # validate collects oracle blocks in a dict keyed by StepIndex
         assert hash(rec) == hash(twin)
         assert {rec: "stored"}[twin] == "stored"
     if case.equality == "unhashable":

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oamch.chtest
 from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.chtest import CANONICAL_THETAS, MAX_CH_VIOLATION, ChSettings, ch_parameter
 from oamch.coincidence import amplitude_matrix_quadrature
@@ -36,11 +37,15 @@ def _random_points(seed, count=12):
         yield alpha, beta, step
 
 
-def _s_via_ch_parameter(alpha, beta, step, thetas, amplitude_fn=None):
-    cfg = ChSettings(*thetas, alpha=alpha, beta=beta, step_index=step)
-    if amplitude_fn is None:
-        return ch_parameter(cfg).s
-    return ch_parameter(cfg, amplitude_fn=amplitude_fn).s
+def _s_via_ch_parameter(alpha, beta, step, thetas):
+    return ch_parameter(ChSettings(*thetas, alpha=alpha, beta=beta, step_index=step)).s
+
+
+def _s_via_quadrature(monkeypatch, alpha, beta, step, thetas):
+    """`ch_parameter`'s S with the quadrature oracle in place of the closed-form amplitudes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(oamch.chtest, "amplitude_matrix", amplitude_matrix_quadrature)
+        return _s_via_ch_parameter(alpha, beta, step, thetas)
 
 
 def _optimum(alpha, beta, step):
@@ -150,21 +155,17 @@ def test_optimizer_is_locally_optimal():
                 assert land.value(*moved)[0] <= s + 1e-15
 
 
-def test_optimizer_matches_quadrature_ch_parameter():
+def test_optimizer_matches_quadrature_ch_parameter(monkeypatch):
     for alpha, beta, step in _random_points(54, count=6):
         thetas, s = _optimum(alpha, beta, step)
-        s_quad = _s_via_ch_parameter(
-            alpha, beta, step, thetas, amplitude_fn=amplitude_matrix_quadrature
-        )
+        s_quad = _s_via_quadrature(monkeypatch, alpha, beta, step, thetas)
         assert s_quad == pytest.approx(s, abs=1e-8)
 
 
-def test_optimizer_half_turn_misalignment_cross_check():
+def test_optimizer_half_turn_misalignment_cross_check(monkeypatch):
     alpha = 0.7
     thetas, s = _optimum(alpha, alpha + math.pi, HALF)
-    s_quad = _s_via_ch_parameter(
-        alpha, alpha + math.pi, HALF, thetas, amplitude_fn=amplitude_matrix_quadrature
-    )
+    s_quad = _s_via_quadrature(monkeypatch, alpha, alpha + math.pi, HALF, thetas)
     assert s_quad == pytest.approx(s, abs=1e-8)
 
 

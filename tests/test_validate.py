@@ -52,32 +52,36 @@ def test_suite_filtering_keeps_canonical_order():
 
 
 def test_sign_suite_records_both_errors():
-    result = run_sign_suite(samples=100)
+    result = run_sign_suite()
     assert result.passed
     assert result.max_error <= 1e-9
     assert "conjugate-phase variant" in result.detail
 
 
-def test_injected_sign_flip_fails_azimuthal_suite():
-    result = run_azimuthal_suite(samples=100, closed_form=overlap_integral_opposite_phase)
+def test_injected_sign_flip_fails_azimuthal_suite(monkeypatch):
+    monkeypatch.setattr(oamch.validate, "overlap_integral", overlap_integral_opposite_phase)
+    result = run_azimuthal_suite()
     assert not result.passed
     # worst discrepancy lands on the scale of the full-turn integral
     assert result.max_error > 1.0
 
 
-def test_injected_sign_flip_fails_sign_suite():
-    result = run_sign_suite(samples=100, closed_form=overlap_integral_opposite_phase)
+def test_injected_sign_flip_fails_sign_suite(monkeypatch):
+    monkeypatch.setattr(oamch.validate, "overlap_integral", overlap_integral_opposite_phase)
+    result = run_sign_suite()
     assert not result.passed
 
 
-def test_injected_sign_flip_fails_coincidence_suite():
-    result = run_coincidence_suite(samples=40, overlap=overlap_integral_opposite_phase)
+def test_injected_sign_flip_fails_coincidence_suite(monkeypatch):
+    # the closed-form amplitudes take their overlaps through the coincidence module
+    monkeypatch.setattr(oamch.coincidence, "overlap_integral", overlap_integral_opposite_phase)
+    result = run_coincidence_suite()
     assert not result.passed
     assert result.max_error > 1e-3
 
 
 def test_closed_form_suite_tightness():
-    result = run_closed_form_suite(samples=100)
+    result = run_closed_form_suite()
     assert result.passed
     assert result.max_error < 1e-10
 
@@ -95,10 +99,10 @@ def test_suites_call_the_oracle_once_per_sample(monkeypatch, suite):
         calls.append(args)
         return wrapped(*args)
 
-    plain = suite(samples=40)
+    plain = suite()
     monkeypatch.setattr(oamch.validate, oracle, counting)
-    assert suite(samples=40) == plain
-    assert len(calls) == 40
+    assert suite() == plain
+    assert len(calls) == (200 if suite is run_coincidence_suite else 500)
     # one sample per call: a pair of plates or a single setting, never a sequence
     if overlaps:
         assert all(len(args) == 3 and isinstance(args[0], float) for args in calls)
@@ -193,10 +197,10 @@ def _reference_amplitude_quadrature(settings):
 
 def test_oracles_equal_their_reference_bit_for_bit_on_the_suites_samples():
     seed = oamch.validate._SEED
-    pairs = [*oamch.validate._random_pairs(seed, 500), *oamch.validate._random_pairs(seed + 3, 500)]
+    pairs = [*oamch.validate._random_pairs(seed), *oamch.validate._random_pairs(seed + 3)]
     for mu, nu, step in pairs:
         assert overlap_integral_quadrature(mu, nu, step) == _reference_overlap_quadrature(mu, nu, step)
-    settings = [*oamch.validate._coincidence_settings(200), *oamch.validate._closed_form_settings(500)]
+    settings = [*oamch.validate._coincidence_settings(), *oamch.validate._closed_form_settings()]
     for s in settings:
         assert amplitude_matrix_quadrature(s).c == _reference_amplitude_quadrature(s), s
 
@@ -258,8 +262,8 @@ def test_suite_samples_are_numpys():
             beta + delta, beta, theta_a, theta_b, StepIndex.half_integer(int(rng.integers(0, 3)))
         )
 
-    assert list(oamch.validate._random_pairs(seed, 500)) == _numpy_samples(seed, 500, pair)
-    assert list(oamch.validate._random_pairs(seed + 3, 500)) == _numpy_samples(seed + 3, 500, pair)
-    assert list(oamch.validate._coincidence_settings(200)) == _numpy_samples(seed + 1, 200, coincidence)
-    assert list(oamch.validate._closed_form_settings(500)) == _numpy_samples(seed + 2, 500, closed_form)
+    assert list(oamch.validate._random_pairs(seed)) == _numpy_samples(seed, 500, pair)
+    assert list(oamch.validate._random_pairs(seed + 3)) == _numpy_samples(seed + 3, 500, pair)
+    assert list(oamch.validate._coincidence_settings()) == _numpy_samples(seed + 1, 200, coincidence)
+    assert list(oamch.validate._closed_form_settings()) == _numpy_samples(seed + 2, 500, closed_form)
 
