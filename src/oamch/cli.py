@@ -13,10 +13,8 @@ coincidences, 2 config error, 3 output I/O error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import operator
-import os
 import sys
 from pathlib import Path
 
@@ -30,7 +28,7 @@ from .montecarlo import (
     frequency,
     simulate_ch_runs,
 )
-from .search import scan_alpha_beta
+from .search import FIXED_THETAS, scan_alpha_beta
 from .validate import SUITE_NAMES, run_suites, select_suites
 
 
@@ -206,59 +204,51 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
 _CSV_HEADER = "alpha,beta,theta_a,theta_a_prime,theta_b,theta_b_prime,S,exceeds_threshold"
 _ROW_KEYS = ("alpha", "beta", "theta_a", "theta_a_prime", "theta_b", "theta_b_prime", "s",
              "exceeds_threshold")
-# One row of each artifact, a `%(key)s` per cell, alpha and beta first: CSV rows
-# end in a newline, and a JSON row, as `json.dumps(indent=2, sort_keys=True)`
-# writes it inside `results.rows`, starts with the ",\n" that separates it.
-_CSV_ROW = ",".join(f"%({k})s" for k in _ROW_KEYS) + "\n"
-_JSON_ROW = ",\n      {\n" + ",\n".join(f'        "{k}": %({k})s' for k in sorted(_ROW_KEYS)) + "\n      }"
-# Rows a writer formats and writes at a time.
-_CHUNK_ROWS = 4096
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_float(x: float) -> str:
-    """A float as `json.dumps` writes it."""
-    text = repr(x)
-    return _JSON_NONFINITE.get(text, text)
+def _layout(start: str, sep: str, end: str, cells: dict, thetas=None) -> tuple:
+    """A row's alpha part and beta part, as templates, and its tail, as a scan `tail` function.
 
-
-def _write_rows(fh, result, row: str, fmt, skip: int = 0) -> None:
-    """Write the scan's rows laid out as `row`, less the first `skip` characters.
-
-    A row is its start through alpha's cell, beta's cell, and a tail that
-    depends only on the row's key, so is formatted (floats with `fmt`) once.
+    The row is `start`, `cells` (alpha and beta first) joined by `sep`, and
+    `end`; angles given as `thetas`, the same on every row, are written in once.
     """
-    head, rest = row.split("%(alpha)s")
-    middle, tail = rest.split("%(beta)s")
-    alphas = [head + fmt(a) + middle for a in result.alpha]
-    betas = [fmt(b) for b in result.beta]
-    # the tail as a positional template, and its cells in the order it names them
-    names = sorted(_ROW_KEYS[2:], key=lambda k: tail.index(f"%({k})s"))
+    names = list(cells)[2:]
+    if thetas is not None:
+        cells = {**cells, **{k: cells[k] % x for k, x in zip(_ROW_KEYS[2:6], thetas)}}
+        names = [k for k in names if k not in _ROW_KEYS[2:6]]
+    tail = sep.join(list(cells.values())[2:]) + end
     order = operator.itemgetter(*map(_ROW_KEYS[2:].index, names))
-    tail = tail % dict.fromkeys(names, "%s")
-    tails, last, texts = [], (None,) * 4, (None,) * 4
-    for thetas, s, flag in zip(result.key_thetas, result.key_s, result.key_exceeds_threshold):
-        # an angle that is the last key's own object keeps its text (shared angles)
-        if thetas is not last:
-            texts = [text if x is y else fmt(x) for x, y, text in zip(thetas, last, texts)]
-            last = thetas
-        tails.append(tail % order((*texts, fmt(s), "true" if flag else "false")))
-    # row i takes alphas[i // len(betas)], betas[i % len(betas)] and its key's tail
-    alpha_cells = itertools.chain.from_iterable(itertools.repeat(a, len(betas)) for a in alphas)
-    cells = itertools.chain.from_iterable(
-        zip(alpha_cells, itertools.cycle(betas), map(tails.__getitem__, result.key)))
-    while text := "".join(itertools.islice(cells, 3 * _CHUNK_ROWS)):
-        fh.write(text[skip:])
+
+    def text(thetas, s, flag) -> str:
+        return tail % order((*thetas, s, "true" if flag else "false"))
+
+    return start + cells["alpha"] + sep, cells["beta"] + sep, text
+
+
+# A row of each artifact, a %-conversion per cell.  "%.9g" is format(x, ".9g"),
+# and "%r" json's text of a finite float (a scan's angles and S are finite).  A
+# JSON row, as `json.dumps(indent=2, sort_keys=True)` writes it inside
+# `results.rows`, starts with the ",\n" that separates it.
+_CSV_ROW = ("", ",", "\n", {k: "%s" if k == "exceeds_threshold" else "%.9g" for k in _ROW_KEYS})
+_JSON_ROW = (",\n      {\n", ",\n", "\n      }", {
+    k: f'        "{k}": ' + ("%s" if k == "exceeds_threshold" else "%r") for k in sorted(_ROW_KEYS)})
+
+
+def _write_rows(fh, scan, row: tuple, skip: int = 0) -> None:
+    """Write the scan's rows laid out as `row`, less the first `skip` characters, a chunk at a time."""
+    alpha, beta, _ = row
+    columns = cells = None
+    for alphas, betas, tails in scan:
+        if betas != columns:  # chunks of whole alpha rows share their betas
+            columns, cells = betas, [beta % b for b in betas]
+        # a row is its alpha's part, its beta's part and its tail
+        pieces, width = [None] * (3 * len(tails)), 3 * len(betas)
+        for k, a in enumerate(alphas):
+            pieces[k * width:(k + 1) * width:3] = [alpha % a] * len(betas)
+        pieces[1::3] = cells * len(alphas)
+        pieces[2::3] = tails
+        fh.write("".join(pieces)[skip:])
         skip = 0
-
-
-def _write_json_scan(fh, config: RunConfig, result, best: dict) -> None:
-    """Write the artifact `json.dumps(document, indent=2, sort_keys=True)` gives, streaming the rows."""
-    empty = json.dumps(_document("scan", config, {"rows": [], "best": best}), indent=2, sort_keys=True)
-    head, tail = empty.rsplit('"rows": []', 1)
-    fh.write(head + '"rows": [\n')
-    _write_rows(fh, result, _JSON_ROW, _json_float, skip=2)
-    fh.write("\n    ]" + tail + "\n")
 
 
 def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
@@ -270,37 +260,27 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
         raise ConfigError("scan needs an output path (--out or output.path)")
     fmt = args.format or config.output.format
 
-    # open first, so an unwritable path fails before the landscape is computed;
-    # "a" truncates nothing, so a refused grid leaves the path as it was
-    created = not os.path.exists(out_path)
-    open(out_path, "a", encoding="utf-8").close()
-    try:
-        result = scan_alpha_beta(grid, settings.step_index)
-    except ValueError as exc:  # a grid with too many relative orientations
-        if created:
-            os.remove(out_path)
-        raise ConfigError(str(exc)) from None
-    best = dict(zip(_ROW_KEYS, result.row(result.best)))
+    row = _layout(*(_JSON_ROW if fmt == "json" else _CSV_ROW), FIXED_THETAS.get(grid.theta_policy))
+    # open first, so an unwritable path fails before the landscape is computed
     with open(out_path, "w", encoding="utf-8") as fh:
+        scan = scan_alpha_beta(grid, settings.step_index, row[2])
         if fmt == "json":
-            _write_json_scan(fh, config, result, best)
+            for _ in scan:  # a pass for the best row, which the document puts before the rows
+                pass
+            best = dict(zip(_ROW_KEYS, scan.result.best))
+            empty = json.dumps(_document("scan", config, {"rows": [], "best": best}), indent=2, sort_keys=True)
+            head, tail = empty.rsplit('"rows": []', 1)
+            fh.write(head + '"rows": [\n')
+            _write_rows(fh, scan, row, skip=2)
+            fh.write("\n    ]" + tail + "\n")
         else:
             fh.write(_CSV_HEADER + "\n")
-            _write_rows(fh, result, _CSV_ROW, _g9)
+            _write_rows(fh, scan, row)
 
-    summary = _document(
-        "scan-summary",
-        config,
-        {
-            "artifact": str(out_path),
-            "format": fmt,
-            "rows": len(result.key),
-            "threshold": grid.threshold,
-            "exceeding": result.exceeding,
-            "best": best,
-        },
-    )
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    rows, exceeding, best = scan.result
+    summary = {"artifact": str(out_path), "format": fmt, "rows": rows, "threshold": grid.threshold,
+               "exceeding": exceeding, "best": dict(zip(_ROW_KEYS, best))}
+    sys.stdout.write(json.dumps(_document("scan-summary", config, summary), indent=2, sort_keys=True) + "\n")
     return 0
 
 

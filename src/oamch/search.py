@@ -7,12 +7,14 @@ in the four angles (`ChLandscape`).  The per-point optimum over the
 splitter angles is exact, read off the x-z block of the state's
 correlation tensor (Horodecki criterion for coplanar settings).
 
-A scan row's overlaps depend only on its relative plate orientation, so the
-scan evaluates each distinct one once, in pure Python (`ScanResult`).
+A scan row's overlaps depend only on its relative plate orientation, its
+key.  The scan streams the rows and evaluates, in pure Python, the keys its
+bounded memo does not hold (`Scan`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict, namedtuple
 
@@ -20,19 +22,13 @@ from .azimuthal import TAU, StepIndex, difference_overlaps, overlap_integral, wr
 from .chtest import CANONICAL_THETAS
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
+FIXED_THETAS = {"fixed-canonical": CANONICAL_THETAS}  # the angles a policy gives every row
 
-# A scan row costs about 0.5 us as CSV and 0.9 us as JSON, and 8 bytes; a key (see
-# `scan_alpha_beta`) 5-6 us and a few hundred bytes.  At 2^20 points, 1024 x 1024
-# (35,221 keys) takes 0.7-0.8 s as CSV and 1.1-1.4 s as optimized JSON, up to 49 MB;
-# 93 x 91, a key per row and near `max_scan_keys`, 0.13-0.19 s and 0.15-0.21 s
-# (os.wait4 from a small parent, medians of 7 runs, two passes; 2-core Intel Xeon
-# x86-64 VM, Python 3.11).
+# A scan row costs about 0.5 us as CSV, 0.9 us as JSON, and a new key 5-10 us (README, Domain limits)
 MAX_SCAN_POINTS = 2**20
-
-
-def max_scan_keys(points: int) -> int:
-    """The most keys, distinct relative plate orientations, a scan of `points` rows may have."""
-    return 2**13 + points // 24
+# The most rows a scan handles at a time, and the most keys its memo holds
+_CHUNK_ROWS = 4096
+_MEMO_KEYS = 2**16
 
 
 class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy threshold")):
@@ -56,34 +52,15 @@ class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy thres
         return tuple.__new__(cls, fields)
 
 
-class ScanResult(namedtuple("ScanResult", "alpha beta key key_thetas key_s key_exceeds_threshold")):
-    """The scanned lattice: a key number per row, and per key its angles, S and flag.
-
-    Rows run in (alpha index, beta index) order; keys are numbered by first
-    row.  The `key_` fields are indexed by key, not by row: read rows with `row`.
-    """
+class ScanResult(namedtuple("ScanResult", "rows exceeding best")):
+    """A scan's row count, its flagged rows, and its first row with the largest S, as the scan yields rows."""
 
     __slots__ = ()
 
-    def __new__(cls, alpha, beta, key, key_thetas, key_s, key_exceeds_threshold):
-        if not key:
+    def __new__(cls, rows, exceeding, best):
+        if not rows:
             raise ValueError("scan produced no rows")
-        return tuple.__new__(cls, (alpha, beta, key, key_thetas, key_s, key_exceeds_threshold))
-
-    def row(self, i: int) -> tuple:
-        """Row i: alpha, beta, the four thetas, S and the flag."""
-        j, (a, b) = self.key[i], divmod(i, len(self.beta))
-        return self.alpha[a], self.beta[b], *self.key_thetas[j], self.key_s[j], self.key_exceeds_threshold[j]
-
-    @property
-    def exceeding(self) -> int:
-        """The number of flagged rows."""
-        return sum(map(self.key_exceeds_threshold.__getitem__, self.key))
-
-    @property
-    def best(self) -> int:
-        """The first row with the largest S: the first row of the first such key."""
-        return self.key.index(max(range(len(self.key_s)), key=self.key_s.__getitem__))
+        return tuple.__new__(cls, (rows, exceeding, best))
 
 
 class ChLandscape:
@@ -165,39 +142,80 @@ def optimize_thetas(land: ChLandscape):
     return thetas, s
 
 
-def scan_alpha_beta(grid: ScanGrid, step_index: StepIndex) -> ScanResult:
-    """Evaluate S over the alpha x beta lattice covering [0, 2*pi)^2.
+class Scan:
+    """S over the alpha x beta lattice covering [0, 2*pi)^2, evaluated as its rows are read.
 
-    The plate angles are i * (2*pi / steps), numpy's `linspace(0, 2*pi,
-    steps, endpoint=False)` bit for bit.  With m and n a row's plates, k is a
-    function of the signed difference m - n alone and q of m - wrap(n + pi),
-    so S and the angles are a function of that pair, the row's key.  Each
-    overlap and key is evaluated once, which gives every row the bits of its
-    own plates; more keys than `max_scan_keys` allows raise a ValueError.
+    A pass (iterating) yields the rows in (alpha index, beta index) order as
+    chunks (alphas, betas, tails) of at most `_CHUNK_ROWS` rows alphas x betas;
+    a row's tail is `tail(thetas, S, flag)`, by default (*thetas, S, flag).
+    The first full pass sets `result`.  A row's key, the signed differences
+    (m - n, m - wrap(n + pi)) of its plates m and n, fixes its angles and S.
+    The memo numbers the keys by first appearance and keeps their tails; a
+    chunk's new keys are evaluated together, and a chunk that could take the
+    memo past `_MEMO_KEYS` keys starts from an empty one.
     """
-    alpha = [i * (TAU / grid.alpha_steps) for i in range(grid.alpha_steps)]
-    beta = [j * (TAU / grid.beta_steps) for j in range(grid.beta_steps)]
-    # a row's key as complex(m, m) - complex(n, wrap(n + pi)): complex subtraction
-    # rounds each part on its own, so equal keys are equal float pairs
-    opposite = [complex(n, wrap_angle(n + math.pi)) for n in beta]
-    limit = max_scan_keys(len(alpha) * len(beta))
 
-    def next_number() -> int:  # numbers keys in order of first appearance
-        if len(numbers) == limit:
-            raise ValueError(f"the grid has more than {limit} distinct relative plate "
-                             "orientations; steps that share a larger factor repeat them")
-        return len(numbers)
+    def __init__(self, grid: ScanGrid, step_index: StepIndex, tail=None):
+        self.grid, self.step_index, self.result = grid, step_index, None
+        self.tail = tail or (lambda thetas, s, flag: (*thetas, s, flag))
+        self._forget()
 
-    numbers, key = defaultdict(next_number), []
-    for m in alpha:
-        key.extend(map(numbers.__getitem__, map(complex(m, m).__sub__, opposite)))
-    # one overlap per signed plate difference
-    differences = {d for z in numbers for d in (z.real, z.imag)}
-    overlaps = dict(zip(differences, difference_overlaps(differences, step_index)))
-    land = ChLandscape([overlaps[z.real] for z in numbers], [overlaps[z.imag] for z in numbers])
-    if grid.theta_policy == "optimize-per-point":
-        thetas, s = optimize_thetas(land)
-    else:
-        s = land.value(*CANONICAL_THETAS)
-        thetas = [CANONICAL_THETAS] * len(s)
-    return ScanResult(alpha, beta, key, thetas, s, [value > grid.threshold for value in s])
+    def _forget(self) -> None:
+        """Empty the memo: a number per key, by number its tail and flag, and each difference's overlap."""
+        self._numbers = defaultdict(itertools.count().__next__)
+        self._tails, self._flags, self._flagged, self._overlaps = [], [], 0, {}
+
+    def _evaluate(self, keys: list) -> tuple[list, list, list]:
+        """Each key's angles, S and flag."""
+        overlaps = self._overlaps
+        differences = {d for z in keys for d in (z.real, z.imag)}.difference(overlaps)
+        overlaps.update(zip(differences, difference_overlaps(differences, self.step_index)))
+        land = ChLandscape([overlaps[z.real] for z in keys], [overlaps[z.imag] for z in keys])
+        fixed = FIXED_THETAS.get(self.grid.theta_policy)
+        if fixed is None:
+            thetas, s = optimize_thetas(land)
+        else:
+            s = land.value(*fixed)
+            thetas = [fixed] * len(s)
+        return thetas, s, [value > self.grid.threshold for value in s]
+
+    def __iter__(self):
+        alpha_steps, beta_steps = self.grid.alpha_steps, self.grid.beta_steps
+        tally = self.result is None  # from an empty memo, where each key's first row is new
+        if tally:
+            self._forget()
+        span, width = max(1, _CHUNK_ROWS // beta_steps), min(beta_steps, _CHUNK_ROWS)
+        columns = [(j, min(j + width, beta_steps)) for j in range(0, beta_steps, width)]
+        best, exceeding, cached = None, 0, None
+        for i in range(0, alpha_steps, span):
+            # plate angles as numpy's linspace(0, 2*pi, steps, endpoint=False) gives them
+            alphas = [a * (TAU / alpha_steps) for a in range(i, min(i + span, alpha_steps))]
+            for j in columns:
+                if j != cached:  # rows of one chunk's width take their betas once
+                    cached, betas = j, [b * (TAU / beta_steps) for b in range(*j)]
+                    # a key as complex(m, m) - complex(n, wrap(n + pi)), equal float pairs as equal keys
+                    opposite = [complex(n, wrap_angle(n + math.pi)) for n in betas]
+                if len(self._numbers) > _MEMO_KEYS - _CHUNK_ROWS:
+                    self._forget()
+                numbers, tails, flags, known = self._numbers, self._tails, self._flags, len(self._tails)
+                rows = [numbers[plate - z] for plate in map(complex, alphas, alphas) for z in opposite]
+                if len(numbers) > known:
+                    fresh = list(itertools.islice(reversed(numbers), len(numbers) - known))[::-1]
+                    thetas, s, new_flags = self._evaluate(fresh)
+                    tails += map(self.tail, thetas, s, new_flags)
+                    flags += new_flags
+                    self._flagged += sum(new_flags)
+                    # the best row is the first row of the first new key whose S beats every S before
+                    top = max(s)
+                    if tally and (best is None or top > best[6]):
+                        k = s.index(top)
+                        r = rows.index(known + k)
+                        best = (alphas[r // len(betas)], betas[r % len(betas)], *thetas[k], top, new_flags[k])
+                if tally and self._flagged:  # rows of unflagged keys add nothing
+                    exceeding += sum([flags[r] for r in rows])
+                yield alphas, betas, [tails[r] for r in rows]
+        if tally:
+            self.result = ScanResult(alpha_steps * beta_steps, exceeding, best)
+
+
+scan_alpha_beta = Scan  # the name the library and the `scan` command call it by

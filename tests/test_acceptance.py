@@ -116,8 +116,8 @@ def test_criterion_4_integral_sign_adjudication():
 
 def test_criterion_5_search_finds_off_diagonal_violations():
     grid = ScanGrid(alpha_steps=33, beta_steps=33, theta_policy="optimize-per-point")
-    result = scan_alpha_beta(grid, HALF)
-    rows = [result.row(i) for i in range(len(result.key))]
+    rows = [(a, b, *tail) for alphas, betas, tails in scan_alpha_beta(grid, HALF)
+            for (a, b), tail in zip(itertools.product(alphas, betas), tails)]
     hits = [row[6] for row in rows if row[0] != row[1] and row[6] > 0.204]
     assert _report(
         "criterion 5 (off-diagonal violations above 0.204, 33x33 optimized)",

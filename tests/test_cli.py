@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -470,11 +471,11 @@ def test_scan_csv_lines_format_the_library_columns(tmp_path, capsys, policy):
     out = tmp_path / "scan.csv"
     assert main(["scan", "--config", config, "--out", str(out)]) == 0
     loaded = load_config(config)
-    result = scan_alpha_beta(loaded.scan, loaded.experiment.step_index)
+    rows = [(a, b, *tail) for alphas, betas, tails in scan_alpha_beta(loaded.scan, loaded.experiment.step_index)
+            for (a, b), tail in zip(itertools.product(alphas, betas), tails)]
     lines = out.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + 24
-    for i, line in enumerate(lines[1:]):
-        *values, flag = result.row(i)
+    for line, (*values, flag) in zip(lines[1:], rows, strict=True):
         assert line == ",".join([format(v, ".9g") for v in values] + ["true" if flag else "false"])
 
 
@@ -491,29 +492,35 @@ def test_scan_needs_output_path(tmp_path, capsys):
     assert main(["scan", "--config", _write_config(tmp_path)]) == 2
 
 
-def test_scan_with_too_many_relative_orientations_is_a_config_error(tmp_path, capsys):
-    # 256 and 255 share no factor: each of the 65,280 rows has its own key
-    config = _write_config(tmp_path, **{"scan.alpha_steps": 256, "scan.beta_steps": 255})
+# Runs one command as a child and prints its peak RSS in MB, read by os.wait4;
+# spawned straight from pytest, ru_maxrss would carry pytest's own high-water mark
+_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    fd = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(fd, 1)
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)
+"""
+
+
+def test_scan_of_a_grid_without_repeated_keys_stays_small(tmp_path):
+    # 512 and 511 share no factor: each of the 261,632 rows has its own key, and
+    # the scan still holds at most `_MEMO_KEYS` of them (141 MB when all were kept)
+    config = _write_config(tmp_path, **{"scan.alpha_steps": 512, "scan.beta_steps": 511})
     out = tmp_path / "scan.csv"
-    assert main(["scan", "--config", config, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == (
-        "config error: the grid has more than 10912 distinct relative plate orientations; "
-        "steps that share a larger factor repeat them\n")
-    assert captured.out == ""
-    # the refused scan leaves no file behind
-    assert not out.exists()
-
-
-def test_refused_scan_leaves_an_existing_artifact_as_it_was(tmp_path, capsys):
-    config = _write_config(tmp_path, **{"scan.alpha_steps": 256, "scan.beta_steps": 255})
-    out = tmp_path / "keep.csv"
-    out.write_bytes(b"alpha,beta\n0,0\n")
-    os.utime(out, ns=(10**18, 10**18))
-    assert main(["scan", "--config", config, "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert out.read_bytes() == b"alpha,beta\n0,0\n"
-    assert out.stat().st_mtime_ns == 10**18
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "-m", "oamch.cli", "scan", "--config", config, "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    code, peak_mb = proc.stdout.split()
+    assert (code, proc.stderr) == ("0", "")
+    with out.open("rb") as fh:
+        assert sum(1 for _ in fh) == 1 + 512 * 511
+    assert float(peak_mb) < 60.0
 
 
 def test_scan_unwritable_path_exits_3(tmp_path, capsys, monkeypatch):

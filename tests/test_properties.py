@@ -8,15 +8,17 @@ are the same on every run and the suite stays deterministic.
 import cmath
 import contextlib
 import io
+import itertools
 import json
 import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oamch import cli
+from oamch import search
 from oamch.azimuthal import (
     TAU,
     StepIndex,
@@ -25,7 +27,7 @@ from oamch.azimuthal import (
     overlap_integral_opposite_phase,
     wrap_angle,
 )
-from oamch.cli import _document, _g9, _json_float, main
+from oamch.cli import _document, _g9, main
 from oamch.coincidence import ExperimentSettings, amplitude_matrix, amplitude_matrix_quadrature
 from oamch.config import load_config
 from oamch.chtest import CANONICAL_THETAS
@@ -77,23 +79,14 @@ def test_closed_form_agrees_with_quadrature_at_general_step_index(block):
 @PROFILE
 @given(st.lists(st.one_of(st.floats(), st.sampled_from((0.0, -0.0, math.nan, math.inf))), min_size=1))
 def test_column_cells_equal_per_value_formatting(values):
-    assert [_json_float(v) for v in values] == [json.dumps(v) for v in values]
-    assert [_g9(v) for v in values] == [format(v, ".9g") for v in values]
+    # the scan artifacts' %-conversions: "%.9g" for CSV, "%r" for the finite floats of JSON
+    assert [_g9(v) for v in values] == ["%.9g" % v for v in values] == [format(v, ".9g") for v in values]
+    finite = [v for v in values if math.isfinite(v)]
+    assert ["%r" % v for v in finite] == [json.dumps(v) for v in finite]
 
 
-# coprime shapes repeat almost no key, very unequal ones few
-SHAPES = st.one_of(
-    st.sampled_from(((33, 32), (32, 33), (2, 1024), (1024, 2), (3, 64), (33, 33))),
-    st.tuples(st.integers(2, 24), st.integers(2, 24)),
-)
-
-
-@settings(PROFILE, max_examples=60)
-@given(shape=SHAPES, policy=st.sampled_from(THETA_POLICIES), step_index=STEP_VALUES,
-       threshold=st.floats(-0.1, 0.25))
-def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, threshold):
-    step = StepIndex(step_index)
-    result = scan_alpha_beta(ScanGrid(*shape, theta_policy=policy, threshold=threshold), step)
+def _reference_rows(shape, policy, step, threshold) -> list[tuple]:
+    """Every row of a scan from its own plates: `ChLandscape.at`, then `optimize_thetas` or `value`."""
     alphas = np.linspace(0.0, TAU, shape[0], endpoint=False).tolist()
     betas = np.linspace(0.0, TAU, shape[1], endpoint=False).tolist()
     rows = []
@@ -105,22 +98,57 @@ def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, thresho
             else:
                 thetas, (s,) = CANONICAL_THETAS, land.value(*CANONICAL_THETAS)
             rows.append((alpha, beta, *thetas, s, s > threshold))
-    # repr tells -0.0 from 0.0, so the rows are equal bit for bit
-    assert [repr(result.row(i)) for i in range(len(result.key))] == [repr(row) for row in rows]
-    assert result.best == max(range(len(rows)), key=lambda i: rows[i][6])
-    assert result.exceeding == sum(row[7] for row in rows)
+    return rows
+
+
+def _scanned_rows(scan) -> list[tuple]:
+    return [(a, b, *tail) for alphas, betas, tails in scan
+            for (a, b), tail in zip(itertools.product(alphas, betas), tails)]
+
+
+# coprime shapes repeat almost no key, very unequal ones few; 93 x 92 and
+# 2 x 5000 have more keys than a scan once allowed
+SHAPES = st.one_of(
+    st.sampled_from(((33, 32), (32, 33), (2, 1024), (1024, 2), (3, 64), (33, 33), (93, 92), (2, 5000))),
+    st.tuples(st.integers(2, 24), st.integers(2, 24)),
+)
+
+
+@settings(PROFILE, max_examples=60)
+@given(shape=SHAPES, policy=st.sampled_from(THETA_POLICIES), step_index=STEP_VALUES,
+       threshold=st.floats(-0.1, 0.25), sizes=st.sampled_from(((4096, 2**16), (7, 10), (64, 300))))
+@example(shape=(93, 92), policy="optimize-per-point", step_index=0.9979, threshold=0.0, sizes=(4096, 2**16))
+@example(shape=(2, 5000), policy="fixed-canonical", step_index=1.8694, threshold=-0.1, sizes=(64, 300))
+def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, threshold, sizes):
+    # chunks of `sizes[0]` rows and a memo of `sizes[1]` keys, cleared many times over when small
+    step = StepIndex(step_index)
+    rows = _reference_rows(shape, policy, step, threshold)
+    with mock.patch.object(search, "_CHUNK_ROWS", sizes[0]), mock.patch.object(search, "_MEMO_KEYS", sizes[1]):
+        scan = scan_alpha_beta(ScanGrid(*shape, theta_policy=policy, threshold=threshold), step)
+        # repr tells -0.0 from 0.0, so the rows are equal bit for bit
+        assert [repr(row) for row in _scanned_rows(scan)] == [repr(row) for row in rows]
+    assert scan.result.best == max(rows, key=lambda row: row[6])
+    assert scan.result.exceeding == sum(row[7] for row in rows)
 
 
 @settings(PROFILE, max_examples=40)
 @given(shape=st.one_of(SHAPES, st.sampled_from(((93, 91), (91, 93), (31, 29))),
                        st.tuples(st.just(2), st.integers(2, 512))))
 def test_key_numbers_equal_first_appearance_of_float_pairs(shape):
-    result = scan_alpha_beta(ScanGrid(*shape), StepIndex(1.5))
+    # the keys a scan evaluates, batch after batch, are the rows' float pairs
+    # (m - n, m - wrap(n + pi)) in order of first appearance
+    evaluated = []
+    evaluate = search.Scan._evaluate
+
+    def recording(self, keys):
+        evaluated.extend((z.real, z.imag) for z in keys)
+        return evaluate(self, keys)
+
+    with mock.patch.object(search.Scan, "_evaluate", recording):
+        _scanned_rows(scan_alpha_beta(ScanGrid(*shape), StepIndex(1.5)))
     alphas = np.linspace(0.0, TAU, shape[0], endpoint=False).tolist()
     betas = np.linspace(0.0, TAU, shape[1], endpoint=False).tolist()
-    numbers = {}
-    assert result.key == [numbers.setdefault((m - n, m - wrap_angle(n + math.pi)), len(numbers))
-                          for m in alphas for n in betas]
+    assert evaluated == list(dict.fromkeys((m - n, m - wrap_angle(n + math.pi)) for m in alphas for n in betas))
 
 
 def _reference_overlap(mu, nu, step, sign):
@@ -152,14 +180,16 @@ def test_difference_kernel_equals_overlap_integral(pairs, step_index):
 
 
 def _whole_text_artifacts(config) -> tuple[str, str]:
-    """The CSV and JSON scan artifacts formatted value by value and written whole."""
-    result = scan_alpha_beta(config.scan, config.experiment.step_index)
-    rows = [dict(zip(ROW_KEYS, result.row(i))) for i in range(len(result.key))]
+    """The CSV and JSON scan artifacts of the per-row reference, formatted value by value and written whole."""
+    grid = config.scan
+    reference = _reference_rows(grid[:2], grid.theta_policy, config.experiment.step_index, grid.threshold)
+    rows = [dict(zip(ROW_KEYS, row)) for row in reference]
     csv_lines = ["alpha,beta,theta_a,theta_a_prime,theta_b,theta_b_prime,S,exceeds_threshold"]
     for row in rows:
         *numbers, flag = row.values()
         csv_lines.append(",".join([format(v, ".9g") for v in numbers] + [json.dumps(flag)]))
-    doc = _document("scan", config, {"rows": rows, "best": rows[result.best]})
+    best = dict(zip(ROW_KEYS, max(reference, key=lambda row: row[6])))
+    doc = _document("scan", config, {"rows": rows, "best": best})
     return "\n".join(csv_lines) + "\n", json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -187,9 +217,25 @@ def _streamed_artifacts(config_path, tmp) -> tuple[str, str]:
 
 def test_scan_artifacts_equal_whole_text_writers(tmp_path, monkeypatch):
     # five rows a chunk splits the 24 rows into uneven chunks
-    monkeypatch.setattr(cli, "_CHUNK_ROWS", 5)
+    monkeypatch.setattr(search, "_CHUNK_ROWS", 5)
     config = _scan_config(tmp_path / "config.json", 4, 6, "optimize-per-point", 1.7321, 0.1)
     assert _streamed_artifacts(config, tmp_path) == _whole_text_artifacts(load_config(config))
+
+
+@pytest.mark.parametrize("policy", THETA_POLICIES)
+@pytest.mark.parametrize("shape, step_index", [
+    ((16, 16), 1.7321),  # square
+    ((33, 32), 1.8694),  # coprime: a key per row
+    ((93, 92), 0.9979),
+    ((2, 5000), 1.8694),  # wide: chunks within an alpha row
+    ((8, 8), 0.5),  # the diagonal rows tie for the largest S
+])
+def test_json_artifact_equals_json_dumps_of_the_per_row_document(tmp_path, shape, step_index, policy):
+    config = _scan_config(tmp_path / "config.json", *shape, policy, step_index, 0.1)
+    assert _streamed_artifacts(config, tmp_path) == _whole_text_artifacts(load_config(config))
+    if shape == (8, 8):
+        rows = _reference_rows(shape, policy, StepIndex(step_index), 0.1)
+        assert sum(row[6] == max(r[6] for r in rows) for row in rows) > 1
 
 
 @PROFILE
@@ -206,7 +252,7 @@ def test_streamed_scan_artifacts_equal_whole_text_writers(
 ):
     tmp = tmp_path_factory.mktemp("scan")
     config = _scan_config(tmp / "config.json", alpha_steps, beta_steps, policy, step_index, threshold)
-    with mock.patch.object(cli, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(search, "_CHUNK_ROWS", chunk):
         streamed = _streamed_artifacts(config, tmp)
     assert streamed == _whole_text_artifacts(load_config(config))
 

@@ -80,9 +80,8 @@ CASES = [
          "alpha_steps must be an integer >= 2", "value"),
     Case(ScanGrid, (4, 5.0), (4, 5, "fixed-canonical", 0.204), {"beta_steps": math.nan},
          "beta_steps must be an integer >= 2", "value"),
-    Case(ScanResult, ([0.0], [0.0, 1.0], [0, 1], [CANONICAL_THETAS] * 2, [0.1, 0.3], [False, True]),
-         ([0.0], [0.0, 1.0], [0, 1], [CANONICAL_THETAS] * 2, [0.1, 0.3], [False, True]),
-         {"key": []}, "scan produced no rows", "unhashable"),
+    Case(ScanResult, (4, 1, (0.0, 1.0, *CANONICAL_THETAS, 0.3, True)),
+         (4, 1, (0.0, 1.0, *CANONICAL_THETAS, 0.3, True)), {"rows": 0}, "scan produced no rows", "value"),
     Case(SuiteResult, ("azimuthal", True, 1e-15, 1e-9), ("azimuthal", True, 1e-15, 1e-9, ""), None,
          None, "value"),
     Case(OutputConfig, (), (None, "csv"), None, None, "value"),

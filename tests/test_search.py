@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oamch.chtest
+from oamch import search
 from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.chtest import CANONICAL_THETAS, MAX_CH_VIOLATION, ChSettings, ch_parameter
 from oamch.coincidence import amplitude_matrix_quadrature
@@ -15,7 +16,6 @@ from oamch.search import (
     ChLandscape,
     ScanGrid,
     ScanResult,
-    max_scan_keys,
     optimize_thetas,
     scan_alpha_beta,
 )
@@ -113,14 +113,19 @@ def test_optimizer_never_below_coarse_grid():
         assert lattice_best <= s + 1e-12
 
 
+def _rows(scan) -> list[tuple]:
+    """Every row of a scan, in order: alpha, beta, the four thetas, S and the flag."""
+    return [(a, b, *tail) for alphas, betas, tails in scan
+            for (a, b), tail in zip(itertools.product(alphas, betas), tails)]
+
+
 def test_optimized_scan_takes_s_in_the_stable_form():
     # S is below 1e-10 on most keys at L = 0.9979; the landscape at the optimum
     # sums terms of order 1 there, and reads below zero on two rows of this grid
     step = StepIndex(0.9979)
-    result = scan_alpha_beta(ScanGrid(93, 91, theta_policy="optimize-per-point"), step)
-    assert len(result.key_s) == 93 * 91
-    for i in range(len(result.key)):
-        alpha, beta, *thetas, s, _ = result.row(i)
+    rows = _rows(scan_alpha_beta(ScanGrid(93, 91, theta_policy="optimize-per-point"), step))
+    assert len(rows) == 93 * 91
+    for alpha, beta, *thetas, s, _ in rows:
         land = ChLandscape.at(alpha, beta, step)
         hk, hq = abs(land.k[0]), abs(land.q[0])
         t = (hk * hk - hq * hq) / (hk * hk + hq * hq)
@@ -191,16 +196,17 @@ def test_scan_grid_size_is_bounded():
             ScanGrid(alpha_steps=steps[0], beta_steps=steps[1])
 
 
-def _rows(result) -> list[tuple]:
-    return [result.row(i) for i in range(len(result.key))]
+def _first_best(rows) -> tuple:
+    """The first row with the largest S."""
+    return max(rows, key=lambda row: row[6])
 
 
 def test_scan_bookkeeping_2x2():
-    result = scan_alpha_beta(ScanGrid(alpha_steps=2, beta_steps=2), HALF)
-    rows = _rows(result)
+    scan = scan_alpha_beta(ScanGrid(alpha_steps=2, beta_steps=2), HALF)
+    rows = _rows(scan)
     assert [len(row) for row in rows] == [8] * 4
     assert [row[:2] for row in rows] == [(0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi)]
-    assert rows[result.best][6] == max(row[6] for row in rows)
+    assert scan.result == (4, sum(row[7] for row in rows), _first_best(rows))
 
 
 @pytest.mark.parametrize("policy", ["fixed-canonical", "optimize-per-point"])
@@ -210,11 +216,11 @@ def test_scan_bookkeeping_2x2():
 def test_scan_columns_match_scalar_reference(policy, step, alpha_steps, beta_steps, threshold):
     # non-square grids among them, so swapping the alpha-major order fails
     grid = ScanGrid(alpha_steps, beta_steps, theta_policy=policy, threshold=threshold)
-    result = scan_alpha_beta(grid, step)
+    scan = scan_alpha_beta(grid, step)
     alphas = np.linspace(0.0, TAU, alpha_steps, endpoint=False)
     betas = np.linspace(0.0, TAU, beta_steps, endpoint=False)
     plates = [(a, b) for a in alphas.tolist() for b in betas.tolist()]
-    rows = _rows(result)
+    rows = _rows(scan)
     assert [row[:2] for row in rows] == plates
     for (a, b), row in zip(plates, rows):
         if policy == "optimize-per-point":
@@ -222,12 +228,11 @@ def test_scan_columns_match_scalar_reference(policy, step, alpha_steps, beta_ste
         else:
             thetas, s = CANONICAL_THETAS, ChLandscape.at(a, b, step).value(*CANONICAL_THETAS)[0]
         assert row[2:] == (*thetas, s, s > threshold)
-    assert result.best == max(range(len(rows)), key=lambda i: rows[i][6])
+    assert scan.result.best == _first_best(rows)
 
 
 def test_scan_diagonal_plateau():
-    result = scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=5), HALF)
-    rows = _rows(result)
+    rows = _rows(scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=5), HALF))
     assert all(row[2:6] == CANONICAL_THETAS for row in rows)
     diagonal = [row for row in rows if row[0] == row[1]]
     assert len(diagonal) == 5
@@ -237,68 +242,83 @@ def test_scan_diagonal_plateau():
 
 
 def test_scan_origin_shift_invariance():
-    result = scan_alpha_beta(ScanGrid(alpha_steps=3, beta_steps=3), HALF)
     shift = 0.37
-    for alpha, beta, *thetas, s, _ in _rows(result):
+    for alpha, beta, *thetas, s, _ in _rows(scan_alpha_beta(ScanGrid(alpha_steps=3, beta_steps=3), HALF)):
         shifted = ChLandscape.at(alpha + shift, beta + shift, HALF).value(*thetas)[0]
         assert shifted == pytest.approx(s, abs=1e-8)
 
 
 def test_scan_threshold_flags():
-    result = scan_alpha_beta(ScanGrid(alpha_steps=4, beta_steps=4, threshold=0.1), HALF)
-    rows = _rows(result)
+    scan = scan_alpha_beta(ScanGrid(alpha_steps=4, beta_steps=4, threshold=0.1), HALF)
+    rows = _rows(scan)
     assert {type(row[7]) for row in rows} == {bool}
     assert [row[7] for row in rows] == [row[6] > 0.1 for row in rows]
+    assert scan.result.exceeding == sum(row[7] for row in rows) > 0
 
 
 def test_scan_reproducibility():
     grid = ScanGrid(alpha_steps=3, beta_steps=4, theta_policy="optimize-per-point")
     first = scan_alpha_beta(grid, HALF)
     second = scan_alpha_beta(grid, HALF)
-    assert first == second
-    assert _rows(first) == _rows(second)
-    assert first.best == second.best
+    rows = _rows(first)
+    assert rows == _rows(second)
+    assert first.result == second.result
+    # a second pass over one scan gives the same rows
+    assert _rows(first) == rows
 
 
-def test_scan_evaluates_each_relative_orientation_once():
+class _CountingLandscape(ChLandscape):
+    """A `ChLandscape` that records how many keys each batch evaluates."""
+
+    batches: list = []
+
+    def __init__(self, k, q):
+        super().__init__(k, q)
+        self.batches.append(len(k))
+
+
+def test_scan_evaluates_each_relative_orientation_once(monkeypatch):
     # on a square grid, keys repeat along the diagonals: far fewer keys than rows
-    result = scan_alpha_beta(ScanGrid(alpha_steps=33, beta_steps=33), HALF)
-    assert len(result.key) == 33 * 33
-    assert len(result.key_s) == len(result.key_thetas) == len(result.key_exceeds_threshold) == 593
-    # keys are numbered in the order of the rows where they first appear
-    firsts = sorted(set(result.key), key=result.key.index)
-    assert firsts == list(range(593))
+    monkeypatch.setattr(search, "ChLandscape", _CountingLandscape)
+    monkeypatch.setattr(_CountingLandscape, "batches", [])
+    scan = scan_alpha_beta(ScanGrid(alpha_steps=33, beta_steps=33), HALF)
+    assert len(_rows(scan)) == 33 * 33
+    # the 1,089 rows fit one chunk, whose 593 keys are evaluated together
+    assert _CountingLandscape.batches == [593]
+    # a second pass finds every key in the memo; `result` came with the first
+    assert len(_rows(scan)) == 33 * 33 and scan.result.rows == 33 * 33
+    assert _CountingLandscape.batches == [593]
 
 
 def test_scan_result_requires_rows():
-    with pytest.raises(ValueError):
-        ScanResult(alpha=[], beta=[], key=[], key_thetas=[], key_s=[], key_exceeds_threshold=[])
-    # one alpha and four betas, three keys: the best row is the first of two tied maxima
-    s = [0.1, -0.3, 0.2]
-    result = ScanResult(alpha=[0.0], beta=[0.0, 1.0, 2.0, 3.0], key=[0, 1, 2, 2],
-                        key_thetas=[CANONICAL_THETAS] * 3, key_s=s,
-                        key_exceeds_threshold=[x > 0.15 for x in s])
-    assert result.best == 2
-    assert result.row(3) == (0.0, 3.0, *CANONICAL_THETAS, 0.2, True)
-    assert result.exceeding == 2
-    # per-key fields are named as such: a row index cannot read them by the old names
-    for name in ("s", "thetas", "exceeds_threshold"):
-        assert not hasattr(result, name)
+    with pytest.raises(ValueError, match="scan produced no rows"):
+        ScanResult(rows=0, exceeding=0, best=None)
+    # the first full pass sets `result`
+    scan = scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=5), HALF)
+    assert scan.result is None
+    rows = _rows(scan)
+    assert scan.result == (25, sum(row[7] for row in rows), _first_best(rows))
+    # several rows tie for the largest S: the best is the first of them
+    top = [i for i, row in enumerate(rows) if row[6] == scan.result.best[6]]
+    assert len(top) > 1 and rows[top[0]] == scan.result.best
 
 
 def test_scan_key_count_is_bounded(monkeypatch):
-    # square grids repeat relative orientations; coprime steps almost never do
-    assert max_scan_keys(1024 * 1024) == 2**13 + 2**20 // 24
-    assert len(scan_alpha_beta(ScanGrid(alpha_steps=1024, beta_steps=2), HALF).key_s) == 2048
-    assert len(scan_alpha_beta(ScanGrid(alpha_steps=93, beta_steps=91), HALF).key_s) == 93 * 91
-    assert max_scan_keys(93 * 92) < 93 * 92
-    for steps in ((93, 92), (256, 255), (512, 2048), (2, 2**19), (2**19, 2)):
-        with pytest.raises(ValueError, match="distinct relative plate orientations"):
-            scan_alpha_beta(ScanGrid(*steps), HALF)
-    # the limit is exact: as many keys as allowed pass, one more raises
-    keys = len(scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=3), HALF).key_s)
-    monkeypatch.setattr("oamch.search.max_scan_keys", lambda points: keys)
-    assert len(scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=3), HALF).key_s) == keys
-    monkeypatch.setattr("oamch.search.max_scan_keys", lambda points: keys - 1)
-    with pytest.raises(ValueError, match=f"more than {keys - 1} distinct"):
-        scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=3), HALF)
+    # every grid within MAX_SCAN_POINTS scans, whatever its steps share;
+    # the memo holds at most `_MEMO_KEYS` keys, and starts again when full
+    sizes = []
+    evaluate = search.Scan._evaluate
+
+    def recording(self, keys):
+        sizes.append(len(self._numbers))
+        return evaluate(self, keys)
+
+    monkeypatch.setattr(search.Scan, "_evaluate", recording)
+    monkeypatch.setattr(search, "_CHUNK_ROWS", 64)
+    monkeypatch.setattr(search, "_MEMO_KEYS", 200)
+    for steps in ((93, 92), (2, 600), (600, 2), (33, 33)):
+        scan = scan_alpha_beta(ScanGrid(*steps), HALF)
+        assert len(_rows(scan)) == scan.result.rows == steps[0] * steps[1]
+    assert max(sizes) <= 200
+    # 93 x 92 has a key per row: the memo was cleared and filled again
+    assert sizes.count(64) > 1
