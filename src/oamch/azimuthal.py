@@ -204,12 +204,19 @@ def overlap_integral_quadrature(mu: float, nu: float, step_index: StepIndex) -> 
     of w*sin(d), splitting [0, 2*pi) at the two dislocation angles.  d is
     constant between them, so the 2-point rule of each segment is exact up
     to rounding; `check_node_values` holds the oracle to that premise.
+    Each profile is `spp_profile`'s expression written out, with the same
+    float operations: the nodes lie strictly inside (0, 2*pi), where
+    wrapping leaves them unchanged.
     """
+    mu, nu = wrap_angle(mu), wrap_angle(nu)
+    ell = step_index.value
+    jump = TAU * ell
+    cos, sin = math.cos, math.sin
     total = 0j
     for h, x1, x2 in gauss_segments((mu, nu)):
-        d1 = spp_profile(mu, x1, step_index) - spp_profile(nu, x1, step_index)
-        d2 = spp_profile(mu, x2, step_index) - spp_profile(nu, x2, step_index)
-        v1, v2 = complex(math.cos(d1), math.sin(d1)), complex(math.cos(d2), math.sin(d2))
+        d1 = (ell * (x1 - mu) + (jump if x1 < mu else 0.0)) - (ell * (x1 - nu) + (jump if x1 < nu else 0.0))
+        d2 = (ell * (x2 - mu) + (jump if x2 < mu else 0.0)) - (ell * (x2 - nu) + (jump if x2 < nu else 0.0))
+        v1, v2 = complex(cos(d1), sin(d1)), complex(cos(d2), sin(d2))
         check_node_values((v1,), (v2,), step_index, x1, x2)
         total += h * (v1 + v2)
     return total

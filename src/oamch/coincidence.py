@@ -31,11 +31,11 @@ import math
 from collections import namedtuple
 
 from .azimuthal import (
+    TAU,
     StepIndex,
     check_node_values,
     gauss_segments,
     overlap_integral,
-    spp_phase,
     wrap_angle,
     wrap_signed,
 )
@@ -152,22 +152,34 @@ def amplitude_matrix_quadrature(settings: ExperimentSettings) -> AmplitudeMatrix
 
     Integrates the arm-amplitude products A_i B_j over azimuth from the four
     plate phases at each node and the splitter rows, which do not vary with
-    azimuth; shares no code with the closed-form overlap path beyond the
-    phase profile.  The products are constant between the
-    plate dislocations, so the 2-point rule of each segment is exact up to
-    rounding, as `check_node_values` verifies.
+    azimuth; shares no code with the closed-form overlap path.  Each plate
+    phase is `spp_phase`'s cos f + i*sin f (conjugated on photon b) of
+    `spp_profile`'s expression, written out with the same float operations:
+    the nodes lie strictly inside (0, 2*pi), where wrapping leaves them
+    unchanged.  The products are constant between the plate dislocations,
+    so the 2-point rule of each segment is exact up to rounding, as
+    `check_node_values` verifies.
     """
     s, step = settings, settings.step_index
     (a11, a12), (a21, a22) = mz_unitary(s.theta_a, *s.aux_phases[:2])
     (b11, b12), (b21, b22) = mz_unitary(s.theta_b, *s.aux_phases[2:])
-    p1, p2, p3, p4 = plates = (s.alpha, wrap_angle(s.alpha + _PI), s.beta, wrap_angle(s.beta + _PI))
+    p1, p2, p3, p4 = plates = (
+        wrap_angle(s.alpha), wrap_angle(s.alpha + _PI), wrap_angle(s.beta), wrap_angle(s.beta + _PI)
+    )
+    ell = step.value
+    jump = TAU * ell
+    cos, sin = math.cos, math.sin
     g11 = g12 = g21 = g22 = 0j  # the integrals of A1 B1, A1 B2, A2 B1, A2 B2
     for h, x1, x2 in gauss_segments(plates):
         nodes = []
         for x in (x1, x2):
-            # photon b's plates are complementary: conjugated phases
-            e1, e2 = spp_phase(p1, x, step, False), spp_phase(p2, x, step, False)
-            e3, e4 = spp_phase(p3, x, step, True), spp_phase(p4, x, step, True)
+            # `spp_profile` of each plate; photon b's plates are complementary: conjugated phases
+            f1 = ell * (x - p1) + (jump if x < p1 else 0.0)
+            f2 = ell * (x - p2) + (jump if x < p2 else 0.0)
+            f3 = ell * (x - p3) + (jump if x < p3 else 0.0)
+            f4 = ell * (x - p4) + (jump if x < p4 else 0.0)
+            e1, e2 = complex(cos(f1), sin(f1)), complex(cos(f2), sin(f2))
+            e3, e4 = complex(cos(f3), -sin(f3)), complex(cos(f4), -sin(f4))
             b1, b2 = b11 * e3 + b12 * e4, b21 * e3 + b22 * e4
             a1, a2 = 0.5 * (a11 * e1 + a12 * e2), 0.5 * (a21 * e1 + a22 * e2)
             nodes.append((a1 * b1, a1 * b2, a2 * b1, a2 * b2))

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from oamch import azimuthal
 from oamch.azimuthal import (
     MAX_STEP_INDEX,
     TAU,
@@ -16,7 +15,6 @@ from oamch.azimuthal import (
     overlap_integral_opposite_phase,
     overlap_integral_quadrature,
     spp_phase,
-    spp_profile,
     wrap_angle,
     wrap_signed,
 )
@@ -212,21 +210,25 @@ def test_overlap_quadrature_handles_degenerate_cuts():
 
 
 def test_overlap_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
-    # two plates: two phase profiles per node, one node pair per segment
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return spp_profile(*args)
-
-    monkeypatch.setattr(azimuthal, "spp_profile", counting)
+    # two plates, one phase difference: one cosine and one sine per node, one node pair per segment
     rng = np.random.default_rng(25)
     mu, nu = rng.uniform(0.0, TAU, size=(2, 8))
-    for m, n in zip(mu, nu):
-        overlap_integral_quadrature(m, n, StepIndex(1.7))
     nodes = sum(2 * len(gauss_segments((m, n))) for m, n in zip(mu, nu))
     assert nodes == 8 * 2 * 3
-    assert len(calls) == 2 * nodes
+    calls = {"cos": 0, "sin": 0}
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(math, name, counted(name, getattr(math, name)))
+    for m, n in zip(mu, nu):
+        overlap_integral_quadrature(m, n, StepIndex(1.7))
+    assert calls == {"cos": nodes, "sin": nodes}
 
 
 @pytest.mark.parametrize("segments", [8, 64])

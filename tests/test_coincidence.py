@@ -5,7 +5,7 @@ import pytest
 
 import oamch.coincidence
 from oamch import azimuthal
-from oamch.azimuthal import TAU, StepIndex, overlap_integral, spp_profile
+from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.coincidence import (
     AmplitudeMatrix,
     DegenerateStateError,
@@ -157,22 +157,27 @@ def test_amplitude_sequence_equals_one_setting_calls():
 
 
 def test_amplitude_quadrature_block_evaluates_each_plate_phase_once(monkeypatch):
-    # two analyzers with two plates each: four phase profiles per node, two nodes per segment
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return spp_profile(*args)
-
-    monkeypatch.setattr(azimuthal, "spp_profile", counting)
+    # two analyzers with two plates each: four cosines and four sines per node,
+    # two nodes per segment, and one of each per splitter matrix
     rng = np.random.default_rng(24)
     block = [_settings(*rng.uniform(0.0, TAU, size=4), step=StepIndex(1.7)) for _ in range(8)]
-    for s in block:
-        amplitude_matrix_quadrature(s)
     plates = [(s.alpha, (s.alpha + math.pi) % TAU, s.beta, (s.beta + math.pi) % TAU) for s in block]
     nodes = sum(2 * len(azimuthal.gauss_segments(p)) for p in plates)
     assert nodes == 8 * 2 * 5
-    assert len(calls) == 4 * nodes
+    calls = {"cos": 0, "sin": 0}
+
+    def counted(name, fn):
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(math, name, counted(name, getattr(math, name)))
+    for s in block:
+        amplitude_matrix_quadrature(s)
+    assert calls == {"cos": 4 * nodes + 2 * len(block), "sin": 4 * nodes + 2 * len(block)}
 
 
 def test_marginals_do_not_depend_on_far_splitter():

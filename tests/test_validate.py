@@ -110,15 +110,20 @@ def test_suites_call_the_oracle_once_per_sample(monkeypatch, suite):
         assert all(len(args) == 1 and isinstance(args[0], ExperimentSettings) for args in calls)
 
 
+def _drop_the_last_cut(monkeypatch, module):
+    """Give an oracle's module a rule with its last cut dropped: one segment then spans a dislocation."""
+    rule = module.gauss_segments
+
+    def spanning(cut_points):
+        return rule(tuple(cut_points)[:-1])
+
+    monkeypatch.setattr(module, "gauss_segments", spanning)
+
+
 def test_an_integrand_that_varies_within_a_segment_fails_the_coincidence_suites(monkeypatch, capsys):
-    # photon b's plates with a slope 0.1% off: the products of arm amplitudes
-    # vary between dislocations, which the 2-point rule must not average away
-    phase = oamch.coincidence.spp_phase
-
-    def steeper_b_side(chi, phi, step_index, conjugate=False):
-        return phase(chi, phi, StepIndex(1.001 * step_index.value) if conjugate else step_index, conjugate)
-
-    monkeypatch.setattr(oamch.coincidence, "spp_phase", steeper_b_side)
+    # a segment across photon b's second plate: the products of arm amplitudes
+    # jump there, which the 2-point rule must not average away
+    _drop_the_last_cut(monkeypatch, oamch.coincidence)
     assert main(["validate", "--suites", "coincidence,appendix-a"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
@@ -128,14 +133,9 @@ def test_an_integrand_that_varies_within_a_segment_fails_the_coincidence_suites(
 
 
 def test_an_integrand_that_varies_within_a_segment_fails_the_overlap_suites(monkeypatch, capsys):
-    # each plate's slope grows with its orientation, so two plates' phases no
-    # longer differ by a constant between the dislocations
-    profile = oamch.azimuthal.spp_profile
-
-    def orientation_dependent(chi, phi, step_index):
-        return profile(chi, phi, StepIndex(step_index.value * (1.0 + 1e-3 * chi)))
-
-    monkeypatch.setattr(oamch.azimuthal, "spp_profile", orientation_dependent)
+    # a segment across the second plate's dislocation: the phase difference
+    # of the two plates jumps by 2*pi*L there, a half-turn at half-integer L
+    _drop_the_last_cut(monkeypatch, oamch.azimuthal)
     assert main(["validate", "--suites", "azimuthal,sign-check"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[1:3] for line in lines] == [["azimuthal", "FAIL"], ["sign-check", "FAIL"]]
