@@ -13,7 +13,9 @@ K[k, m] = I(alpha_k, beta_m, L) contracted with the two splitter matrices:
 
 Only two of the overlaps differ, K = [[k, q], [q, k]].  The closed form
 and its quadrature oracle each take one setting and work on 2x2 nested
-tuples with `math`/`cmath` alone.
+tuples with `math`/`cmath` alone.  The oracle shares no code with the
+closed-form overlap path: it writes the plate phase profile out itself, with
+`spp_profile`'s float operations, and a test holds it to their bits.
 
 All probabilities are reported without the constant radial mode integral,
 which is independent of every knob; only ratios of these quantities are
