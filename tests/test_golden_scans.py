@@ -43,6 +43,9 @@ CASES = {
     # S below 1e-10 on most rows, one key per row
     "93x91-optimized-L0.9979": _case(93, 91, "optimize-per-point", 0.9979),
     "1024x2-canonical-L1.8694": _case(1024, 2, "fixed-canonical", 1.8694),
+    # 256 and 257 share no factor: each of the 65,792 rows is its own key, and the memo restarts once
+    "256x257-canonical-L1.8694": _case(256, 257, "fixed-canonical", 1.8694),
+    "256x257-optimized-L0.9979": _case(256, 257, "optimize-per-point", 0.9979),
 }
 
 
