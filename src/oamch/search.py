@@ -161,16 +161,15 @@ class Scan:
         self._forget()
 
     def _forget(self) -> None:
-        """Empty the memo: a number per key, by number its tail and flag, and each difference's overlap."""
+        """Empty the memo: a number per key, and by number its tail and flag."""
         self._numbers = defaultdict(itertools.count().__next__)
-        self._tails, self._flags, self._flagged, self._overlaps = [], [], 0, {}
+        self._tails, self._flags, self._flagged = [], [], 0
 
     def _evaluate(self, keys: list) -> tuple[list, list, list]:
         """Each key's angles, S and flag."""
-        overlaps = self._overlaps
-        differences = {d for z in keys for d in (z.real, z.imag)}.difference(overlaps)
-        overlaps.update(zip(differences, difference_overlaps(differences, self.step_index)))
-        land = ChLandscape([overlaps[z.real] for z in keys], [overlaps[z.imag] for z in keys])
+        step_index = self.step_index
+        land = ChLandscape(difference_overlaps([z.real for z in keys], step_index),
+                           difference_overlaps([z.imag for z in keys], step_index))
         fixed = FIXED_THETAS.get(self.grid.theta_policy)
         if fixed is None:
             thetas, s = optimize_thetas(land)
