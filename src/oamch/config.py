@@ -159,7 +159,7 @@ def validate_config(raw: dict) -> RunConfig:
     _require_keys("config", raw, ("schema_version", "experiment", "ch", "mc", "scan", "output"))
     if "schema_version" not in raw:
         raise ConfigError("config must declare schema_version")
-    if raw["schema_version"] != SCHEMA_VERSION:
+    if isinstance(raw["schema_version"], bool) or raw["schema_version"] != SCHEMA_VERSION:  # True == 1
         raise ConfigError(
             f"unsupported schema_version {raw['schema_version']!r}; expected {SCHEMA_VERSION}"
         )
