@@ -24,7 +24,7 @@ from .chtest import CANONICAL_THETAS
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 FIXED_THETAS = {"fixed-canonical": CANONICAL_THETAS}  # the angles a policy gives every row
 
-# A scan row costs about 0.5 us as CSV, 0.9 us as JSON, and a new key 5-10 us (README, Domain limits)
+# A scan row costs about 0.5 us as CSV, 0.9 us as JSON, and a new key 3-8 us (README, Domain limits)
 MAX_SCAN_POINTS = 2**20
 # The most rows a scan handles at a time, and the most keys its memo holds
 _CHUNK_ROWS = 4096

@@ -3,7 +3,6 @@ import math
 
 import pytest
 
-from oamch.cli import main
 from oamch.config import ConfigError, apply_overrides, load_config, parse_angle, validate_config
 
 
@@ -49,19 +48,11 @@ def test_sections_are_optional_but_schema_version_is_not():
     assert cfg.experiment is None and cfg.ch is None and cfg.mc is None and cfg.scan is None
     with pytest.raises(ConfigError, match="schema_version"):
         validate_config({})
-    with pytest.raises(ConfigError, match="schema_version"):
-        validate_config({"schema_version": 7})
-
-
-def test_a_boolean_schema_version_is_refused(tmp_path, capsys):
     # True == 1, but like every number of the config the version is no boolean
-    with pytest.raises(ConfigError, match=r"^unsupported schema_version True; expected 1$"):
-        validate_config({"schema_version": True})
+    for version in (7, True):
+        with pytest.raises(ConfigError, match=f"^unsupported schema_version {version}; expected 1$"):
+            validate_config({"schema_version": version})
     assert validate_config({"schema_version": 1.0}).scan is None
-    path = tmp_path / "run.json"
-    path.write_text('{"schema_version": true}', encoding="utf-8")
-    assert main(["probe", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "config error: unsupported schema_version True; expected 1\n"
 
 
 def test_unknown_keys_rejected():
