@@ -508,8 +508,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024)
 
 def test_scan_of_a_grid_without_repeated_keys_stays_small(tmp_path):
     # 512 and 511 share no factor: each of the 261,632 rows has its own key, and the
-    # memo holds at most `_MEMO_KEYS` keys with their tails (32 MB; 49 MB while it
-    # also kept an overlap per signed difference)
+    # memo holds at most `_MEMO_KEYS` keys with their tails (about 32 MB in all)
     config = _write_config(tmp_path, **{"scan.alpha_steps": 512, "scan.beta_steps": 511})
     out = tmp_path / "scan.csv"
     proc = subprocess.run(
