@@ -265,9 +265,11 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     with open(out_path, "w", encoding="utf-8") as fh:
         scan = scan_alpha_beta(grid, settings.step_index, row[2])
         if fmt == "json":
-            for _ in scan:  # a pass for the best row, which the document puts before the rows
+            # a scan for the best row, which the document puts before the rows, formats nothing
+            first = scan_alpha_beta(grid, settings.step_index, lambda thetas, s, flag: None)
+            for _ in first:
                 pass
-            best = dict(zip(_ROW_KEYS, scan.result.best))
+            best = dict(zip(_ROW_KEYS, first.result.best))
             empty = json.dumps(_document("scan", config, {"rows": [], "best": best}), indent=2, sort_keys=True)
             head, tail = empty.rsplit('"rows": []', 1)
             fh.write(head + '"rows": [\n')

@@ -8,8 +8,8 @@ splitter angles is exact, read off the x-z block of the state's
 correlation tensor (Horodecki criterion for coplanar settings).
 
 A scan row's overlaps depend only on its relative plate orientation, its
-key.  The scan streams the rows and evaluates, in pure Python, the keys its
-bounded memo does not hold (`Scan`).
+key.  Each pass over a scan streams the rows and evaluates, in pure Python,
+the keys that its own bounded memo does not hold (`Scan`).
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .chtest import CANONICAL_THETAS
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 FIXED_THETAS = {"fixed-canonical": CANONICAL_THETAS}  # the angles a policy gives every row
 
-# A scan row costs about 0.5 us as CSV, 0.9 us as JSON, and a new key 3-8 us (README, Domain limits)
+# A scan row costs about 0.5 us as CSV, 0.9 us as JSON, and a new key 3-8 us; a JSON scan's
+# first pass adds about 0.3 us a row and 2-3 us a key (README, Domain limits)
 MAX_SCAN_POINTS = 2**20
-# The most rows a scan handles at a time, and the most keys its memo holds
+# The most rows a scan handles at a time, and the most keys a pass's memo holds
 _CHUNK_ROWS = 4096
 _MEMO_KEYS = 2**16
 
@@ -148,22 +149,17 @@ class Scan:
     A pass (iterating) yields the rows in (alpha index, beta index) order as
     chunks (alphas, betas, tails) of at most `_CHUNK_ROWS` rows alphas x betas;
     a row's tail is `tail(thetas, S, flag)`, by default (*thetas, S, flag).
-    The first full pass sets `result`.  A row's key, the signed differences
-    (m - n, m - wrap(n + pi)) of its plates m and n, fixes its angles and S.
-    The memo numbers the keys by first appearance and keeps their tails; a
-    chunk's new keys are evaluated together, and a chunk that could take the
-    memo past `_MEMO_KEYS` keys starts from an empty one.
+    Each full pass computes its rows afresh and sets `result`.  A row's key,
+    the signed differences (m - n, m - wrap(n + pi)) of its plates m and n,
+    fixes its angles and S.  A pass's own memo numbers the keys by first
+    appearance and holds their tails and flags; a chunk's new keys are
+    evaluated together, and a chunk that could take the memo past
+    `_MEMO_KEYS` keys starts from an empty one.
     """
 
     def __init__(self, grid: ScanGrid, step_index: StepIndex, tail=None):
         self.grid, self.step_index, self.result = grid, step_index, None
         self.tail = tail or (lambda thetas, s, flag: (*thetas, s, flag))
-        self._forget()
-
-    def _forget(self) -> None:
-        """Empty the memo: a number per key, and by number its tail and flag."""
-        self._numbers = defaultdict(itertools.count().__next__)
-        self._tails, self._flags, self._flagged = [], [], 0
 
     def _evaluate(self, keys: list) -> tuple[list, list, list]:
         """Each key's angles, S and flag."""
@@ -180,12 +176,9 @@ class Scan:
 
     def __iter__(self):
         alpha_steps, beta_steps = self.grid.alpha_steps, self.grid.beta_steps
-        tally = self.result is None  # from an empty memo, where each key's first row is new
-        if tally:
-            self._forget()
         span, width = max(1, _CHUNK_ROWS // beta_steps), min(beta_steps, _CHUNK_ROWS)
         columns = [(j, min(j + width, beta_steps)) for j in range(0, beta_steps, width)]
-        best, exceeding, cached = None, 0, None
+        best, exceeding, cached, numbers = None, 0, None, ()
         for i in range(0, alpha_steps, span):
             # plate angles as numpy's linspace(0, 2*pi, steps, endpoint=False) gives them
             alphas = [a * (TAU / alpha_steps) for a in range(i, min(i + span, alpha_steps))]
@@ -194,27 +187,27 @@ class Scan:
                     cached, betas = j, [b * (TAU / beta_steps) for b in range(*j)]
                     # a key as complex(m, m) - complex(n, wrap(n + pi)), equal float pairs as equal keys
                     opposite = [complex(n, wrap_angle(n + math.pi)) for n in betas]
-                if len(self._numbers) > _MEMO_KEYS - _CHUNK_ROWS:
-                    self._forget()
-                numbers, tails, flags, known = self._numbers, self._tails, self._flags, len(self._tails)
+                if not numbers or len(numbers) > _MEMO_KEYS - _CHUNK_ROWS:
+                    # an empty memo: a number per key, and by number its tail and flag
+                    numbers, tails, flags, flagged = defaultdict(itertools.count().__next__), [], [], 0
+                known = len(tails)
                 rows = [numbers[plate - z] for plate in map(complex, alphas, alphas) for z in opposite]
                 if len(numbers) > known:
                     fresh = list(itertools.islice(reversed(numbers), len(numbers) - known))[::-1]
                     thetas, s, new_flags = self._evaluate(fresh)
                     tails += map(self.tail, thetas, s, new_flags)
                     flags += new_flags
-                    self._flagged += sum(new_flags)
+                    flagged += sum(new_flags)
                     # the best row is the first row of the first new key whose S beats every S before
                     top = max(s)
-                    if tally and (best is None or top > best[6]):
+                    if best is None or top > best[6]:
                         k = s.index(top)
                         r = rows.index(known + k)
                         best = (alphas[r // len(betas)], betas[r % len(betas)], *thetas[k], top, new_flags[k])
-                if tally and self._flagged:  # rows of unflagged keys add nothing
+                if flagged:  # rows of unflagged keys add nothing
                     exceeding += sum([flags[r] for r in rows])
                 yield alphas, betas, [tails[r] for r in rows]
-        if tally:
-            self.result = ScanResult(alpha_steps * beta_steps, exceeding, best)
+        self.result = ScanResult(alpha_steps * beta_steps, exceeding, best)
 
 
 scan_alpha_beta = Scan  # the name the library and the `scan` command call it by

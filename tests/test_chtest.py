@@ -36,7 +36,7 @@ def test_canonical_angles_reach_maximum_violation():
         assert result.s == pytest.approx(MAX_CH_VIOLATION, abs=1e-9)
 
 
-def test_ch_parameter_makes_one_amplitude_call_and_two_overlaps(monkeypatch):
+def test_ch_parameter_makes_four_amplitude_calls_and_eight_overlaps(monkeypatch):
     plain = ch_parameter(canonical_settings(0.7))
     calls = []
 

@@ -78,6 +78,18 @@ def test_ch_mc_and_scan_refuse_aux_phases(tmp_path, capsys, command):
     assert main(["probe", "--config", config]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", ["probe", "ch", "mc"])
+def test_out_writes_the_bytes_the_command_prints(tmp_path, capsys, command, fmt):
+    argv = [command, "--config", _write_config(tmp_path), "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("utf-8")
+
+
 def test_probe_missing_section(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"schema_version": 1}), encoding="utf-8")

@@ -7,7 +7,8 @@ and `mc` output of one fixed config at three step indices: the command, its
 stdout, any stderr and its exit code, as text, so a failure shows a diff.
 Every command runs in process through `main`.
 
-Regenerate the goldens, on a commit whose bytes are the reference, with
+Regenerate every golden, these and the scans of `tests/test_golden_scans.py`,
+on a commit whose bytes are the reference, with
 
     PYTHONPATH=src python tests/test_golden_outputs.py
 """
@@ -89,6 +90,8 @@ def test_cli_output_equals_golden(tmp_path, name):
 if __name__ == "__main__":
     import tempfile
 
+    import test_golden_scans  # run as a script, this file's directory is on sys.path
+
     TRANSCRIPTS.mkdir(parents=True, exist_ok=True)
     VALIDATE.write_text(json.dumps(validate_outputs(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
@@ -96,4 +99,6 @@ if __name__ == "__main__":
         config_path.write_text(json.dumps(CONFIG), encoding="utf-8")
         for name in CASES:
             (TRANSCRIPTS / f"{name}.txt").write_text(transcript(name, config_path), encoding="utf-8")
-    sys.stdout.write(f"wrote {VALIDATE} and {len(CASES)} transcripts to {TRANSCRIPTS}\n")
+    test_golden_scans.write_goldens()
+    sys.stdout.write(f"wrote {VALIDATE}, {len(CASES)} transcripts to {TRANSCRIPTS} and "
+                     f"{len(test_golden_scans.CASES)} scans to {test_golden_scans.GOLDEN}\n")

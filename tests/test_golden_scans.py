@@ -5,9 +5,8 @@ relative `--out`, because the summary names its artifact.  Full-precision
 JSON scans are left out: their last digits move with the libm dispatch
 level (README, Reproducibility).
 
-Regenerate the goldens, on a commit whose bytes are the reference, with
-
-    PYTHONPATH=src python tests/test_golden_scans.py
+`tests/test_golden_outputs.py`, run as a script, regenerates these goldens
+with the others.
 """
 
 import contextlib
@@ -15,7 +14,6 @@ import hashlib
 import io
 import json
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -71,11 +69,11 @@ def test_scan_bytes_equal_golden(tmp_path, name):
     assert run_scan(CASES[name], tmp_path) == {k: golden[k] for k in ("artifact_sha256", "summary")}
 
 
-if __name__ == "__main__":
+def write_goldens() -> None:
+    """Run every case and write its golden."""
     goldens = {}
     for name, config in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
             goldens[name] = {"config": config, **run_scan(config, Path(tmp))}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(goldens, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {len(goldens)} goldens to {GOLDEN}\n")

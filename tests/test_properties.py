@@ -246,13 +246,21 @@ def test_json_artifact_equals_json_dumps_of_the_per_row_document(tmp_path, shape
     step_index=STEP_VALUES,
     threshold=st.floats(-1.0, 1.0),
     chunk=st.integers(1, 8),
+    memo=st.sampled_from((2**16, 12)),
 )
+# memos of a few keys, which each pass of the CSV scan and of the JSON scan replaces
+# many times: the diagonal rows of 8 x 8 tie for the largest S, 33 x 32 has a key per row
+@example(alpha_steps=8, beta_steps=8, policy="optimize-per-point", step_index=0.5, threshold=0.1,
+         chunk=5, memo=12)
+@example(alpha_steps=33, beta_steps=32, policy="fixed-canonical", step_index=1.8694, threshold=0.1,
+         chunk=16, memo=40)
 def test_streamed_scan_artifacts_equal_whole_text_writers(
-    tmp_path_factory, alpha_steps, beta_steps, policy, step_index, threshold, chunk
+    tmp_path_factory, alpha_steps, beta_steps, policy, step_index, threshold, chunk, memo
 ):
+    # chunks of `chunk` rows and memos of `memo` keys
     tmp = tmp_path_factory.mktemp("scan")
     config = _scan_config(tmp / "config.json", alpha_steps, beta_steps, policy, step_index, threshold)
-    with mock.patch.object(search, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(search, "_CHUNK_ROWS", chunk), mock.patch.object(search, "_MEMO_KEYS", memo):
         streamed = _streamed_artifacts(config, tmp)
     assert streamed == _whole_text_artifacts(load_config(config))
 

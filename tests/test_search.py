@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -282,18 +283,20 @@ def test_scan_evaluates_each_relative_orientation_once(monkeypatch):
     monkeypatch.setattr(search, "ChLandscape", _CountingLandscape)
     monkeypatch.setattr(_CountingLandscape, "batches", [])
     scan = scan_alpha_beta(ScanGrid(alpha_steps=33, beta_steps=33), HALF)
-    assert len(_rows(scan)) == 33 * 33
+    assert len(_rows(scan)) == 33 * 33 and scan.result.rows == 33 * 33
     # the 1,089 rows fit one chunk, whose 593 keys are evaluated together
     assert _CountingLandscape.batches == [593]
-    # a second pass finds every key in the memo; `result` came with the first
-    assert len(_rows(scan)) == 33 * 33 and scan.result.rows == 33 * 33
-    assert _CountingLandscape.batches == [593]
+    # the memo lives as long as its pass: a second pass evaluates the 593 keys again
+    assert sorted(vars(scan)) == ["grid", "result", "step_index", "tail"]
+    first, scan.result = scan.result, None
+    assert len(_rows(scan)) == 33 * 33 and scan.result == first
+    assert _CountingLandscape.batches == [593, 593]
 
 
 def test_scan_result_requires_rows():
     with pytest.raises(ValueError, match="scan produced no rows"):
         ScanResult(rows=0, exceeding=0, best=None)
-    # the first full pass sets `result`
+    # each full pass sets `result`
     scan = scan_alpha_beta(ScanGrid(alpha_steps=5, beta_steps=5), HALF)
     assert scan.result is None
     rows = _rows(scan)
@@ -305,20 +308,21 @@ def test_scan_result_requires_rows():
 
 def test_scan_key_count_is_bounded(monkeypatch):
     # every grid within MAX_SCAN_POINTS scans, whatever its steps share;
-    # the memo holds at most `_MEMO_KEYS` keys, and starts again when full
-    sizes = []
-    evaluate = search.Scan._evaluate
+    # no memo holds more than `_MEMO_KEYS` keys, and one is replaced only when full
+    memos = {}
 
-    def recording(self, keys):
-        sizes.append(len(self._numbers))
-        return evaluate(self, keys)
+    def recording(factory):
+        memos[steps].append(defaultdict(factory))
+        return memos[steps][-1]
 
-    monkeypatch.setattr(search.Scan, "_evaluate", recording)
+    monkeypatch.setattr(search, "defaultdict", recording)
     monkeypatch.setattr(search, "_CHUNK_ROWS", 64)
     monkeypatch.setattr(search, "_MEMO_KEYS", 200)
     for steps in ((93, 92), (2, 600), (600, 2), (33, 33)):
+        memos[steps] = []
         scan = scan_alpha_beta(ScanGrid(*steps), HALF)
         assert len(_rows(scan)) == scan.result.rows == steps[0] * steps[1]
-    assert max(sizes) <= 200
-    # 93 x 92 has a key per row: the memo was cleared and filled again
-    assert sizes.count(64) > 1
+        assert max(map(len, memos[steps])) <= 200
+        assert all(len(memo) > 200 - 64 for memo in memos[steps][:-1])
+    # 93 x 92 has a key per row: its 8,556 keys filled many memos
+    assert len(memos[(93, 92)]) > 8556 // 200
