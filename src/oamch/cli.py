@@ -47,12 +47,11 @@ def _document(command: str, config: RunConfig, results: dict) -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write `text` and a newline to `out_path`, or to stdout when it is None."""
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
     else:
-        Path(out_path).write_text(text + ("" if text.endswith("\n") else "\n"), encoding="utf-8")
+        Path(out_path).write_text(text + "\n", encoding="utf-8")
 
 
 def _matrix_lines(label: str, m) -> list[str]:
@@ -282,7 +281,7 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     rows, exceeding, best = scan.result
     summary = {"artifact": str(out_path), "format": fmt, "rows": rows, "threshold": grid.threshold,
                "exceeding": exceeding, "best": dict(zip(_ROW_KEYS, best))}
-    sys.stdout.write(json.dumps(_document("scan-summary", config, summary), indent=2, sort_keys=True) + "\n")
+    _emit(json.dumps(_document("scan-summary", config, summary), indent=2, sort_keys=True), None)
     return 0
 
 
@@ -362,19 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    commands = {"probe": cmd_probe, "ch": cmd_ch, "mc": cmd_mc, "scan": cmd_scan}
     try:
         if args.command == "validate":
             return cmd_validate(args)
         config = load_config(args.config, args.overrides)
-        if args.command == "probe":
-            return cmd_probe(config, args)
-        if args.command == "ch":
-            return cmd_ch(config, args)
-        if args.command == "mc":
-            return cmd_mc(config, args)
-        if args.command == "scan":
-            return cmd_scan(config, args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return commands[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

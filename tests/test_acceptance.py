@@ -21,10 +21,11 @@ from oamch.coincidence import (
     ExperimentSettings,
     amplitude_matrix,
     amplitude_matrix_quadrature,
+    arm_amplitude,
     closed_form_probabilities,
+    mz_unitary,
     normalized_amplitudes,
 )
-from oamch.interferometer import arm_amplitude, mz_unitary
 from oamch.montecarlo import McConfig, estimate_S, simulate_ch_runs
 from oamch.search import ChLandscape, ScanGrid, scan_alpha_beta
 

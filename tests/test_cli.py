@@ -135,6 +135,16 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "waist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, value", [("experiment", 5), ("scan", [])])
+def test_section_that_is_not_an_object_exits_2_with_one_line(tmp_path, capsys, section, value):
+    path = tmp_path / "section.json"
+    path.write_text(json.dumps({"schema_version": 1, section: value}), encoding="utf-8")
+    assert main(["probe", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: section {section!r} must be an object\n"
+
+
 def test_mc_is_byte_deterministic(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["mc", "--config", config]) == 0

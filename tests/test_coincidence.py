@@ -14,10 +14,10 @@ from oamch.coincidence import (
     amplitude_matrix_quadrature,
     closed_form_from_settings,
     closed_form_probabilities,
+    mz_unitary,
     normalized_amplitudes,
     plate_overlap_matrix,
 )
-from oamch.interferometer import mz_unitary
 
 HALF = StepIndex(0.5)
 

@@ -94,6 +94,7 @@ def test_bad_values_are_config_errors():
         ("mc", "seed", -5),
         ("scan", "alpha_steps", 1),
         ("scan", "theta_policy", "anneal"),
+        ("scan", "theta_policy", 3),
         ("experiment", "step_index", -0.5),
         ("output", "format", "xml"),
     ]:

@@ -39,6 +39,7 @@ COMMANDS = {
     "probe-text": ["probe", "--format", "text"],
     "probe-json": ["probe", "--format", "json"],
     "probe-closed-form": ["probe", "--format", "text", "--closed-form"],
+    "probe-closed-form-json": ["probe", "--format", "json", "--closed-form"],
     "ch-text": ["ch", "--format", "text"],
     "ch-json": ["ch", "--format", "json"],
     "mc-text": ["mc", "--format", "text"],

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 from oamch.azimuthal import TAU, StepIndex, spp_phase
-from oamch.interferometer import arm_amplitude, mz_unitary
+from oamch.coincidence import arm_amplitude, mz_unitary
 
 HALF = StepIndex(0.5)
 SQRT2 = math.sqrt(2.0)

@@ -62,6 +62,11 @@ CASES = [
     Case(CountRecord, ("ab", [[5, 5], [0, 0]], 10, np.int64(0)), ("ab", ((5, 5), (0, 0)), 10, 0),
          {"trials": 10.5, "no_coincidence": 0.5},
          "no_coincidence must be a nonnegative integer, got 0.5", "value"),
+    # counts that are not a 2x2 matrix: not iterable, or 2x3
+    Case(CountRecord, ("ab", [[5, 5], [0, 0]], 10, 0), ("ab", ((5, 5), (0, 0)), 10, 0),
+         {"n": 5}, "n must be a 2x2 matrix of nonnegative counts", "value"),
+    Case(CountRecord, ("ab", [[5, 5], [0, 0]], 10, 0), ("ab", ((5, 5), (0, 0)), 10, 0),
+         {"n": [[5, 5, 0], [0, 0, 0]]}, "n must be a 2x2 matrix of nonnegative counts", "value"),
     # a fractional count; trials that are not a nonnegative integer; trials stored as an int
     Case(CountRecord, ("ab", [[1, 0], [0, 0]], 1.0, 0), ("ab", ((1, 0), (0, 0)), 1, 0),
          {"n": [[1.9, 0], [0, 0]]}, "each count in n must be a nonnegative integer, got 1.9",

@@ -23,8 +23,13 @@ from oamch.azimuthal import (
     wrap_angle,
 )
 from oamch.cli import main
-from oamch.coincidence import SIGMA, AmplitudeMatrix, ExperimentSettings, amplitude_matrix_quadrature
-from oamch.interferometer import mz_unitary
+from oamch.coincidence import (
+    SIGMA,
+    AmplitudeMatrix,
+    ExperimentSettings,
+    amplitude_matrix_quadrature,
+    mz_unitary,
+)
 from oamch.validate import (
     SUITE_NAMES,
     run_azimuthal_suite,
