@@ -7,7 +7,7 @@ analytic-vs-quadrature suites).  Every command is deterministic given its
 full config, including the seed.
 
 Exit codes: 0 success, 1 assertion or suite failure or an `mc` run without
-coincidences, 2 config error, 3 output I/O error.
+coincidences, 2 config error, 3 output I/O error, stdout's included.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import sys
 from pathlib import Path
 
@@ -364,9 +365,11 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"probe": cmd_probe, "ch": cmd_ch, "mc": cmd_mc, "scan": cmd_scan}
     try:
         if args.command == "validate":
-            return cmd_validate(args)
-        config = load_config(args.config, args.overrides)
-        return commands[args.command](config, args)
+            code = cmd_validate(args)
+        else:
+            code = commands[args.command](load_config(args.config, args.overrides), args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -374,6 +377,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"insufficient statistics: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout failed: point fd 1 at devnull, or the flush at exit fails again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

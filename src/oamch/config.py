@@ -1,7 +1,8 @@
 """Strict JSON run configuration for the command-line interface.
 
 A config document carries a mandatory schema_version plus optional sections
-{experiment, ch, mc, scan, output}.  Unknown keys anywhere are rejected.
+{experiment, ch, mc, scan, output}.  A section takes its keys, and the
+defaults of the keys it leaves out, from its record; unknown keys are rejected.
 Angles are radians by default; strings with an explicit "deg" or "rad"
 suffix are converted on parse.  There is no environment-variable
 configuration: everything comes from the file and explicit overrides.
@@ -50,16 +51,18 @@ def parse_angle(value) -> float:
     raise ConfigError(f"not an angle: {value!r}")
 
 
-def _require_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
+def _require_keys(section: str, data: dict, allowed: tuple, required: tuple = ()) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"section {section!r} must be an object")
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {', '.join(unknown)}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConfigError(f"{section} section must provide {', '.join(missing)}")
 
 
-def _number(section: str, data: dict, key: str, default):
-    value = data.get(key, default)
+def _number(section: str, key: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
     try:
@@ -86,77 +89,58 @@ class RunConfig(namedtuple("RunConfig", "raw experiment ch mc scan output")):
 
 
 def _build_experiment(data: dict) -> ExperimentSettings:
-    _require_keys(
-        "experiment", data, ("alpha", "beta", "theta_a", "theta_b", "step_index", "aux_phases")
-    )
-    aux = data.get("aux_phases", (0.0, 0.0, 0.0, 0.0))
-    if not isinstance(aux, (list, tuple)) or len(aux) != 4:
-        raise ConfigError("experiment.aux_phases must be a list of four angles")
-    return ExperimentSettings(
-        alpha=parse_angle(data.get("alpha", 0.0)),
-        beta=parse_angle(data.get("beta", 0.0)),
-        theta_a=parse_angle(data.get("theta_a", 0.0)),
-        theta_b=parse_angle(data.get("theta_b", 0.0)),
-        step_index=StepIndex(_number("experiment", data, "step_index", 0.5)),
-        aux_phases=tuple(parse_angle(p) for p in aux),
-    )
+    _require_keys("experiment", data, ExperimentSettings._fields)
+    # the record has no defaults for the plates, the splitters and the step index
+    fields = {key: parse_angle(data.get(key, 0.0)) for key in ExperimentSettings._fields[:4]}
+    fields["step_index"] = StepIndex(_number("experiment", "step_index", data.get("step_index", 0.5)))
+    if "aux_phases" in data:
+        aux = data["aux_phases"]
+        if not isinstance(aux, (list, tuple)) or len(aux) != 4:
+            raise ConfigError("experiment.aux_phases must be a list of four angles")
+        fields["aux_phases"] = [parse_angle(p) for p in aux]
+    return ExperimentSettings(**fields)
 
 
 def _build_ch(data: dict, experiment: ExperimentSettings | None) -> ChSettings:
-    _require_keys("ch", data, ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"))
-    missing = [k for k in ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime") if k not in data]
-    if missing:
-        raise ConfigError(f"ch section must provide all four angles; missing {', '.join(missing)}")
+    angles = ChSettings._fields[:4]
+    _require_keys("ch", data, angles, required=angles)
     if experiment is None:
         raise ConfigError("ch section requires an experiment section for plates and step index")
-    return ChSettings(
-        theta_a=parse_angle(data["theta_a"]),
-        theta_a_prime=parse_angle(data["theta_a_prime"]),
-        theta_b=parse_angle(data["theta_b"]),
-        theta_b_prime=parse_angle(data["theta_b_prime"]),
-        alpha=experiment.alpha,
-        beta=experiment.beta,
-        step_index=experiment.step_index,
-    )
+    return ChSettings(**{key: parse_angle(data[key]) for key in angles},
+                      **{key: getattr(experiment, key) for key in ChSettings._fields[4:]})
 
 
 def _build_mc(data: dict) -> McConfig:
-    _require_keys("mc", data, ("trials", "efficiency_a", "efficiency_b", "seed"))
-    return McConfig(
-        trials=_number("mc", data, "trials", 0),
-        efficiency_a=_number("mc", data, "efficiency_a", 1.0),
-        efficiency_b=_number("mc", data, "efficiency_b", 1.0),
-        seed=_number("mc", data, "seed", 0),
-    )
+    _require_keys("mc", data, McConfig._fields, required=McConfig._fields[:1])
+    return McConfig(**{key: _number("mc", key, data[key]) for key in McConfig._fields if key in data})
+
+
+def _scan_value(key: str, value):
+    if key != "theta_policy":
+        return _number("scan", key, value)
+    if not isinstance(value, str):
+        raise ConfigError(f"scan.theta_policy must be a string, got {value!r}")
+    return value
 
 
 def _build_scan(data: dict) -> ScanGrid:
-    _require_keys("scan", data, ("alpha_steps", "beta_steps", "theta_policy", "threshold"))
-    policy = data.get("theta_policy", "fixed-canonical")
-    if not isinstance(policy, str):
-        raise ConfigError(f"scan.theta_policy must be a string, got {policy!r}")
-    return ScanGrid(
-        alpha_steps=_number("scan", data, "alpha_steps", 0),
-        beta_steps=_number("scan", data, "beta_steps", 0),
-        theta_policy=policy,
-        threshold=_number("scan", data, "threshold", 0.204),
-    )
+    _require_keys("scan", data, ScanGrid._fields, required=ScanGrid._fields[:2])
+    return ScanGrid(**{key: _scan_value(key, data[key]) for key in ScanGrid._fields if key in data})
 
 
 def _build_output(data: dict) -> OutputConfig:
-    _require_keys("output", data, ("path", "format"))
-    path = data.get("path")
-    if path is not None and not isinstance(path, str):
-        raise ConfigError(f"output.path must be a string, got {path!r}")
-    fmt = data.get("format", "csv")
-    if fmt not in OUTPUT_FORMATS:
-        raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}, got {fmt!r}")
-    return OutputConfig(path=path, format=fmt)
+    _require_keys("output", data, OutputConfig._fields)
+    output = OutputConfig(**data)
+    if output.path is not None and not isinstance(output.path, str):
+        raise ConfigError(f"output.path must be a string, got {output.path!r}")
+    if output.format not in OUTPUT_FORMATS:
+        raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}, got {output.format!r}")
+    return output
 
 
 def validate_config(raw: dict) -> RunConfig:
     """Build the typed sections, rejecting unknown keys and bad values."""
-    _require_keys("config", raw, ("schema_version", "experiment", "ch", "mc", "scan", "output"))
+    _require_keys("config", raw, ("schema_version", *RunConfig._fields[1:]))
     if "schema_version" not in raw:
         raise ConfigError("config must declare schema_version")
     if isinstance(raw["schema_version"], bool) or raw["schema_version"] != SCHEMA_VERSION:  # True == 1

@@ -178,15 +178,7 @@ def estimate_S(runs: list[CountRecord]) -> ChEstimate:
         "p_inf_b": (f[0][0][0] + f[0][1][0] + f[2][0][0] + f[2][1][0]) / 2.0,
         "p_inf_inf": _add_up([_add_up(fr[0] + fr[1]) for fr in f]) / 4.0,
     }
-    s_hat = ch_from_probabilities(
-        terms["p_ab"],
-        terms["p_ab_prime"],
-        terms["p_a_prime_b"],
-        terms["p_a_prime_b_prime"],
-        terms["p_a_prime_inf"],
-        terms["p_inf_b"],
-        terms["p_inf_inf"],
-    )
+    s_hat = ch_from_probabilities(*terms.values())  # the terms in parameter order
 
     # S = (w.n)/(v.n) with v = 1/4 on every coincidence cell, so
     # dS/dn_c = (w_c - S/4)/(v.n); per-run multinomial covariance then gives

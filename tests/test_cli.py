@@ -558,6 +558,27 @@ def test_scan_unwritable_path_exits_3(tmp_path, capsys, monkeypatch):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [["probe"], ["ch"], ["mc"], ["validate"], ["scan", "--out", "scan.csv"],
+     # a JSON echo longer than stdout's buffer fails in the command's own write
+     ["probe", "--format", "json", "--set", "experiment.alpha=" + " " * 20000 + "0.3rad"]],
+    ids=["probe", "ch", "mc", "validate", "scan", "probe-long-echo"],
+)
+def test_failed_write_to_stdout_exits_3_with_one_line(tmp_path, argv):
+    # a buffered stdout, whose bytes reach /dev/full only when it is flushed
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(oamch.__file__).resolve().parents[1])
+    if argv[0] != "validate":
+        argv = [argv[0], "--config", _write_config(tmp_path), *argv[1:]]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "oamch.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+
+
 def test_validate_all_suites_pass(capsys):
     assert main(["validate"]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from oamch.cli import main
 from oamch.config import ConfigError, apply_overrides, load_config, parse_angle, validate_config
 
 
@@ -92,10 +93,13 @@ def test_bad_values_are_config_errors():
         ("mc", "efficiency_a", 0.0),
         ("mc", "efficiency_b", 2.0),
         ("mc", "seed", -5),
+        ("mc", "seed", "7"),
         ("scan", "alpha_steps", 1),
         ("scan", "theta_policy", "anneal"),
         ("scan", "theta_policy", 3),
         ("experiment", "step_index", -0.5),
+        ("experiment", "aux_phases", [0.0, 0.0, 0.0]),
+        ("output", "path", 5),
         ("output", "format", "xml"),
     ]:
         raw = _base_config()
@@ -113,7 +117,7 @@ def test_overrides():
     cfg = validate_config(updated)
     assert cfg.mc.trials == 5000
     assert cfg.experiment.alpha == pytest.approx(math.pi / 4)
-    for bad in ("mc.trials", "trials=5", "=5"):
+    for bad in ("mc.trials", "trials=5", "=5", "mc.trials.x=5"):
         with pytest.raises(ConfigError):
             apply_overrides(raw, [bad])
 
@@ -137,3 +141,65 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="JSON object"):
         load_config(arr)
+
+
+@pytest.mark.parametrize(
+    "section, dropped, message",
+    [
+        ("mc", ("trials",), "mc section must provide trials"),
+        ("scan", ("alpha_steps",), "scan section must provide alpha_steps"),
+        ("scan", ("beta_steps",), "scan section must provide beta_steps"),
+        ("scan", ("beta_steps", "alpha_steps"), "scan section must provide alpha_steps, beta_steps"),
+        ("ch", ("theta_b_prime",), "ch section must provide theta_b_prime"),
+        ("ch", ("theta_b", "theta_a"), "ch section must provide theta_a, theta_b"),
+        ("ch", ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime"),
+         "ch section must provide theta_a, theta_a_prime, theta_b, theta_b_prime"),
+    ],
+)
+def test_missing_required_key_exits_2_with_one_line(tmp_path, capsys, section, dropped, message):
+    raw = _base_config()
+    for key in dropped:
+        del raw[section][key]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    command = {"ch": "ch", "mc": "mc", "scan": "probe"}[section]
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
+# every key each section accepts, with a valid value
+EVERY_KEY = {
+    "experiment": {"alpha": 0.1, "beta": "10deg", "theta_a": 0.2, "theta_b": 0.3, "step_index": 1.5,
+                   "aux_phases": [0.0, "1rad", 0.0, 0.5]},
+    "ch": {"theta_a": 0.0, "theta_a_prime": 0.1, "theta_b": 0.2, "theta_b_prime": 0.3},
+    "mc": {"trials": 10, "efficiency_a": 0.5, "efficiency_b": 0.6, "seed": 9},
+    "scan": {"alpha_steps": 2, "beta_steps": 3, "theta_policy": "optimize-per-point", "threshold": 0.1},
+    "output": {"path": "scan.json", "format": "json"},
+}
+
+
+def test_every_key_of_every_section_loads_and_an_extra_one_does_not():
+    cfg = validate_config({"schema_version": 1, **EVERY_KEY})
+    assert cfg.experiment.aux_phases == (0.0, 1.0, 0.0, 0.5)
+    assert cfg.experiment.step_index.value == 1.5
+    assert cfg.ch[:4] == (0.0, 0.1, 0.2, 0.3)
+    assert tuple(cfg.mc) == (10, 0.5, 0.6, 9)
+    assert tuple(cfg.scan) == (2, 3, "optimize-per-point", 0.1)
+    assert tuple(cfg.output) == ("scan.json", "json")
+    for section in EVERY_KEY:
+        raw = {"schema_version": 1, **EVERY_KEY, section: {**EVERY_KEY[section], "extra": 1}}
+        with pytest.raises(ConfigError, match=f"^unknown keys in '{section}': extra$"):
+            validate_config(raw)
+
+
+def test_keys_left_out_take_the_defaults():
+    cfg = validate_config({"schema_version": 1, "experiment": {}, "mc": {"trials": 10},
+                           "scan": {"alpha_steps": 2, "beta_steps": 3}, "output": {}})
+    assert tuple(cfg.experiment[:4]) == (0.0, 0.0, 0.0, 0.0)
+    assert cfg.experiment.step_index.value == 0.5
+    assert cfg.experiment.aux_phases == (0.0, 0.0, 0.0, 0.0)
+    assert tuple(cfg.mc) == (10, 1.0, 1.0, 0)
+    assert tuple(cfg.scan) == (2, 3, "fixed-canonical", 0.204)
+    assert tuple(cfg.output) == (None, "csv")

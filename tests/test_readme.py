@@ -1,9 +1,11 @@
-"""The README's library quickstart runs as written, on the package's public names."""
+"""The README's library quickstart and CLI config example run as written."""
 
 import re
 from pathlib import Path
 
 import oamch
+from oamch.cli import main
+from oamch.config import load_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -22,3 +24,13 @@ def test_readme_quickstart_runs_on_the_public_names(capsys):
     exec("from oamch import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(oamch.__all__)
+
+
+def test_readme_cli_config_loads_and_probe_ch_and_mc_run_on_it(tmp_path, capsys):
+    section = README.read_text(encoding="utf-8").split("## Command-line interface", 1)[1]
+    config = tmp_path / "run.json"
+    config.write_text(re.search(r"```json\n(.*?)```", section, re.S).group(1), encoding="utf-8")
+    assert load_config(config).scan.alpha_steps == 33
+    for command in ("probe", "ch", "mc"):
+        assert main([command, "--config", str(config)]) == 0
+    assert capsys.readouterr().err == ""
