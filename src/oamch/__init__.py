@@ -6,8 +6,7 @@ The top level holds the entry points of the CLI commands and the records
 they take; everything else is imported from its submodule."""
 
 from .azimuthal import StepIndex
-from .chtest import ChSettings, canonical_settings, ch_parameter
-from .coincidence import ExperimentSettings, amplitude_matrix
+from .coincidence import ChSettings, ExperimentSettings, amplitude_matrix, canonical_settings, ch_parameter
 from .montecarlo import McConfig, estimate_S, simulate_ch_runs
 from .search import ScanGrid, scan_alpha_beta
 

@@ -7,20 +7,22 @@ analytic-vs-quadrature suites).  Every command is deterministic given its
 full config, including the seed.
 
 Exit codes: 0 success, 1 assertion or suite failure or an `mc` run without
-coincidences, 2 config error, 3 output I/O error, stdout's included.
+coincidences, 2 config error, 3 output I/O error, a failed or closed stdout
+included.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import operator
 import os
 import sys
 from pathlib import Path
 
-from .chtest import ch_parameter, ch_violated
-from .coincidence import amplitude_matrix, closed_form_from_settings, normalized_amplitudes
+from .coincidence import (amplitude_matrix, ch_parameter, ch_violated, closed_form_from_settings,
+                          normalized_amplitudes)
 from .config import SCHEMA_VERSION, ConfigError, RunConfig, load_config
 from .montecarlo import (
     RNG_ALGORITHM,
@@ -48,9 +50,12 @@ def _document(command: str, config: RunConfig, results: dict) -> dict:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    """Write `text` and a newline to `out_path`, or to stdout when it is None."""
+    """Write `text` and a newline to `out_path`, or to stdout when it is None, and flush it."""
     if out_path is None:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError(errno.EBADF, "stdout is closed")
         sys.stdout.write(text + "\n")
+        sys.stdout.flush()
     else:
         Path(out_path).write_text(text + "\n", encoding="utf-8")
 
@@ -295,12 +300,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     results = run_suites(names)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(
-            f"suite {r.name:12s} {status}  max error {r.max_error:.3e} "
-            f"(tolerance {r.tolerance:.1e}) - {r.detail}"
-        )
+    lines = [f"suite {r.name:12s} {'PASS' if r.passed else 'FAIL'}  max error {r.max_error:.3e} "
+             f"(tolerance {r.tolerance:.1e}) - {r.detail}" for r in results]
+    _emit("\n".join(lines), None)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -365,11 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     commands = {"probe": cmd_probe, "ch": cmd_ch, "mc": cmd_mc, "scan": cmd_scan}
     try:
         if args.command == "validate":
-            code = cmd_validate(args)
-        else:
-            code = commands[args.command](load_config(args.config, args.overrides), args)
-        sys.stdout.flush()
-        return code
+            return cmd_validate(args)
+        return commands[args.command](load_config(args.config, args.overrides), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -378,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except OSError as exc:
         try:
-            sys.stdout.flush()
+            if sys.stdout is not None:
+                sys.stdout.flush()
         except OSError:  # stdout failed: point fd 1 at devnull, or the flush at exit fails again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)

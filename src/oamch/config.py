@@ -16,8 +16,7 @@ from collections import namedtuple
 from pathlib import Path
 
 from .azimuthal import StepIndex
-from .chtest import ChSettings
-from .coincidence import ExperimentSettings
+from .coincidence import ChSettings, ExperimentSettings
 from .montecarlo import McConfig
 from .search import ScanGrid
 

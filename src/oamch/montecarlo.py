@@ -22,12 +22,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .chtest import ChSettings, ch_from_probabilities
-from .coincidence import amplitude_matrix
+from .coincidence import RUN_LABELS, ChSettings, amplitude_matrix, ch_from_probabilities
 
 RNG_ALGORITHM = "numpy.random.Generator(PCG64) seeded with SeedSequence([seed, run_index])"
-
-RUN_LABELS = ("ab", "ab'", "a'b", "a'b'")
 
 
 class InsufficientStatisticsError(ValueError):

@@ -19,7 +19,7 @@ import math
 from collections import defaultdict, namedtuple
 
 from .azimuthal import TAU, StepIndex, difference_overlaps, overlap_integral, wrap_angle
-from .chtest import CANONICAL_THETAS
+from .coincidence import CANONICAL_THETAS
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
 FIXED_THETAS = {"fixed-canonical": CANONICAL_THETAS}  # the angles a policy gives every row

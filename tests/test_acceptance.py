@@ -16,12 +16,15 @@ from oamch.azimuthal import (
     overlap_integral_opposite_phase,
     overlap_integral_quadrature,
 )
-from oamch.chtest import MAX_CH_VIOLATION, ChSettings, canonical_settings, ch_parameter
 from oamch.coincidence import (
+    MAX_CH_VIOLATION,
+    ChSettings,
     ExperimentSettings,
     amplitude_matrix,
     amplitude_matrix_quadrature,
     arm_amplitude,
+    canonical_settings,
+    ch_parameter,
     closed_form_probabilities,
     mz_unitary,
     normalized_amplitudes,

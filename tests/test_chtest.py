@@ -5,20 +5,21 @@ import pstats
 import numpy as np
 import pytest
 
-import oamch.chtest
 import oamch.coincidence
 from oamch.azimuthal import TAU, StepIndex, overlap_integral
-from oamch.chtest import (
+from oamch.coincidence import (
     CANONICAL_THETAS,
     MAX_CH_VIOLATION,
     ChResult,
     ChSettings,
+    ExperimentSettings,
+    amplitude_matrix,
+    amplitude_matrix_quadrature,
     canonical_settings,
     ch_from_probabilities,
     ch_parameter,
     ch_violated,
 )
-from oamch.coincidence import ExperimentSettings, amplitude_matrix, amplitude_matrix_quadrature
 
 HALF = StepIndex(0.5)
 
@@ -50,7 +51,7 @@ def test_ch_parameter_makes_four_amplitude_calls_and_eight_overlaps(monkeypatch)
 
     with monkeypatch.context() as patch:
         patch.setattr(oamch.coincidence, "overlap_integral", overlap)
-        patch.setattr(oamch.chtest, "amplitude_matrix", amplitude)
+        patch.setattr(oamch.coincidence, "amplitude_matrix", amplitude)
         result = ch_parameter(canonical_settings(0.7))
     assert calls == ["amplitude", "overlap", "overlap"] * 4  # one call per setting
     assert result == plain
@@ -104,7 +105,7 @@ def test_analytic_and_quadrature_paths_agree(monkeypatch):
         )
         s_analytic = ch_parameter(cfg).s
         with monkeypatch.context() as patch:
-            patch.setattr(oamch.chtest, "amplitude_matrix", amplitude_matrix_quadrature)
+            patch.setattr(oamch.coincidence, "amplitude_matrix", amplitude_matrix_quadrature)
             s_quad = ch_parameter(cfg).s
         assert s_quad == pytest.approx(s_analytic, abs=1e-8)
 

@@ -558,25 +558,50 @@ def test_scan_unwritable_path_exits_3(tmp_path, capsys, monkeypatch):
     assert "i/o error" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize(
-    "argv",
-    [["probe"], ["ch"], ["mc"], ["validate"], ["scan", "--out", "scan.csv"],
-     # a JSON echo longer than stdout's buffer fails in the command's own write
-     ["probe", "--format", "json", "--set", "experiment.alpha=" + " " * 20000 + "0.3rad"]],
-    ids=["probe", "ch", "mc", "validate", "scan", "probe-long-echo"],
-)
-def test_failed_write_to_stdout_exits_3_with_one_line(tmp_path, argv):
+_STDOUT_ARGVS = {
+    "probe": ["probe"], "ch": ["ch"], "mc": ["mc"], "validate": ["validate"],
+    "scan": ["scan", "--out", "scan.csv"],
+    # a JSON echo longer than stdout's buffer fails in the command's own write
+    "probe-long-echo": ["probe", "--format", "json", "--set", "experiment.alpha=" + " " * 20000 + "0.3rad"],
+}
+
+
+def _run_with_stdout(tmp_path, argv, stdout):
+    """Run the CLI in tmp_path with stdout on /dev/full ("full") or with fd 1 closed ("closed")."""
     # a buffered stdout, whose bytes reach /dev/full only when it is flushed
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(oamch.__file__).resolve().parents[1])
     if argv[0] != "validate":
         argv = [argv[0], "--config", _write_config(tmp_path), *argv[1:]]
+    command = [sys.executable, "-m", "oamch.cli", *argv]
+    if stdout == "closed":
+        return subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *command], stderr=subprocess.PIPE,
+                              text=True, env=env, cwd=tmp_path, timeout=60)
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, "-m", "oamch.cli", *argv], stdout=full,
-                              stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=60)
+        return subprocess.run(command, stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                              cwd=tmp_path, timeout=60)
+
+
+@pytest.mark.parametrize(
+    ("name", "stdout"),
+    [(name, "full") for name in _STDOUT_ARGVS] + [(name, "closed") for name in _STDOUT_ARGVS],
+    ids=[*_STDOUT_ARGVS, *(f"{name}-closed" for name in _STDOUT_ARGVS)],
+)
+def test_failed_write_to_stdout_exits_3_with_one_line(tmp_path, name, stdout):
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    proc = _run_with_stdout(tmp_path, _STDOUT_ARGVS[name], stdout)
     assert proc.returncode == 3
     assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
+    if name == "scan":  # the artifact is written before the summary
+        assert len((tmp_path / "scan.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * 5
+
+
+def test_closed_stdout_does_not_fail_a_command_that_writes_to_out(tmp_path):
+    proc = _run_with_stdout(tmp_path, ["probe", "--out", "probe.out"], "closed")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["probe", "--config", _write_config(tmp_path), "--out", str(tmp_path / "again.out")]) == 0
+    assert (tmp_path / "probe.out").read_bytes() == (tmp_path / "again.out").read_bytes()
 
 
 def test_validate_all_suites_pass(capsys):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from oamch.azimuthal import StepIndex
-from oamch.chtest import MAX_CH_VIOLATION, ChSettings, canonical_settings
 from oamch import montecarlo
 from oamch._pcg64 import multinomial
-from oamch.coincidence import amplitude_matrix
+from oamch.coincidence import MAX_CH_VIOLATION, ChSettings, amplitude_matrix, canonical_settings
 from oamch.montecarlo import (
     RUN_LABELS,
     ChEstimate,

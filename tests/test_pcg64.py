@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from oamch import montecarlo
 from oamch._pcg64 import Generator, multinomial, pcg64
 from oamch.azimuthal import StepIndex
-from oamch.chtest import ChSettings, canonical_settings, ch_from_probabilities
+from oamch.coincidence import ChSettings, canonical_settings, ch_from_probabilities
 from oamch.montecarlo import (
     RUN_LABELS,
     CountRecord,

@@ -28,9 +28,13 @@ from oamch.azimuthal import (
     wrap_angle,
 )
 from oamch.cli import _document, _g9, main
-from oamch.coincidence import ExperimentSettings, amplitude_matrix, amplitude_matrix_quadrature
+from oamch.coincidence import (
+    CANONICAL_THETAS,
+    ExperimentSettings,
+    amplitude_matrix,
+    amplitude_matrix_quadrature,
+)
 from oamch.config import load_config
-from oamch.chtest import CANONICAL_THETAS
 from oamch.search import THETA_POLICIES, ChLandscape, ScanGrid, optimize_thetas, scan_alpha_beta
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=100)

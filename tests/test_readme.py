@@ -34,3 +34,17 @@ def test_readme_cli_config_loads_and_probe_ch_and_mc_run_on_it(tmp_path, capsys)
     for command in ("probe", "ch", "mc"):
         assert main([command, "--config", str(config)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_readme_package_layout_names_exactly_the_modules():
+    text = README.read_text(encoding="utf-8").split("Package layout:", 1)[1]
+    kept, depth = [], 0  # the first sentence, less what it says in parentheses
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if depth == 0 and ch == "." and text[i + 1:i + 2].isspace():
+            break
+        if depth == 0 and ch != ")":
+            kept.append(ch)
+    listed = re.findall(r"`(\w+)`", "".join(kept))
+    modules = sorted(p.stem for p in Path(oamch.__file__).parent.glob("*.py") if p.stem != "__init__")
+    assert sorted(listed) == modules

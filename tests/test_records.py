@@ -13,9 +13,15 @@ import numpy as np
 import pytest
 
 from oamch.azimuthal import TAU, StepIndex
-from oamch.chtest import CANONICAL_THETAS, ChResult, ChSettings
 from oamch.cli import main
-from oamch.coincidence import AmplitudeMatrix, ExperimentSettings, NormalizedState
+from oamch.coincidence import (
+    CANONICAL_THETAS,
+    AmplitudeMatrix,
+    ChResult,
+    ChSettings,
+    ExperimentSettings,
+    NormalizedState,
+)
 from oamch.config import OutputConfig, RunConfig
 from oamch.montecarlo import ChEstimate, CountRecord, McConfig
 from oamch.search import ScanGrid, ScanResult

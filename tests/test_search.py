@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oamch.chtest
+import oamch.coincidence
 from oamch import search
 from oamch.azimuthal import TAU, StepIndex, overlap_integral
-from oamch.chtest import CANONICAL_THETAS, MAX_CH_VIOLATION, ChSettings, ch_parameter
-from oamch.coincidence import amplitude_matrix_quadrature
+from oamch.coincidence import (
+    CANONICAL_THETAS,
+    MAX_CH_VIOLATION,
+    ChSettings,
+    amplitude_matrix_quadrature,
+    ch_parameter,
+)
 from oamch.search import (
     MAX_SCAN_POINTS,
     ChLandscape,
@@ -45,7 +50,7 @@ def _s_via_ch_parameter(alpha, beta, step, thetas):
 def _s_via_quadrature(monkeypatch, alpha, beta, step, thetas):
     """`ch_parameter`'s S with the quadrature oracle in place of the closed-form amplitudes."""
     with monkeypatch.context() as patch:
-        patch.setattr(oamch.chtest, "amplitude_matrix", amplitude_matrix_quadrature)
+        patch.setattr(oamch.coincidence, "amplitude_matrix", amplitude_matrix_quadrature)
         return _s_via_ch_parameter(alpha, beta, step, thetas)
 
 

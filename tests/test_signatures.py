@@ -38,7 +38,7 @@ def test_no_parameter_default_is_a_callable_and_none_is_named_samples():
             if param.name == "samples" or (param.default is not param.empty and callable(param.default)):
                 offending.append(f"{name}({param.name})")
     # the walk reaches module functions, methods, properties and class methods
-    for reached in ("oamch.chtest.ch_parameter", "oamch.validate.run_sign_suite",
+    for reached in ("oamch.coincidence.ch_parameter", "oamch.validate.run_sign_suite",
                     "oamch.coincidence.AmplitudeMatrix.p", "oamch.azimuthal.StepIndex.half_integer"):
         assert reached in names
     assert offending == []
