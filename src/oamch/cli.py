@@ -6,6 +6,11 @@ runs), `scan` (the alpha-beta violation landscape), and `validate` (the
 analytic-vs-quadrature suites).  Every command is deterministic given its
 full config, including the seed.
 
+Every JSON output (`--format json`, the JSON scan artifact, the scan summary) is
+`json.dumps(indent=2, sort_keys=True)` of one document: `schema_version`, `command`,
+`inputs_echo` (the config after `--set`) and `results`.  The summary's results are
+`artifact`, `format`, `rows`, `threshold`, `exceeding` and `best`.
+
 Exit codes: 0 success, 1 assertion or suite failure or an `mc` run without
 coincidences, 2 config error, 3 output I/O error, a failed or closed stdout
 included.
@@ -49,8 +54,13 @@ def _document(command: str, config: RunConfig, results: dict) -> dict:
     }
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    """Write `text` and a newline to `out_path`, or to stdout when it is None, and flush it."""
+def _dump(command: str, config: RunConfig, results: dict) -> str:
+    return json.dumps(_document(command, config, results), indent=2, sort_keys=True)
+
+
+def _emit(lines: list[str], out_path: str | None = None, fmt: str = "text", doc: tuple = ()) -> None:
+    """Write `lines`, or `_dump(*doc)` if `fmt` is "json", and a newline to `out_path` or stdout, flushed."""
+    text = _dump(*doc) if fmt == "json" else "\n".join(lines)
     if out_path is None:
         if sys.stdout is None:  # fd 1 was closed when the interpreter started
             raise OSError(errno.EBADF, "stdout is closed")
@@ -83,49 +93,28 @@ def _require_zero_aux_phases(settings, command: str) -> None:
 def cmd_probe(config: RunConfig, args: argparse.Namespace) -> int:
     settings = _require(config.experiment, "experiment")
     m = amplitude_matrix(settings)
-    lam_sq = normalized_amplitudes(m).p
-    p = m.p
-    marg_a = p[0][0] + p[0][1]
-    marg_b = p[0][0] + p[1][0]
-    total = m.p_total
-    closed = None
+    results = {
+        "p": m.p,
+        "lambda_sq": normalized_amplitudes(m).p,
+        "p_a_marginal": m.p[0][0] + m.p[0][1],
+        "p_b_marginal": m.p[0][0] + m.p[1][0],
+        "p_total": m.p_total,
+    }
+    lines = _matrix_lines("unnormalized p_ij (radial constant omitted)", m.p)
+    lines += _matrix_lines("normalized |lambda_ij|^2", results["lambda_sq"])
+    lines.append(
+        f"marginals: P(theta_a,inf) = {_g9(results['p_a_marginal'])}  "
+        f"P(inf,theta_b) = {_g9(results['p_b_marginal'])}  P(inf,inf) = {_g9(m.p_total)}"
+    )
     if args.closed_form:
         try:
             closed = closed_form_from_settings(settings)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    if args.format == "json":
-        results = {
-            "p": p,
-            "lambda_sq": lam_sq,
-            "p_a_marginal": marg_a,
-            "p_b_marginal": marg_b,
-            "p_total": total,
-        }
-        if closed is not None:
-            results["closed_form"] = {
-                "joint": closed[0],
-                "a_marginal": closed[1],
-                "b_marginal": closed[2],
-                "total": closed[3],
-            }
-        _emit(json.dumps(_document("probe", config, results), indent=2, sort_keys=True), args.out)
-        return 0
-
-    lines = _matrix_lines("unnormalized p_ij (radial constant omitted)", p)
-    lines += _matrix_lines("normalized |lambda_ij|^2", lam_sq)
-    lines.append(
-        f"marginals: P(theta_a,inf) = {_g9(marg_a)}  "
-        f"P(inf,theta_b) = {_g9(marg_b)}  P(inf,inf) = {_g9(total)}"
-    )
-    if closed is not None:
-        lines.append(
-            "closed form: joint = {}  a-marginal = {}  b-marginal = {}  total = {}".format(
-                *(_g9(v) for v in closed)
-            )
-        )
-    _emit("\n".join(lines), args.out)
+        names = ("joint", "a-marginal", "b-marginal", "total")
+        results["closed_form"] = {name.replace("-", "_"): v for name, v in zip(names, closed)}
+        lines.append("closed form: " + "  ".join(f"{name} = {_g9(v)}" for name, v in zip(names, closed)))
+    _emit(lines, args.out, args.format, (args.command, config, results))
     return 0
 
 
@@ -134,27 +123,21 @@ def cmd_ch(config: RunConfig, args: argparse.Namespace) -> int:
     _require_zero_aux_phases(config.experiment, "ch")
     result = ch_parameter(cfg)
     violated, margin = ch_violated(result)
-
-    if args.format == "json":
-        results = {
-            "s": result.s,
-            "p_joint": dict(zip(("ab", "ab_prime", "a_prime_b", "a_prime_b_prime"), result.p_joint)),
-            "p_a_prime_marginal": result.p_marg_a,
-            "p_b_marginal": result.p_marg_b,
-            "p_total": result.p_total,
-            "violated": violated,
-            "margin": margin,
-        }
-        _emit(json.dumps(_document("ch", config, results), indent=2, sort_keys=True), args.out)
-    else:
-        labels = ("P(a ,b )", "P(a ,b')", "P(a',b )", "P(a',b')")
-        lines = [f"{lab} = {_g9(v)}" for lab, v in zip(labels, result.p_joint)]
-        lines.append(f"P(a',inf) = {_g9(result.p_marg_a)}")
-        lines.append(f"P(inf,b ) = {_g9(result.p_marg_b)}")
-        lines.append(f"P(inf,inf) = {_g9(result.p_total)}")
-        lines.append(f"S = {result.s:.7f}")
-        lines.append(f"CH violated (S > 0): {'yes' if violated else 'no'}")
-        _emit("\n".join(lines), args.out)
+    results = {
+        "s": result.s,
+        "p_joint": dict(zip(("ab", "ab_prime", "a_prime_b", "a_prime_b_prime"), result.p_joint)),
+        "p_a_prime_marginal": result.p_marg_a,
+        "p_b_marginal": result.p_marg_b,
+        "p_total": result.p_total,
+        "violated": violated,
+        "margin": margin,
+    }
+    labels = ("P(a ,b )", "P(a ,b')", "P(a',b )", "P(a',b')", "P(a',inf)", "P(inf,b )", "P(inf,inf)")
+    values = (*result.p_joint, result.p_marg_a, result.p_marg_b, result.p_total)
+    lines = [f"{lab} = {_g9(v)}" for lab, v in zip(labels, values)]
+    lines.append(f"S = {result.s:.7f}")
+    lines.append(f"CH violated (S > 0): {'yes' if violated else 'no'}")
+    _emit(lines, args.out, args.format, (args.command, config, results))
 
     if args.assert_violation and not violated:
         print(f"assertion failed: S = {result.s:.7f} <= 0", file=sys.stderr)
@@ -168,33 +151,28 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
     _require_zero_aux_phases(config.experiment, "mc")
     runs = simulate_ch_runs(cfg, mc)
     est = estimate_S(runs)
-
-    if args.format == "json":
-        results = {
-            "rng": RNG_ALGORITHM,
-            "trials_per_run": mc.trials,
-            "efficiency_a": mc.efficiency_a,
-            "efficiency_b": mc.efficiency_b,
-            "seed": mc.seed,
-            "runs": [
-                {
-                    "setting": r.setting_label,
-                    "counts": r.n,
-                    "no_coincidence": r.no_coincidence,
-                    "frequencies": frequency(r),
-                }
-                for r in runs
-            ],
-            "terms": est.terms,
-            "s_hat": est.s_hat,
-            "stderr": est.stderr,
-        }
-        _emit(json.dumps(_document("mc", config, results), indent=2, sort_keys=True), args.out)
-        return 0
-
+    results = {
+        "rng": RNG_ALGORITHM,
+        "trials_per_run": mc.trials,
+        "efficiency_a": mc.efficiency_a,
+        "efficiency_b": mc.efficiency_b,
+        "seed": mc.seed,
+        "runs": [
+            {
+                "setting": r.setting_label,
+                "counts": r.n,
+                "no_coincidence": r.no_coincidence,
+                "frequencies": frequency(r),
+            }
+            for r in runs
+        ],
+        "terms": est.terms,
+        "s_hat": est.s_hat,
+        "stderr": est.stderr,
+    }
     lines = [f"rng: {RNG_ALGORITHM}", f"trials per run: {mc.trials}  seed: {mc.seed}"]
-    for r in runs:
-        f = frequency(r)
+    for r, run in zip(runs, results["runs"]):
+        f = run["frequencies"]
         lines.append(
             f"run {r.setting_label:4s} counts "
             f"[[{r.n[0][0]}, {r.n[0][1]}], [{r.n[1][0]}, {r.n[1][1]}]] "
@@ -202,7 +180,7 @@ def cmd_mc(config: RunConfig, args: argparse.Namespace) -> int:
         )
         lines += [f"  F = {_g9(f[0][0])}  {_g9(f[0][1])}", f"      {_g9(f[1][0])}  {_g9(f[1][1])}"]
     lines.append(f"S_hat = {est.s_hat:.7f} +/- {est.stderr:.7f}")
-    _emit("\n".join(lines), args.out)
+    _emit(lines, args.out, args.format, (args.command, config, results))
     return 0
 
 
@@ -275,8 +253,7 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
             for _ in first:
                 pass
             best = dict(zip(_ROW_KEYS, first.result.best))
-            empty = json.dumps(_document("scan", config, {"rows": [], "best": best}), indent=2, sort_keys=True)
-            head, tail = empty.rsplit('"rows": []', 1)
+            head, tail = _dump("scan", config, {"rows": [], "best": best}).rsplit('"rows": []', 1)
             fh.write(head + '"rows": [\n')
             _write_rows(fh, scan, row, skip=2)
             fh.write("\n    ]" + tail + "\n")
@@ -287,7 +264,7 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     rows, exceeding, best = scan.result
     summary = {"artifact": str(out_path), "format": fmt, "rows": rows, "threshold": grid.threshold,
                "exceeding": exceeding, "best": dict(zip(_ROW_KEYS, best))}
-    _emit(json.dumps(_document("scan-summary", config, summary), indent=2, sort_keys=True), None)
+    _emit([], None, "json", ("scan-summary", config, summary))
     return 0
 
 
@@ -302,7 +279,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     results = run_suites(names)
     lines = [f"suite {r.name:12s} {'PASS' if r.passed else 'FAIL'}  max error {r.max_error:.3e} "
              f"(tolerance {r.tolerance:.1e}) - {r.detail}" for r in results]
-    _emit("\n".join(lines), None)
+    _emit(lines)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -380,7 +357,8 @@ def main(argv: list[str] | None = None) -> int:
             if sys.stdout is not None:
                 sys.stdout.flush()
         except OSError:  # stdout failed: point fd 1 at devnull, or the flush at exit fails again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
 

@@ -103,14 +103,31 @@ def test_ch_prints_canonical_s(tmp_path, capsys):
     assert "CH violated (S > 0): yes" in out
 
 
-def test_ch_assert_violation_failure(tmp_path, capsys):
+@pytest.mark.parametrize("dest", ["stdout", "out"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ch_assert_violation_failure(tmp_path, capsys, fmt, dest):
     config = _write_config(
         tmp_path,
         **{"ch.theta_a_prime": 0.0, "ch.theta_b": 0.0, "ch.theta_b_prime": 0.0},
     )
-    assert main(["ch", "--config", config]) == 0
-    assert "S = 0.0000000" in capsys.readouterr().out
-    assert main(["ch", "--config", config, "--assert-violation"]) == 1
+    out = tmp_path / "ch.out"
+    argv = ["ch", "--config", config, "--format", fmt, *(["--out", str(out)] if dest == "out" else [])]
+
+    def run(*extra):
+        code = main([*argv, *extra])
+        captured = capsys.readouterr()
+        return code, out.read_text(encoding="utf-8") if dest == "out" else captured.out, captured.err
+
+    code, output, err = run()
+    assert (code, err) == (0, "")
+    if fmt == "text":
+        assert "S = 0.0000000" in output
+    else:
+        assert json.loads(output)["results"]["violated"] is False
+    if dest == "out":
+        out.unlink()
+    # the failed assertion still writes the whole output, then one line on stderr
+    assert run("--assert-violation") == (1, output, "assertion failed: S = 0.0000000 <= 0\n")
 
 
 def test_ch_json_document(tmp_path, capsys):
@@ -504,10 +521,19 @@ def test_scan_csv_lines_format_the_library_columns(tmp_path, capsys, policy):
 def test_scan_json_artifact(tmp_path, capsys):
     config = _write_config(tmp_path)
     out = tmp_path / "scan.json"
-    assert main(["scan", "--config", config, "--out", str(out), "--format", "json"]) == 0
+    assert main(["scan", "--config", config, "--out", str(out), "--format", "json",
+                 "--set", "scan.threshold=0.1"]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert len(doc["results"]["rows"]) == 25
     assert json.loads(json.dumps(doc)) == doc
+    # the envelope, checked without `cli._document`: the config after --set, and the summary's best row
+    echo = json.loads(Path(config).read_text(encoding="utf-8"))
+    echo["scan"]["threshold"] = 0.1
+    assert sorted(doc) == ["command", "inputs_echo", "results", "schema_version"]
+    assert (doc["command"], doc["schema_version"], doc["inputs_echo"]) == ("scan", 1, echo)
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["command"] == "scan-summary"
+    assert doc["results"]["best"] == summary["results"]["best"]
 
 
 def test_scan_needs_output_path(tmp_path, capsys):
@@ -602,6 +628,21 @@ def test_closed_stdout_does_not_fail_a_command_that_writes_to_out(tmp_path):
     assert (proc.returncode, proc.stderr) == (0, "")
     assert main(["probe", "--config", _write_config(tmp_path), "--out", str(tmp_path / "again.out")]) == 0
     assert (tmp_path / "probe.out").read_bytes() == (tmp_path / "again.out").read_bytes()
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")),
+                    reason="needs /proc/self/fd and /dev/full")
+def test_failed_stdout_leaks_no_descriptor(tmp_path, capsys, monkeypatch):
+    config = _write_config(tmp_path)
+    counts = [len(os.listdir("/proc/self/fd"))]
+    for _ in range(3):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main(["probe", "--config", config]) == 3
+            monkeypatch.undo()
+        counts.append(len(os.listdir("/proc/self/fd")))
+    assert counts == counts[:1] * 4
+    assert capsys.readouterr().err.count("i/o error: ") == 3
 
 
 def test_validate_all_suites_pass(capsys):
