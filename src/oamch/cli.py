@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .coincidence import (amplitude_matrix, ch_parameter, ch_violated, closed_form_from_settings,
                           normalized_amplitudes)
-from .config import SCHEMA_VERSION, ConfigError, RunConfig, load_config
+from .config import OUTPUT_FORMATS, SCHEMA_VERSION, ConfigError, RunConfig, load_config
 from .montecarlo import (
     RNG_ALGORITHM,
     InsufficientStatisticsError,
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(mc, ("text", "json"), "text")
 
     scan = sub.add_parser("scan", help="S landscape over the alpha-beta grid")
-    add_common(scan, ("csv", "json"), None)
+    add_common(scan, OUTPUT_FORMATS, None)
 
     validate = sub.add_parser("validate", help="analytic-vs-quadrature oracle suites")
     validate.add_argument(

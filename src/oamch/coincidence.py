@@ -138,16 +138,11 @@ class ExperimentSettings(
         return any(p != 0.0 for p in self.aux_phases)
 
 
-def _squared_moduli(c):
-    """|z|^2 of every entry of a 2x2 nested sequence, as nested tuples."""
-    return tuple(tuple(abs(z) * abs(z) for z in row) for row in c)
-
-
 class AmplitudeMatrix(namedtuple("AmplitudeMatrix", "c")):
     """The four complex coincidence amplitudes C_ij of one setting.
 
-    c is a 2x2 nested tuple of complex, rows first, from the closed form
-    and the quadrature oracle alike.
+    c is a 2x2 nested tuple of complex, rows first: C_ij from the closed
+    form and the quadrature oracle alike, or lambda_ij from `normalized_amplitudes`.
     """
 
     __slots__ = ()
@@ -155,7 +150,7 @@ class AmplitudeMatrix(namedtuple("AmplitudeMatrix", "c")):
     @property
     def p(self) -> tuple:
         """Unnormalized probabilities p_ij = |C_ij|^2."""
-        return _squared_moduli(self.c)
+        return tuple(tuple(abs(z) * abs(z) for z in row) for row in self.c)
 
     @property
     def p_total(self) -> float:
@@ -163,43 +158,22 @@ class AmplitudeMatrix(namedtuple("AmplitudeMatrix", "c")):
         return p11 + p12 + p21 + p22
 
 
-class NormalizedState(namedtuple("NormalizedState", "lam")):
-    """Normalized two-photon amplitudes lambda_ij, sum |lambda_ij|^2 = 1."""
-
-    __slots__ = ()
-
-    @property
-    def p(self) -> tuple:
-        """|lambda_ij|^2."""
-        return _squared_moduli(self.lam)
-
-
-def plate_overlap_matrix(settings: ExperimentSettings):
-    """K[k][m] = overlap of a-side plate k against b-side plate m.
-
-    The overlap depends only on the relative orientation of the two plates,
-    so turning both a half-turn changes nothing: K = ((k, q), (q, k)) with
-    k = I(alpha, beta) and q = I(alpha, beta + pi), two overlaps for all four.
-    """
-    k = overlap_integral(settings.alpha, settings.beta, settings.step_index)
-    q = overlap_integral(settings.alpha, wrap_angle(settings.beta + _PI), settings.step_index)
-    return ((k, q), (q, k))
-
-
-def _matmul(a, b):
-    """Product of two 2x2 nested sequences."""
-    return tuple(tuple(row[0] * b[0][j] + row[1] * b[1][j] for j in (0, 1)) for row in a)
-
-
 def amplitude_matrix(settings: ExperimentSettings) -> AmplitudeMatrix:
-    """Coincidence amplitudes of one setting via the closed-form plate overlaps."""
-    a1, a2, b1, b2 = settings.aux_phases
-    ua = mz_unitary(settings.theta_a, a1, a2)
-    ub = mz_unitary(settings.theta_b, b1, b2)
-    k = plate_overlap_matrix(settings)
-    g = _matmul(_matmul(ua, k), tuple(zip(*ub)))  # ua @ k @ ub^T
-    c = tuple(
-        tuple(0.5 * sigma * x for sigma, x in zip(s_row, g_row)) for s_row, g_row in zip(SIGMA, g)
+    """Coincidence amplitudes of one setting via the closed-form plate overlaps.
+
+    The overlap K[k][m] of a-side plate k with b-side plate m depends only
+    on their relative orientation, so K = ((k, q), (q, k)): k = I(alpha, beta)
+    and q = I(alpha, beta + pi) are two overlaps for all four.
+    """
+    s = settings
+    ua = mz_unitary(s.theta_a, *s.aux_phases[:2])
+    ub = mz_unitary(s.theta_b, *s.aux_phases[2:])
+    k = overlap_integral(s.alpha, s.beta, s.step_index)
+    q = overlap_integral(s.alpha, wrap_angle(s.beta + _PI), s.step_index)
+    g = [(u1 * k + u2 * q, u1 * q + u2 * k) for u1, u2 in ua]  # the rows of ua @ K
+    c = tuple(  # sigma/2 * (ua @ K @ ub^T)
+        tuple(0.5 * sigma * (x1 * v1 + x2 * v2) for sigma, (v1, v2) in zip(s_row, ub))
+        for s_row, (x1, x2) in zip(SIGMA, g)
     )
     return AmplitudeMatrix(c=c)
 
@@ -248,8 +222,8 @@ def amplitude_matrix_quadrature(settings: ExperimentSettings) -> AmplitudeMatrix
     return AmplitudeMatrix(c=((s11 * g11, s12 * g12), (s21 * g21, s22 * g22)))
 
 
-def normalized_amplitudes(m: AmplitudeMatrix) -> NormalizedState:
-    """lambda_ij = C_ij / sqrt(sum |C_kl|^2).
+def normalized_amplitudes(m: AmplitudeMatrix) -> AmplitudeMatrix:
+    """lambda_ij = C_ij / sqrt(sum |C_kl|^2), so that sum |lambda_ij|^2 = 1.
 
     Scaling every C_ij by a positive constant leaves the result unchanged.
     """
@@ -257,7 +231,7 @@ def normalized_amplitudes(m: AmplitudeMatrix) -> NormalizedState:
     if total <= 0.0:
         raise DegenerateStateError("all coincidence amplitudes vanish; state is degenerate")
     norm = math.sqrt(total)
-    return NormalizedState(lam=tuple(tuple(z / norm for z in row) for row in m.c))
+    return AmplitudeMatrix(c=tuple(tuple(z / norm for z in row) for row in m.c))
 
 
 def closed_form_probabilities(

@@ -182,7 +182,7 @@ def test_criterion_7_property_suites():
             theta_b=rng.uniform(0.0, TAU),
             step_index=StepIndex.half_integer(int(rng.integers(0, 3))),
         )
-        lam = normalized_amplitudes(amplitude_matrix(s)).lam
+        lam = normalized_amplitudes(amplitude_matrix(s)).c
         worst = max(worst, abs(float(np.sum(np.abs(lam) ** 2)) - 1.0))
     checks["lambda-normalization"] = worst <= 1e-12
 

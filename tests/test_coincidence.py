@@ -1,12 +1,14 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 import oamch.coincidence
 from oamch import azimuthal
-from oamch.azimuthal import TAU, StepIndex, overlap_integral
+from oamch.azimuthal import TAU, StepIndex, overlap_integral, wrap_angle
 from oamch.coincidence import (
+    SIGMA,
     AmplitudeMatrix,
     DegenerateStateError,
     ExperimentSettings,
@@ -16,7 +18,6 @@ from oamch.coincidence import (
     closed_form_probabilities,
     mz_unitary,
     normalized_amplitudes,
-    plate_overlap_matrix,
 )
 
 HALF = StepIndex(0.5)
@@ -53,10 +54,10 @@ def test_probability_matrix_consistency():
     np.testing.assert_allclose(m.p, np.abs(m.c) ** 2, atol=1e-14)
     assert np.all(np.array(m.p) >= 0.0)
     # channel-pair factors sigma_11 = 1, sigma_12 = sigma_21 = i, sigma_22 = -1
-    ua, k, ub = (
-        np.array(x) for x in (mz_unitary(s.theta_a), plate_overlap_matrix(s), mz_unitary(s.theta_b))
-    )
-    rotated = 0.5 * ua @ k @ ub.T
+    k = overlap_integral(s.alpha, s.beta, s.step_index)
+    q = overlap_integral(s.alpha, wrap_angle(s.beta + math.pi), s.step_index)
+    ua, ub = np.array(mz_unitary(s.theta_a)), np.array(mz_unitary(s.theta_b))
+    rotated = 0.5 * ua @ np.array([[k, q], [q, k]]) @ ub.T
     np.testing.assert_allclose(m.c, np.array([[1, 1j], [1j, -1]]) * rotated, atol=1e-14)
 
 
@@ -122,25 +123,62 @@ def test_amplitude_quadrature_rows_equal_one_row_calls():
             np.testing.assert_allclose(one, amplitude_matrix(s).c, atol=1e-9)
 
 
-def test_plate_overlap_matrix_is_two_overlaps_of_the_four(monkeypatch):
+def test_amplitude_matrix_takes_two_overlaps_of_the_four(monkeypatch):
     rng = np.random.default_rng(29)
     for _ in range(40):
         s = _random_settings(rng, half_integer=False)
-        calls = []
+        calls, overlaps = [], []
 
         def counting(mu, nu, step):
             calls.append((mu, nu))
-            return overlap_integral(mu, nu, step)
+            overlaps.append(overlap_integral(mu, nu, step))
+            return overlaps[-1]
 
         with monkeypatch.context() as patch:
             patch.setattr(oamch.coincidence, "overlap_integral", counting)
-            k = plate_overlap_matrix(s)
-        assert len(calls) == 2
-        assert k[0][0] == k[1][1] and k[0][1] == k[1][0]
+            amplitude_matrix(s)
+        assert calls == [(s.alpha, s.beta), (s.alpha, wrap_angle(s.beta + math.pi))]
+        k, q = overlaps
         plates_a = (s.alpha, s.alpha + math.pi)
         plates_b = (s.beta, s.beta + math.pi)
         four = [[overlap_integral(a, b, s.step_index) for b in plates_b] for a in plates_a]
-        np.testing.assert_allclose(k, four, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(((k, q), (q, k)), four, rtol=0, atol=1e-12)
+
+
+def _two_products(s):
+    """sigma/2 * (ua @ K @ ub^T) as two generic 2x2 products, K = ((k, q), (q, k))."""
+    def matmul(a, b):
+        return tuple(tuple(row[0] * b[0][j] + row[1] * b[1][j] for j in (0, 1)) for row in a)
+
+    a1, a2, b1, b2 = s.aux_phases
+    ua = mz_unitary(s.theta_a, a1, a2)
+    ub = mz_unitary(s.theta_b, b1, b2)
+    k = overlap_integral(s.alpha, s.beta, s.step_index)
+    q = overlap_integral(s.alpha, wrap_angle(s.beta + math.pi), s.step_index)
+    g = matmul(matmul(ua, ((k, q), (q, k))), tuple(zip(*ub)))
+    return tuple(
+        tuple(0.5 * sigma * x for sigma, x in zip(s_row, g_row)) for s_row, g_row in zip(SIGMA, g)
+    )
+
+
+def _bits(c):
+    return [struct.pack("<dd", z.real, z.imag) for row in c for z in row]
+
+
+def test_amplitude_matrix_bits_equal_two_generic_products():
+    # the bits of every real and imaginary part, so that -0.0 and 0.0 are told apart
+    rng = np.random.default_rng(37)
+    settings = [_random_settings(rng, with_aux=bool(k % 2), half_integer=bool(k % 3))
+                for k in range(300)]
+    # exact zeros and signed zeros: aligned plates, splitters at 0 and pi/2, half-turned plates
+    settings += [
+        _settings(alpha=a, beta=b, theta_a=ta, theta_b=tb, step=step)
+        for a, b in ((0.0, 0.0), (1.1, 1.1), (0.4 + math.pi, 0.4))
+        for ta, tb in ((0.0, 0.0), (0.0, math.pi / 2), (math.pi / 2, math.pi))
+        for step in (HALF, StepIndex(1.7321))
+    ]
+    for s in settings:
+        assert _bits(amplitude_matrix(s).c) == _bits(_two_products(s))
 
 
 def test_amplitude_sequence_equals_one_setting_calls():
@@ -228,16 +266,19 @@ def test_probabilities_independent_of_half_integer_order():
 
 def test_normalized_amplitudes():
     m = amplitude_matrix(_settings(alpha=0.4, beta=2.0, theta_a=1.0, theta_b=0.2))
-    lam = normalized_amplitudes(m).lam
+    normalized = normalized_amplitudes(m)
+    assert type(normalized) is AmplitudeMatrix
+    assert normalized.p_total == pytest.approx(1.0, abs=1e-12)
+    lam = normalized.c
     assert float(np.sum(np.abs(lam) ** 2)) == pytest.approx(1.0, abs=1e-12)
     # positive rescaling of the amplitudes leaves lambda unchanged
     scaled = tuple(tuple(4.0 * z for z in row) for row in m.c)
-    scaled = normalized_amplitudes(AmplitudeMatrix(c=scaled)).lam
+    scaled = normalized_amplitudes(AmplitudeMatrix(c=scaled)).c
     np.testing.assert_allclose(scaled, lam, atol=1e-15)
 
 
 def test_normalized_amplitudes_aligned_zero_theta():
-    lam = normalized_amplitudes(amplitude_matrix(_settings())).lam
+    lam = normalized_amplitudes(amplitude_matrix(_settings())).c
     np.testing.assert_allclose(np.abs(lam) ** 2, [[0.5, 0.0], [0.0, 0.5]], atol=1e-12)
 
 

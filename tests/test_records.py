@@ -20,7 +20,6 @@ from oamch.coincidence import (
     ChResult,
     ChSettings,
     ExperimentSettings,
-    NormalizedState,
 )
 from oamch.config import OutputConfig, RunConfig
 from oamch.montecarlo import ChEstimate, CountRecord, McConfig
@@ -44,8 +43,6 @@ CASES = [
          "value"),
     Case(AmplitudeMatrix, (((1.0, 0.5j), (0.5j, -1.0)),), (((1.0, 0.5j), (0.5j, -1.0)),), None,
          None, "value"),
-    Case(NormalizedState, (((0.5, 0.5), (0.5, 0.5)),), (((0.5, 0.5), (0.5, 0.5)),), None, None,
-         "value"),
     Case(ChSettings, (*CANONICAL_THETAS, 7.0, -0.1, HALF),
          (*CANONICAL_THETAS, 7.0 - TAU, TAU - 0.1, HALF), {"theta_b": math.nan},
          "theta_b must be finite", "value"),
