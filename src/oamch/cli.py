@@ -13,7 +13,7 @@ Every JSON output (`--format json`, the JSON scan artifact, the scan summary) is
 
 Exit codes: 0 success, 1 assertion or suite failure or an `mc` run without
 coincidences, 2 config error, 3 output I/O error, a failed or closed stdout
-included.
+included, 130 interrupted (SIGINT), which leaves a partial scan artifact.
 """
 
 from __future__ import annotations
@@ -361,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

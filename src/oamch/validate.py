@@ -2,16 +2,16 @@
 
 Each suite compares a closed-form path against its independent numerical
 oracle over a fixed-seed random sweep of a fixed size and reports the worst
-discrepancy.  The sweeps are the draws of `numpy.random.default_rng(seed)`,
-bit for bit, computed by `_pcg64`, and each sample takes one oracle call:
-nothing here or in the oracles loads numpy.  Every closed form and oracle
-is called through this module's global name.  A suite whose oracle finds
-its integrand not constant between the plate dislocations
-(PiecewiseConstantError) fails with an infinite error and says so in its
-detail; a NaN discrepancy fails its suite with a NaN error.  The sign suite
-additionally evaluates the conjugate-phase overlap variant and passes only
-if that variant *fails* against the oracle, recording the adjudication
-numbers in its detail string.
+discrepancy.  The sweeps draw from `random.Random(seed)`, only through its
+`random()`, whose stream Python keeps from version to version, and each
+sample takes one oracle call: nothing here or in the oracles loads numpy.
+Every closed form and oracle is called through this module's global name.
+A suite whose oracle finds its integrand not constant between the plate
+dislocations (PiecewiseConstantError) fails with an infinite error and
+says so in its detail; a NaN discrepancy fails its suite with a NaN error.
+The sign suite additionally evaluates the conjugate-phase overlap variant
+and passes only if that variant *fails* against the oracle, recording the
+adjudication numbers in its detail string.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ SuiteResult = namedtuple("SuiteResult", "name passed max_error tolerance detail"
 
 
 def _rng(seed: int):
-    """`numpy.random.default_rng(seed)`'s draws, without numpy."""
-    from ._pcg64 import Generator, pcg64  # loaded by `mc` and `validate` alone
+    """`random.Random(seed)`, drawn by `random()` and by `uniform(a, b)`, `a + (b - a) * random()`."""
+    import random  # loaded by `validate` alone
 
-    return Generator(pcg64((seed,)))
+    return random.Random(seed)
 
 
 def _worse(worst: float, error: float) -> float:
@@ -73,7 +73,7 @@ def _fold(name: str, tolerance: float, errors, detail) -> SuiteResult:
 
 
 def _random_half_integer(rng) -> StepIndex:
-    return StepIndex.half_integer(rng.integers(0, 4))
+    return StepIndex.half_integer(int(4 * rng.random()))
 
 
 def _random_pairs(seed: int):
@@ -132,7 +132,7 @@ def _closed_form_settings():
             beta=beta,
             theta_a=rng.uniform(0.0, TAU),
             theta_b=rng.uniform(0.0, TAU),
-            step_index=StepIndex.half_integer(rng.integers(0, 3)),
+            step_index=StepIndex.half_integer(int(3 * rng.random())),
         )
 
 

@@ -2,8 +2,10 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -369,18 +371,18 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
         ["ch", "--config", config, "--format", "json"],
         ["--help"],
         *_scans(tmp_path, config),
-        ["mc", "--config", config],
-        ["mc", "--config", config, "--format", "json"],
+        ["validate", "--suites", "azimuthal"],
+        ["validate"],
     ]
-    validate = [["validate", "--suites", "azimuthal"], ["validate"]]
-    report = _import_probe(tmp_path, light + validate)
+    mc = [["mc", "--config", config], ["mc", "--config", config, "--format", "json"]]
+    report = _import_probe(tmp_path, light + mc)
     assert [r["code"] for r in report] == [0] * len(report)
     assert [r["numpy_loaded"] for r in report] == [False] * len(report)
     assert [r["numpy"] for r in report] == [[]] * len(report)
     # no oamch module needs dataclasses or inspect
     assert [r["stdlib"] for r in report] == [[]] * len(report)
-    # only mc and validate import the sampler
-    assert [r["sampler"] for r in report[: len(light)]] == [False] * (len(light) - 2) + [True] * 2
+    # only mc imports the sampler: validate, run before it, leaves it unloaded
+    assert [r["sampler"] for r in report] == [False] * len(light) + [True] * len(mc)
     # nothing starts a thread
     assert {r["threads"] for r in report} <= {1, None}
 
@@ -621,6 +623,34 @@ def test_failed_write_to_stdout_exits_3_with_one_line(tmp_path, name, stdout):
     assert proc.stderr.startswith("i/o error: ") and proc.stderr.count("\n") == 1
     if name == "scan":  # the artifact is written before the summary
         assert len((tmp_path / "scan.csv").read_text(encoding="utf-8").splitlines()) == 1 + 5 * 5
+
+
+def test_sigint_exits_130_with_one_line(tmp_path):
+    # a 1024x1023 scan runs for seconds; interrupt it once its artifact has bytes
+    config = _write_config(tmp_path, **{"scan.alpha_steps": 1024, "scan.beta_steps": 1023})
+    artifact = tmp_path / "scan.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
+    # Python raises KeyboardInterrupt only where SIGINT starts unignored; exec resets
+    # a handler to the default but keeps an ignored SIGINT ignored
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oamch.cli", "scan", "--config", config, "--out", str(artifact)],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    try:
+        deadline = time.monotonic() + 60
+        while not (artifact.exists() and artifact.stat().st_size) and proc.poll() is None:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        _, stderr = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, stderr) == (130, "interrupted\n")
 
 
 def test_closed_stdout_does_not_fail_a_command_that_writes_to_out(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -6,7 +7,14 @@ import pytest
 from oamch.azimuthal import StepIndex
 from oamch import montecarlo
 from oamch._pcg64 import multinomial
-from oamch.coincidence import MAX_CH_VIOLATION, ChSettings, amplitude_matrix, canonical_settings
+from oamch.coincidence import (
+    CANONICAL_THETAS,
+    MAX_CH_VIOLATION,
+    ChSettings,
+    amplitude_matrix,
+    canonical_settings,
+    ch_parameter,
+)
 from oamch.montecarlo import (
     RUN_LABELS,
     ChEstimate,
@@ -184,6 +192,30 @@ def test_stderr_is_calibrated_and_shrinks():
         rms_by_n.append(rms)
         assert 0.4 <= rms / float(np.mean(stderrs)) <= 2.5
     assert rms_by_n[0] > rms_by_n[1] > rms_by_n[2] > rms_by_n[3]
+
+
+ORACLE_SETTINGS = {
+    "canonical": canonical_settings(0.0),
+    "misaligned": ChSettings(*CANONICAL_THETAS, alpha=0.0, beta=0.7, step_index=StepIndex(1.5)),
+    "general": ChSettings(0.3, 1.2, 0.5, 2.9, alpha=0.4, beta=2.0, step_index=StepIndex(0.9979)),
+}
+
+
+@pytest.mark.parametrize("efficiency_a, trials", [(1.0, 100_000), (0.3, 2_000), (1.0, 2_000)])
+@pytest.mark.parametrize("name", ORACLE_SETTINGS)
+def test_stderr_is_the_spread_of_400_estimates(name, efficiency_a, trials):
+    # the delta-method stderr against the sample spread of S_hat over 400 seeds,
+    # whose ratio has a relative standard error near 3.5%
+    cfg = ORACLE_SETTINGS[name]
+    estimates = [
+        estimate_S(simulate_ch_runs(cfg, McConfig(trials=trials, efficiency_a=efficiency_a, seed=seed)))
+        for seed in range(400)
+    ]
+    s_hats = [est.s_hat for est in estimates]
+    spread = statistics.stdev(s_hats)
+    rms_stderr = math.sqrt(statistics.fmean(est.stderr**2 for est in estimates))
+    assert abs(spread / rms_stderr - 1.0) <= 0.2
+    assert abs(statistics.fmean(s_hats) - ch_parameter(cfg).s) <= 5.0 * spread / math.sqrt(400)
 
 
 def test_mean_estimate_invariant_under_efficiency():

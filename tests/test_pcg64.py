@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oamch import montecarlo
-from oamch._pcg64 import Generator, multinomial, pcg64
+from oamch._pcg64 import multinomial, pcg64
 from oamch.azimuthal import StepIndex
 from oamch.coincidence import ChSettings, canonical_settings, ch_from_probabilities
 from oamch.montecarlo import (
@@ -93,6 +93,10 @@ GOLDEN_DRAWS = [
      [6.0755145276073e-14, 1.7019380742063144e-30, 0.0, 4.978672298850934e-24, 0.9999999999999393],
      [75988, 0, 0, 0, 1258657786054431760]),
     (3, 0, 1, [0.5, 0.0, 0.0, 0.5, 0.0], [0, 0, 0, 1, 0]),
+    # BTPE rejects a y below 0 from its left exponential tail
+    (3025, 0, 3001, [0.0101, 0.9899], [27, 2974]),
+    (7372, 0, 3001, [0.0101, 0.9899], [27, 2974]),
+    (10945, 0, 3001, [0.0101, 0.9899], [50, 2951]),
 ]
 
 # (settings, McConfig, the four runs' counts and no-coincidence counts, s_hat,
@@ -137,50 +141,10 @@ def test_simulated_runs_golden(cfg, mc, runs, s_hat, stderr):
 
 @PROFILE
 @given(SEEDS, STREAMS)
-def test_doubles_are_pcg64s(seed, stream):
+def test_outputs_are_pcg64s(seed, stream):
     entropy = [seed, stream]
-    rng = Generator(pcg64(entropy))
-    assert [rng.random() for _ in range(4)] == np.random.default_rng(entropy).random(4).tolist()
-
-
-# one call each: ("uniform", low, high) or ("integers", low, high)
-_DRAWS = st.lists(
-    st.one_of(
-        st.tuples(st.just("uniform"), st.floats(-10.0, 0.0), st.floats(0.0, 10.0)),
-        st.tuples(st.just("integers"), st.integers(-5, 5),
-                  # past 2**31 about half of the 32-bit words are redrawn
-                  st.one_of(st.integers(1, 8), st.integers(1, 2**32 - 1), st.just(2**31 + 1))),
-    ),
-    max_size=12,
-)
-
-
-@PROFILE
-@given(SEEDS, _DRAWS)
-def test_interleaved_draws_are_numpys(seed, draws):
-    ours, theirs = Generator(pcg64([seed])), np.random.default_rng(seed)
-    for name, low, span in draws:
-        high = low + span if name == "integers" else span
-        want = np.asarray(getattr(theirs, name)(low, high)).tolist()
-        got = getattr(ours, name)(low, high)
-        assert got == want and type(got) is type(want)
-
-
-def test_integers_redraws_below_the_threshold_and_keeps_the_other_half():
-    # for a range of 3 Lemire redraws a 32-bit word w with (3 * w) mod 2**32 < 2**32 mod 3 = 1,
-    # that is w = 0; numpy's next_uint32 hands out an output's low half, then its high half
-    outputs = iter([
-        0xC0000000 << 32 | 0,  # 0 is redrawn; the high half gives 3 * 0xC0000000 >> 32 = 2
-        0xFFFFFFFF << 32 | 0x55555556,  # low half: 1, with a leftover of 2 >= 1; high half: 2
-        2**63,  # uniform takes a whole output: 1 + 2 * 0.5
-    ])
-    rng = Generator(outputs.__next__)
-    assert rng.integers(0, 3) == 2
-    assert rng.integers(0, 1) == 0  # a range of one draws nothing
-    assert rng.integers(10, 13) == 11
-    assert rng.uniform(1.0, 3.0) == 2.0
-    assert rng.integers(0, 3) == 2  # the high half kept across the uniform draw
-    assert next(outputs, None) is None
+    next_uint64 = pcg64(entropy)
+    assert [next_uint64() for _ in range(4)] == np.random.PCG64(entropy).random_raw(4).tolist()
 
 
 @numpy_2

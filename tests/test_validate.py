@@ -1,10 +1,10 @@
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import oamch
@@ -242,33 +242,37 @@ def test_overlap_suites_print_the_same_bytes_at_every_simd_level():
     assert len(set(outputs.values())) == 1, outputs
 
 
-def _numpy_samples(seed, samples, draw):
-    rng = np.random.default_rng(seed)
+def _samples(seed, samples, draw):
+    rng = random.Random(seed)
     return [draw(rng, k) for k in range(samples)]
 
 
-def test_suite_samples_are_numpys():
-    # the suites drew with numpy.random.default_rng; these are those draws, in that order
+def test_suite_samples_are_the_draws_of_random_random():
+    # each suite draws from random.Random(seed), only through random(), whose
+    # stream Python keeps across versions; these are those draws, in that order
     seed = oamch.validate._SEED
 
+    def uniform(rng, low, high):
+        return low + (high - low) * rng.random()
+
     def pair(rng, _):
-        mu, nu = rng.uniform(0.0, TAU, size=2)
-        return mu, nu, StepIndex.half_integer(int(rng.integers(0, 4)))
+        mu, nu = uniform(rng, 0.0, TAU), uniform(rng, 0.0, TAU)
+        return mu, nu, StepIndex.half_integer(int(4 * rng.random()))
 
     def coincidence(rng, k):
-        aux = tuple(rng.uniform(0.0, TAU, size=4)) if k % 2 else (0.0, 0.0, 0.0, 0.0)
-        return ExperimentSettings(
-            *rng.uniform(0.0, TAU, size=4), StepIndex.half_integer(int(rng.integers(0, 4))), aux
-        )
+        aux = tuple(uniform(rng, 0.0, TAU) for _ in range(4)) if k % 2 else (0.0, 0.0, 0.0, 0.0)
+        angles = [uniform(rng, 0.0, TAU) for _ in range(4)]
+        return ExperimentSettings(*angles, StepIndex.half_integer(int(4 * rng.random())), aux)
 
     def closed_form(rng, _):
-        delta, beta, theta_a, theta_b = rng.uniform(-math.pi, math.pi), *rng.uniform(0.0, TAU, size=3)
+        delta, beta = uniform(rng, -math.pi, math.pi), uniform(rng, 0.0, TAU)
+        theta_a, theta_b = uniform(rng, 0.0, TAU), uniform(rng, 0.0, TAU)
         return ExperimentSettings(
-            beta + delta, beta, theta_a, theta_b, StepIndex.half_integer(int(rng.integers(0, 3)))
+            beta + delta, beta, theta_a, theta_b, StepIndex.half_integer(int(3 * rng.random()))
         )
 
-    assert list(oamch.validate._random_pairs(seed)) == _numpy_samples(seed, 500, pair)
-    assert list(oamch.validate._random_pairs(seed + 3)) == _numpy_samples(seed + 3, 500, pair)
-    assert list(oamch.validate._coincidence_settings()) == _numpy_samples(seed + 1, 200, coincidence)
-    assert list(oamch.validate._closed_form_settings()) == _numpy_samples(seed + 2, 500, closed_form)
+    assert list(oamch.validate._random_pairs(seed)) == _samples(seed, 500, pair)
+    assert list(oamch.validate._random_pairs(seed + 3)) == _samples(seed + 3, 500, pair)
+    assert list(oamch.validate._coincidence_settings()) == _samples(seed + 1, 200, coincidence)
+    assert list(oamch.validate._closed_form_settings()) == _samples(seed + 2, 500, closed_form)
 
