@@ -6,6 +6,10 @@ defaults of the keys it leaves out, from its record; unknown keys are rejected.
 Angles are radians by default; strings with an explicit "deg" or "rad"
 suffix are converted on parse.  There is no environment-variable
 configuration: everything comes from the file and explicit overrides.
+
+The `mc` and `scan` sections' records live in `montecarlo` and `search`,
+which this module imports only when a document has that section: a config
+for `probe` or `ch` loads neither.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ from pathlib import Path
 
 from .azimuthal import StepIndex
 from .coincidence import ChSettings, ExperimentSettings
-from .montecarlo import McConfig
-from .search import ScanGrid
 
 SCHEMA_VERSION = 1
 
@@ -29,25 +31,35 @@ class ConfigError(ValueError):
     """Invalid configuration document, value, or override."""
 
 
-def parse_angle(value) -> float:
-    """An angle: a number in radians, or a string with a deg/rad suffix."""
+def parse_angle(value, name: str = "angle") -> float:
+    """An angle: a number in radians, or a string with a deg/rad suffix.
+
+    `name`, the config key such as `experiment.alpha`, heads the message that
+    rejects a non-finite angle.
+    """
     if isinstance(value, bool):
         raise ConfigError(f"not an angle: {value!r}")
     if isinstance(value, (int, float)):
         try:
-            return float(value)
+            angle = float(value)
         except OverflowError:  # an integer beyond the float range
-            raise ConfigError(f"angle must be finite, got {value!r}") from None
-    if isinstance(value, str):
+            angle = math.inf
+    elif isinstance(value, str):
         text = value.strip().lower()
         for suffix, factor in (("deg", math.pi / 180.0), ("rad", 1.0)):
             if text.endswith(suffix):
                 try:
-                    return float(text[: -len(suffix)].strip()) * factor
+                    angle = float(text[: -len(suffix)].strip()) * factor
                 except ValueError:
                     raise ConfigError(f"cannot parse angle {value!r}") from None
-        raise ConfigError(f"angle strings need an explicit 'deg' or 'rad' suffix, got {value!r}")
-    raise ConfigError(f"not an angle: {value!r}")
+                break
+        else:
+            raise ConfigError(f"angle strings need an explicit 'deg' or 'rad' suffix, got {value!r}")
+    else:
+        raise ConfigError(f"not an angle: {value!r}")
+    if not math.isfinite(angle):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return angle
 
 
 def _require_keys(section: str, data: dict, allowed: tuple, required: tuple = ()) -> None:
@@ -90,13 +102,14 @@ class RunConfig(namedtuple("RunConfig", "raw experiment ch mc scan output")):
 def _build_experiment(data: dict) -> ExperimentSettings:
     _require_keys("experiment", data, ExperimentSettings._fields)
     # the record has no defaults for the plates, the splitters and the step index
-    fields = {key: parse_angle(data.get(key, 0.0)) for key in ExperimentSettings._fields[:4]}
+    fields = {key: parse_angle(data.get(key, 0.0), f"experiment.{key}")
+              for key in ExperimentSettings._fields[:4]}
     fields["step_index"] = StepIndex(_number("experiment", "step_index", data.get("step_index", 0.5)))
     if "aux_phases" in data:
         aux = data["aux_phases"]
         if not isinstance(aux, (list, tuple)) or len(aux) != 4:
             raise ConfigError("experiment.aux_phases must be a list of four angles")
-        fields["aux_phases"] = [parse_angle(p) for p in aux]
+        fields["aux_phases"] = [parse_angle(p, f"experiment.aux_phases[{i}]") for i, p in enumerate(aux)]
     return ExperimentSettings(**fields)
 
 
@@ -105,11 +118,13 @@ def _build_ch(data: dict, experiment: ExperimentSettings | None) -> ChSettings:
     _require_keys("ch", data, angles, required=angles)
     if experiment is None:
         raise ConfigError("ch section requires an experiment section for plates and step index")
-    return ChSettings(**{key: parse_angle(data[key]) for key in angles},
+    return ChSettings(**{key: parse_angle(data[key], f"ch.{key}") for key in angles},
                       **{key: getattr(experiment, key) for key in ChSettings._fields[4:]})
 
 
-def _build_mc(data: dict) -> McConfig:
+def _build_mc(data: dict):
+    from .montecarlo import McConfig
+
     _require_keys("mc", data, McConfig._fields, required=McConfig._fields[:1])
     return McConfig(**{key: _number("mc", key, data[key]) for key in McConfig._fields if key in data})
 
@@ -122,7 +137,9 @@ def _scan_value(key: str, value):
     return value
 
 
-def _build_scan(data: dict) -> ScanGrid:
+def _build_scan(data: dict):
+    from .search import ScanGrid
+
     _require_keys("scan", data, ScanGrid._fields, required=ScanGrid._fields[:2])
     return ScanGrid(**{key: _scan_value(key, data[key]) for key in ScanGrid._fields if key in data})
 

@@ -15,6 +15,7 @@ from oamch import cli
 from oamch.cli import main
 from oamch.config import load_config
 from oamch.search import scan_alpha_beta
+from oamch.validate import SUITE_NAMES
 
 
 def _write_config(tmp_path, **tweaks):
@@ -245,6 +246,29 @@ def test_integer_beyond_float_range_exits_2_with_one_line(tmp_path, capsys, comm
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, override, message",
+    [
+        ("probe", "experiment.alpha=1e400", "experiment.alpha must be finite, got inf"),
+        ("probe", "experiment.beta=-1e400", "experiment.beta must be finite, got -inf"),
+        ("probe", "experiment.theta_a=NaN", "experiment.theta_a must be finite, got nan"),
+        ("probe", "experiment.theta_b=1e400deg", "experiment.theta_b must be finite, got '1e400deg'"),
+        ("probe", "experiment.aux_phases=[0, 0, 1e400, 0]", "experiment.aux_phases[2] must be finite, got inf"),
+        ("probe", 'experiment.aux_phases=["nan rad", 0, 0, 0]',
+         "experiment.aux_phases[0] must be finite, got 'nan rad'"),
+        ("ch", "ch.theta_a=1e400", "ch.theta_a must be finite, got inf"),
+        ("ch", "ch.theta_a_prime=-1e400deg", "ch.theta_a_prime must be finite, got '-1e400deg'"),
+        ("ch", "ch.theta_b=NaN", "ch.theta_b must be finite, got nan"),
+        ("ch", "ch.theta_b_prime=-1e400", "ch.theta_b_prime must be finite, got -inf"),
+    ],
+)
+def test_non_finite_angle_names_its_key(tmp_path, capsys, command, override, message):
+    assert main([command, "--config", _write_config(tmp_path), "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == ""
+
+
 def test_integer_past_the_digit_limit_exits_2_with_one_line(tmp_path, capsys):
     # more digits than the interpreter converts from text (4,300 by default)
     digits = "1" + "0" * 5000
@@ -317,6 +341,7 @@ for argv in json.loads(sys.argv[2]):
         "numpy": sorted(m for m in sys.modules if m.startswith("numpy.")),
         "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
         "sampler": "oamch._pcg64" in sys.modules,
+        "oamch": sorted(m for m in sys.modules if m.startswith("oamch")),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "threads": len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None,
     })
@@ -385,6 +410,54 @@ def test_probe_ch_and_help_never_load_numpy(tmp_path):
     assert [r["sampler"] for r in report] == [False] * len(light) + [True] * len(mc)
     # nothing starts a thread
     assert {r["threads"] for r in report} <= {1, None}
+
+
+_CORE_MODULES = ["oamch", "oamch.azimuthal", "oamch.cli", "oamch.coincidence", "oamch.config"]
+
+
+def _config_with(tmp_path, name, *sections):
+    """A config file holding only `sections` of `_write_config`'s document."""
+    raw = json.loads(Path(_write_config(tmp_path)).read_text(encoding="utf-8"))
+    path = tmp_path / name
+    path.write_text(json.dumps({k: raw[k] for k in ("schema_version", *sections)}), encoding="utf-8")
+    return str(path)
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    light = _config_with(tmp_path, "light.json", "experiment", "ch")
+    scan = _config_with(tmp_path, "scan.json", "experiment", "scan")
+    mc = _config_with(tmp_path, "mc.json", "experiment", "ch", "mc")
+    expected = [
+        (["--help"], []),
+        (["probe", "--config", light], []),
+        (["probe", "--config", light, "--format", "json"], []),
+        (["probe", "--config", light, "--closed-form"], []),
+        (["ch", "--config", light], []),
+        (["scan", "--config", scan, "--out", str(tmp_path / "scan.csv")], ["oamch.search"]),
+        (["validate", "--suites", "azimuthal"], ["oamch.validate"]),
+        (["mc", "--config", mc], ["oamch._pcg64", "oamch.montecarlo"]),
+    ]
+    # one interpreter per command, as modules stay loaded
+    for argv, extra in expected:
+        [report] = _import_probe(tmp_path, [argv])
+        assert report["code"] == 0, (argv, report["stderr"])
+        assert report["oamch"] == sorted(_CORE_MODULES + extra), argv
+
+
+def test_importing_the_package_loads_no_submodule():
+    code = "import sys, oamch; print(*sorted(m for m in sys.modules if m.startswith('oamch')))"
+    env = {**os.environ, "PYTHONPATH": str(Path(oamch.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert proc.stdout.split() == ["oamch"]
+
+
+def test_validate_help_lists_exactly_the_suites(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # one line, so no suite name is wrapped at its hyphen
+    with pytest.raises(SystemExit):
+        main(["validate", "--help"])
+    listed = capsys.readouterr().out.split("comma-separated subset of:", 1)[1]
+    assert [name.strip() for name in listed.split(",")] == list(SUITE_NAMES)
 
 
 def test_main_keeps_a_preset_blas_thread_count(tmp_path):

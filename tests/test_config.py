@@ -34,6 +34,16 @@ def test_parse_angle():
             parse_angle(bad)
 
 
+def test_parse_angle_rejects_a_non_finite_angle_under_the_name_it_is_given():
+    for bad, shown in ((math.inf, "inf"), (-(10**400), "-1" + "0" * 400), ("nan deg", "'nan deg'"),
+                       ("1e400rad", "'1e400rad'")):
+        with pytest.raises(ConfigError, match=f"^ch.theta_a must be finite, got {shown}$"):
+            parse_angle(bad, "ch.theta_a")
+    # a library caller that names no key gets the generic message
+    with pytest.raises(ConfigError, match="^angle must be finite, got inf$"):
+        parse_angle(math.inf)
+
+
 def test_valid_config_builds_all_sections():
     cfg = validate_config(_base_config())
     assert cfg.experiment.step_index.value == 0.5
