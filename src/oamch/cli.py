@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import operator
 import os
 import sys
 from pathlib import Path
@@ -227,21 +226,26 @@ _ROW_KEYS = ("alpha", "beta", "theta_a", "theta_a_prime", "theta_b", "theta_b_pr
              "exceeds_threshold")
 
 
-def _layout(start: str, sep: str, end: str, cells: dict, thetas=None) -> tuple:
-    """A row's alpha part and beta part, as templates, and its tail, as a scan `tail` function.
+def _layout(start: str, sep: str, end: str, cells: dict, thetas: tuple) -> tuple:
+    """A row's alpha part and beta part, as templates, and its tails, as a scan `tail` function.
 
     The row is `start`, `cells` (alpha and beta first) joined by `sep`, and
-    `end`; angles given as `thetas`, the same on every row, are written in once.
+    `end`.  The angles given in `thetas`, the same on every row (None where
+    each row has its own), are written in once, and so is the flag: a tail
+    template for each of its values.
     """
-    names = list(cells)[2:]
-    if thetas is not None:
-        cells = {**cells, **{k: cells[k] % x for k, x in zip(_ROW_KEYS[2:6], thetas)}}
-        names = [k for k in names if k not in _ROW_KEYS[2:6]]
-    tail = sep.join(list(cells.values())[2:]) + end
-    order = operator.itemgetter(*map(_ROW_KEYS[2:].index, names))
+    fixed = {k: x for k, x in zip(_ROW_KEYS[2:6], thetas) if x is not None}
+    names = [k for k in list(cells)[2:] if k not in fixed and k != "exceeds_threshold"]
+    cells = {**cells, **{k: cells[k] % x for k, x in fixed.items()}}
+    # one tail template per flag value, "false" first, so that the flag indexes them
+    tails = [sep.join(list({**cells, "exceeds_threshold": cells["exceeds_threshold"] % flag}.values())[2:])
+             + end for flag in ("false", "true")]
+    picks = [_ROW_KEYS[2:].index(k) for k in names]  # each cell's place in (*thetas, s)
 
-    def text(thetas, s, flag) -> str:
-        return tail % order((*thetas, s, "true" if flag else "false"))
+    def text(thetas, s, flags) -> list[str]:
+        # a column per cell left to fill, and a row per key
+        columns = [s if j == 4 else [t[j] for t in thetas] for j in picks]
+        return [tails[flag] % values for flag, values in zip(flags, zip(*columns))]
 
     return start + cells["alpha"] + sep, cells["beta"] + sep, text
 
@@ -282,13 +286,13 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     fmt = args.format or config.output.format
     from .search import FIXED_THETAS
 
-    row = _layout(*(_JSON_ROW if fmt == "json" else _CSV_ROW), FIXED_THETAS.get(grid.theta_policy))
+    row = _layout(*(_JSON_ROW if fmt == "json" else _CSV_ROW), FIXED_THETAS[grid.theta_policy])
     # open first, so an unwritable path fails before the landscape is computed
     with open(out_path, "w", encoding="utf-8") as fh:
         scan = scan_alpha_beta(grid, settings.step_index, row[2])
         if fmt == "json":
             # a scan for the best row, which the document puts before the rows, formats nothing
-            first = scan_alpha_beta(grid, settings.step_index, lambda thetas, s, flag: None)
+            first = scan_alpha_beta(grid, settings.step_index, lambda thetas, s, flags: flags)
             for _ in first:
                 pass
             best = dict(zip(_ROW_KEYS, first.result.best))

@@ -269,6 +269,24 @@ def test_non_finite_angle_names_its_key(tmp_path, capsys, command, override, mes
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("scan.alpha_steps=1e300", "alpha_steps must be at most 524288 (2^19), got 1e+300"),
+        ("scan.beta_steps=1e300", "beta_steps must be at most 524288 (2^19), got 1e+300"),
+        ("scan.beta_steps=524289", "beta_steps must be at most 524288 (2^19), got 524289"),
+        ("scan.alpha_steps=600000.0", "alpha_steps must be at most 524288 (2^19), got 600000.0"),
+    ],
+)
+def test_step_count_past_two_to_the_19_names_the_count(tmp_path, capsys, override, message):
+    # with the other count at least 2, no count above 2^19 fits: refused before the product is formed
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--config", _write_config(tmp_path), "--out", str(out), "--set", override]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_integer_past_the_digit_limit_exits_2_with_one_line(tmp_path, capsys):
     # more digits than the interpreter converts from text (4,300 by default)
     digits = "1" + "0" * 5000

@@ -35,7 +35,7 @@ from oamch.coincidence import (
     amplitude_matrix_quadrature,
 )
 from oamch.config import load_config
-from oamch.search import THETA_POLICIES, ChLandscape, ScanGrid, optimize_thetas, scan_alpha_beta
+from oamch.search import THETA_POLICIES, ScanGrid, optimize_thetas, scan_alpha_beta
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -90,17 +90,23 @@ def test_column_cells_equal_per_value_formatting(values):
 
 
 def _reference_rows(shape, policy, step, threshold) -> list[tuple]:
-    """Every row of a scan from its own plates: `ChLandscape.at`, then `optimize_thetas` or `value`."""
+    """Every row of a scan from its own plates: |k|^2 + |q|^2 and the factored |k|^2 - |q|^2,
+    then `optimize_thetas` or S at the canonical angles, (t - (sqrt(2) - 1)) / (2 sqrt(2))."""
     alphas = np.linspace(0.0, TAU, shape[0], endpoint=False).tolist()
     betas = np.linspace(0.0, TAU, shape[1], endpoint=False).tolist()
+    jump = 1.0 - cmath.exp(1j * TAU * step.value)
+    jr, ji = jump.real, jump.imag
     rows = []
     for alpha in alphas:
         for beta in betas:
-            land = ChLandscape.at(alpha, beta, step)
+            a, b = abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))
+            k2 = (TAU - a * jr) * (TAU - a * jr) + (a * ji) * (a * ji)
+            q2 = (TAU - b * jr) * (TAU - b * jr) + (b * ji) * (b * ji)
+            n, d = k2 + q2, (a - b) * ((a + b) * (jr * jr + ji * ji) - 2.0 * TAU * jr)
             if policy == "optimize-per-point":
-                (thetas,), (s,) = optimize_thetas(land)
+                (thetas,), (s,) = optimize_thetas([n], [d])
             else:
-                thetas, (s,) = CANONICAL_THETAS, land.value(*CANONICAL_THETAS)
+                thetas, s = CANONICAL_THETAS, (d / n - (math.sqrt(2.0) - 1.0)) / (2.0 * math.sqrt(2.0))
             rows.append((alpha, beta, *thetas, s, s > threshold))
     return rows
 

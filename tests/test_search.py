@@ -1,6 +1,8 @@
+import cmath
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 import oamch.coincidence
 from oamch import search
-from oamch.azimuthal import TAU, StepIndex, overlap_integral
+from oamch.azimuthal import TAU, StepIndex, overlap_integral, wrap_angle
 from oamch.coincidence import (
     CANONICAL_THETAS,
     MAX_CH_VIOLATION,
@@ -55,9 +57,30 @@ def _s_via_quadrature(monkeypatch, alpha, beta, step, thetas):
 
 
 def _optimum(alpha, beta, step):
-    """`optimize_thetas` at one plate pair: its four angles and S."""
-    (thetas,), (s,) = optimize_thetas(ChLandscape.at(alpha, beta, step))
+    """`optimize_thetas` at one plate pair, from its two complex overlaps: its four angles and S."""
+    land = ChLandscape.at(alpha, beta, step)
+    hk, hq = abs(land.k[0]), abs(land.q[0])
+    (thetas,), (s,) = optimize_thetas([hk * hk + hq * hq], [hk * hk - hq * hq])
     return thetas, s
+
+
+def _moduli(alpha, beta, step):
+    """|k|^2 + |q|^2 and |k|^2 - |q|^2 at one plate pair, in the float operations of a scan's key."""
+    jump = 1.0 - cmath.exp(1j * TAU * step.value)
+    jr, ji = jump.real, jump.imag
+    a, b = abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))
+    k2 = (TAU - a * jr) * (TAU - a * jr) + (a * ji) * (a * ji)
+    q2 = (TAU - b * jr) * (TAU - b * jr) + (b * ji) * (b * ji)
+    return k2 + q2, (a - b) * ((a + b) * (jr * jr + ji * ji) - 2.0 * TAU * jr)
+
+
+def _scan_row(alpha, beta, step, policy):
+    """A scan row's four angles and S, from the t of its plate pair alone."""
+    n, d = _moduli(alpha, beta, step)
+    if policy == "optimize-per-point":
+        (thetas,), (s,) = optimize_thetas([n], [d])
+        return thetas, s
+    return CANONICAL_THETAS, (d / n - (math.sqrt(2.0) - 1.0)) / (2.0 * math.sqrt(2.0))
 
 
 def test_landscape_matches_full_evaluation():
@@ -132,11 +155,33 @@ def test_optimized_scan_takes_s_in_the_stable_form():
     rows = _rows(scan_alpha_beta(ScanGrid(93, 91, theta_policy="optimize-per-point"), step))
     assert len(rows) == 93 * 91
     for alpha, beta, *thetas, s, _ in rows:
-        land = ChLandscape.at(alpha, beta, step)
-        hk, hq = abs(land.k[0]), abs(land.q[0])
-        t = (hk * hk - hq * hq) / (hk * hk + hq * hq)
+        n, d = _moduli(alpha, beta, step)
+        t = d / n
         assert s == t * t / (2.0 * (math.sqrt(1.0 + t * t) + 1.0)) >= 0.0
-        assert abs(land.value(*thetas)[0] - s) <= 1e-15
+        assert abs(ChLandscape.at(alpha, beta, step).value(*thetas)[0] - s) <= 1e-15
+
+
+def _exact_t(a: float, b: float, jump: complex) -> float:
+    """t = (|k|^2 - |q|^2) / (|k|^2 + |q|^2) from the floats a, b and J, computed exactly and rounded once."""
+    a, b, jr, ji, tau = map(Fraction, (a, b, jump.real, jump.imag, TAU))
+    k2 = (tau - a * jr) ** 2 + (a * ji) ** 2
+    q2 = (tau - b * jr) ** 2 + (b * ji) ** 2
+    return float((k2 - q2) / (k2 + q2))
+
+
+def test_optimized_scan_is_accurate_where_s_is_near_zero():
+    # at L = 0.9979, J is near 0 and |k|^2 and |q|^2 agree in most digits on every key;
+    # the bound was fixed before the test first ran
+    step = StepIndex(0.9979)
+    jump = 1.0 - cmath.exp(1j * TAU * step.value)
+    rows = _rows(scan_alpha_beta(ScanGrid(93, 91, theta_policy="optimize-per-point"), step))
+    small = {(abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))): s
+             for alpha, beta, *_, s, _ in rows if s < 1e-12}
+    assert len(small) > 500
+    for (a, b), s in small.items():
+        t = _exact_t(a, b, jump)
+        want = t * t / (2.0 * (math.sqrt(1.0 + t * t) + 1.0))
+        assert abs(s - want) <= 1e-10 * want
 
 
 def test_optimizer_matches_horodecki_closed_form():
@@ -197,8 +242,12 @@ def test_scan_grid_validation():
 def test_scan_grid_size_is_bounded():
     assert ScanGrid(alpha_steps=1024, beta_steps=1024).alpha_steps == 1024
     assert 1024 * 1024 == MAX_SCAN_POINTS
-    for steps in ((1024, 1025), (2, MAX_SCAN_POINTS), (10**9, 10**9)):
-        with pytest.raises(ValueError, match="points"):
+    assert ScanGrid(alpha_steps=2, beta_steps=MAX_SCAN_POINTS // 2).beta_steps == 2**19
+    with pytest.raises(ValueError, match="the grid has 1049600 points"):
+        ScanGrid(alpha_steps=1024, beta_steps=1025)
+    # either count alone past 2^19 is refused, before the product is formed
+    for steps in ((2, MAX_SCAN_POINTS), (10**9, 10**9)):
+        with pytest.raises(ValueError, match=r"at most 524288 \(2\^19\)"):
             ScanGrid(alpha_steps=steps[0], beta_steps=steps[1])
 
 
@@ -229,12 +278,19 @@ def test_scan_columns_match_scalar_reference(policy, step, alpha_steps, beta_ste
     rows = _rows(scan)
     assert [row[:2] for row in rows] == plates
     for (a, b), row in zip(plates, rows):
-        if policy == "optimize-per-point":
-            thetas, s = _optimum(a, b, step)
-        else:
-            thetas, s = CANONICAL_THETAS, ChLandscape.at(a, b, step).value(*CANONICAL_THETAS)[0]
+        thetas, s = _scan_row(a, b, step, policy)
         assert row[2:] == (*thetas, s, s > threshold)
     assert scan.result.best == _first_best(rows)
+
+
+@pytest.mark.parametrize("policy", ["fixed-canonical", "optimize-per-point"])
+@pytest.mark.parametrize("step", [StepIndex(0.5), StepIndex(1.7321), StepIndex(0.9979)])
+def test_scan_rows_match_ch_parameter_at_their_angles(policy, step):
+    # the S a scan takes from t alone, against the full CH evaluation and the
+    # landscape of the two complex overlaps, each at the row's own angles
+    for alpha, beta, *thetas, s, _ in _rows(scan_alpha_beta(ScanGrid(33, 33, theta_policy=policy), step)):
+        assert _s_via_ch_parameter(alpha, beta, step, thetas) == pytest.approx(s, abs=1e-12)
+        assert ChLandscape.at(alpha, beta, step).value(*thetas)[0] == pytest.approx(s, abs=1e-12)
 
 
 def test_scan_diagonal_plateau():
@@ -273,29 +329,23 @@ def test_scan_reproducibility():
     assert _rows(first) == rows
 
 
-class _CountingLandscape(ChLandscape):
-    """A `ChLandscape` that records how many keys each batch evaluates."""
-
-    batches: list = []
-
-    def __init__(self, k, q):
-        super().__init__(k, q)
-        self.batches.append(len(k))
-
-
-def test_scan_evaluates_each_relative_orientation_once(monkeypatch):
+def test_scan_evaluates_each_relative_orientation_once():
     # on a square grid, keys repeat along the diagonals: far fewer keys than rows
-    monkeypatch.setattr(search, "ChLandscape", _CountingLandscape)
-    monkeypatch.setattr(_CountingLandscape, "batches", [])
-    scan = scan_alpha_beta(ScanGrid(alpha_steps=33, beta_steps=33), HALF)
+    batches = []
+
+    def tail(thetas, s, flags):
+        batches.append(len(s))
+        return [(*t, v, f) for t, v, f in zip(thetas, s, flags)]
+
+    scan = scan_alpha_beta(ScanGrid(alpha_steps=33, beta_steps=33), HALF, tail)
     assert len(_rows(scan)) == 33 * 33 and scan.result.rows == 33 * 33
-    # the 1,089 rows fit one chunk, whose 593 keys are evaluated together
-    assert _CountingLandscape.batches == [593]
+    # the 1,089 rows fit one chunk, whose 593 keys are evaluated, and their tails made, together
+    assert batches == [593]
     # the memo lives as long as its pass: a second pass evaluates the 593 keys again
     assert sorted(vars(scan)) == ["grid", "result", "step_index", "tail"]
     first, scan.result = scan.result, None
     assert len(_rows(scan)) == 33 * 33 and scan.result == first
-    assert _CountingLandscape.batches == [593, 593]
+    assert batches == [593, 593]
 
 
 def test_scan_result_requires_rows():
