@@ -122,22 +122,17 @@ def spp_phase(chi: float, phi: float, step_index: StepIndex, conjugate: bool = F
     return complex(math.cos(f), -math.sin(f) if conjugate else math.sin(f))
 
 
-def difference_overlaps(differences, step_index: StepIndex, sign: complex = -1j) -> list[complex]:
-    """The closed-form overlap at each signed difference d = wrap(mu) - wrap(nu) in a collection.
-
-    Conjugate-symmetric by construction: d < 0 (for finite wrapped angles,
-    exactly mu < nu) gives the conjugate of the overlap at -d.  The leading
-    phase factor is exp(sign * L * |d|).
-    """
-    ell = step_index.value
-    phase, jump = sign * ell, 1.0 - cmath.exp(1j * TAU * ell)
-    overlaps = [cmath.exp(phase * a) * (TAU - a * jump) for a in map(abs, differences)]
-    return [value.conjugate() if d < 0.0 else value for d, value in zip(differences, overlaps)]
+def _closed_form(mu: float, nu: float, step_index: StepIndex, sign: complex) -> complex:
+    """exp(sign*L*|d|) * (2*pi - |d|*(1 - exp(i*2*pi*L))) at d = wrap(mu) - wrap(nu), conjugated if d < 0."""
+    d = wrap_angle(mu) - wrap_angle(nu)
+    a, ell = abs(d), step_index.value
+    value = cmath.exp(sign * ell * a) * (TAU - a * (1.0 - cmath.exp(1j * TAU * ell)))
+    return value.conjugate() if d < 0.0 else value
 
 
 def overlap_integral(mu: float, nu: float, step_index: StepIndex) -> complex:
     """Closed form of the full-turn overlap of two plate phase profiles, in `math`/`cmath` alone."""
-    return difference_overlaps((wrap_angle(mu) - wrap_angle(nu),), step_index)[0]
+    return _closed_form(mu, nu, step_index, -1j)
 
 
 def overlap_integral_opposite_phase(mu: float, nu: float, step_index: StepIndex) -> complex:
@@ -147,7 +142,7 @@ def overlap_integral_opposite_phase(mu: float, nu: float, step_index: StepIndex)
     shows this variant disagrees with direct quadrature while the primary
     closed form agrees.  Do not use for physics.
     """
-    return difference_overlaps((wrap_angle(mu) - wrap_angle(nu),), step_index, 1j)[0]
+    return _closed_form(mu, nu, step_index, 1j)
 
 
 _NODE = 1.0 / math.sqrt(3.0)  # the 2-point Gauss-Legendre nodes on [-1, 1] are -+1/sqrt(3)

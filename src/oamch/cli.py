@@ -388,6 +388,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     commands = {"probe": cmd_probe, "ch": cmd_ch, "mc": cmd_mc, "scan": cmd_scan}
     try:
+        if getattr(args, "out", None) == "":
+            raise ConfigError("--out must be a non-empty path, got ''")
         if args.command == "validate":
             return cmd_validate(args)
         return commands[args.command](load_config(args.config, args.overrides), args)

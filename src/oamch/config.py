@@ -147,8 +147,8 @@ def _build_scan(data: dict):
 def _build_output(data: dict) -> OutputConfig:
     _require_keys("output", data, OutputConfig._fields)
     output = OutputConfig(**data)
-    if output.path is not None and not isinstance(output.path, str):
-        raise ConfigError(f"output.path must be a string, got {output.path!r}")
+    if output.path is not None and (not isinstance(output.path, str) or not output.path):
+        raise ConfigError(f"output.path must be a non-empty string, got {output.path!r}")
     if output.format not in OUTPUT_FORMATS:
         raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}, got {output.format!r}")
     return output

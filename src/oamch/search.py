@@ -27,26 +27,28 @@ With c^2 - s^2 = 1/sqrt(2) and 2 c^2 = 1 + 1/sqrt(2), r cancels from it:
 
 which is (sqrt(2) - 1) / 2 at t = 1.
 
-A key's moduli need no complex arithmetic.  The overlap at a plate
+A key's n and d need no complex arithmetic.  The overlap at a plate
 difference x is exp(-i L |x|) (2 pi - |x| J), or its conjugate, with
-J = 1 - exp(2 pi i L) (`azimuthal.difference_overlaps`).  So with
-a = |alpha - beta| and b = |alpha - wrap(beta + pi)|,
+J = 1 - exp(2 pi i L) (`azimuthal.overlap_integral`), and |J|^2 = 2 Re J = 4 s
+exactly, s = sin^2(pi L).  So with a = |alpha - beta|, b = |alpha - wrap(beta + pi)|
+and a (a - 2 pi) = (a - pi)^2 - pi^2,
 
-    |k|^2 = (2 pi - a Re J)^2 + (a Im J)^2,   |q|^2 the same in b,
-    |k|^2 - |q|^2 = (a - b) ((a + b) |J|^2 - 4 pi Re J).
+    |k|^2 = 4 pi^2 - 4 pi a Re J + a^2 |J|^2 = 4 pi^2 (1 - s) + 4 s (a - pi)^2,
+    n / 4 = 2 pi^2 cos^2(pi L) + s ((a - pi)^2 + (b - pi)^2),
+    d / 4 = s (a (a - 2 pi) - b (b - 2 pi)) = s (a - b) (a + b - 2 pi).
 
-The factored difference keeps its relative accuracy where |k|^2 and |q|^2
-nearly cancel: near t = 0, as on every key at a step index near an
-integer, where J is near 0.
+The positive factor 4 cancels from t = d / n and psi = atan2(d, n), so the
+scan takes n / 4 and d / 4 for n and d, with sin and cos at pi (L mod 1),
+which is exact in floats.  Nothing cancels in n / 4, a sum of non-negative
+terms.  d / 4 is exactly 0 where a = b, where the float a + b is 2 pi, and
+at an integer L, where s = 0.
 
-A scan row's t depends only on its relative plate orientation, its key.
-Each pass over a scan streams the rows and evaluates, in plain floats, the
-keys that its own bounded memo does not hold (`Scan`).
+A scan row's t depends only on its key, its relative plate orientation: each
+pass over a scan streams the rows and evaluates the keys its own memo lacks (`Scan`).
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections import defaultdict, namedtuple
@@ -91,8 +93,7 @@ class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy thres
             raise ValueError(f"theta_policy must be one of {THETA_POLICIES}, got {theta_policy!r}")
         if not math.isfinite(threshold):
             raise ValueError("threshold must be finite")
-        fields = (int(alpha_steps), int(beta_steps), theta_policy, float(threshold))
-        return tuple.__new__(cls, fields)
+        return tuple.__new__(cls, (int(alpha_steps), int(beta_steps), theta_policy, float(threshold)))
 
 
 class ScanResult(namedtuple("ScanResult", "rows exceeding best")):
@@ -158,8 +159,8 @@ class ChLandscape:
 def optimize_thetas(n: list, d: list):
     """Maximum of S over the four splitter angles, in closed form, at each plate pair.
 
-    Plate pair i has n[i] = |k|^2 + |q|^2 and d[i] = |k|^2 - |q|^2, with d
-    in the factored form of the module docstring where it is computed.
+    Plate pair i has n[i] = |k|^2 + |q|^2 and d[i] = |k|^2 - |q|^2, or one
+    positive multiple of both (a scan passes n / 4 and d / 4).
 
     Splitter angle t measures the Bloch direction (-sin 2t, cos 2t) in the
     x-z plane, so S = (CHSH - 2) / 4 peaks at the Horodecki optimum for
@@ -209,16 +210,16 @@ class Scan:
         self.tail = tail or (lambda thetas, s, flags: [(*t, v, f) for t, v, f in zip(thetas, s, flags)])
 
     def _evaluate(self, keys: list) -> tuple[list, list, list]:
-        """Each key's angles, S and flag, from its |k|^2 and |q|^2 (module docstring)."""
-        jump = 1.0 - cmath.exp(1j * TAU * self.step_index.value)
-        jr, ji = jump.real, jump.imag
-        jj, jt = jr * jr + ji * ji, 2.0 * TAU * jr  # |J|^2 and 4 pi Re J
+        """Each key's angles, S and flag, from its n/4 and d/4 (module docstring)."""
+        f = math.fmod(self.step_index.value, 1.0)
+        sine, pi_cos = math.sin(math.pi * f), math.pi * math.cos(math.pi * f)
+        sin2, w = sine * sine, 2.0 * pi_cos * pi_cos  # sin^2(pi L) and 2 pi^2 cos^2(pi L)
         n, d = [], []
         for z in keys:
             a, b = abs(z.real), abs(z.imag)
-            ka, kb, qa, qb = TAU - a * jr, a * ji, TAU - b * jr, b * ji
-            n.append(ka * ka + kb * kb + (qa * qa + qb * qb))
-            d.append((a - b) * ((a + b) * jj - jt))
+            x, y = a - math.pi, b - math.pi
+            n.append(w + sin2 * (x * x + y * y))
+            d.append(sin2 * (a - b) * (a + b - TAU))
         if self.grid.theta_policy == "optimize-per-point":
             thetas, s = optimize_thetas(n, d)
         else:

@@ -633,6 +633,23 @@ def test_scan_needs_output_path(tmp_path, capsys):
     assert main(["scan", "--config", _write_config(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv, tweaks, source", [
+    (["scan", "--out", ""], {"output.path": "scan.csv"}, "--out"),
+    (["probe", "--out", ""], {}, "--out"),
+    (["scan"], {"output.path": ""}, "output.path"),
+    (["scan", "--out", "scan.csv"], {"output.path": ""}, "output.path"),
+])
+def test_empty_output_path_exits_2_with_one_line(tmp_path, monkeypatch, capsys, argv, tweaks, source):
+    # an empty path is neither a missing one nor a file: nothing is written, here or at output.path
+    monkeypatch.chdir(tmp_path)
+    config = _write_config(tmp_path, **tweaks)
+    assert main([argv[0], "--config", config, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"config error: {source} must be a non-empty")
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
 # Runs one command as a child and prints its peak RSS in MB, read by os.wait4;
 # spawned straight from pytest, ru_maxrss would carry pytest's own high-water mark
 _PEAK_RSS = """

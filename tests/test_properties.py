@@ -22,7 +22,6 @@ from oamch import search
 from oamch.azimuthal import (
     TAU,
     StepIndex,
-    difference_overlaps,
     overlap_integral,
     overlap_integral_opposite_phase,
     wrap_angle,
@@ -90,19 +89,20 @@ def test_column_cells_equal_per_value_formatting(values):
 
 
 def _reference_rows(shape, policy, step, threshold) -> list[tuple]:
-    """Every row of a scan from its own plates: |k|^2 + |q|^2 and the factored |k|^2 - |q|^2,
-    then `optimize_thetas` or S at the canonical angles, (t - (sqrt(2) - 1)) / (2 sqrt(2))."""
+    """Every row of a scan from its own plates: n/4 = 2 pi^2 cos^2(pi L) + s ((a - pi)^2 + (b - pi)^2)
+    and d/4 = s (a - b) (a + b - 2 pi) with s = sin^2(pi L), then `optimize_thetas` or S at the
+    canonical angles, (t - (sqrt(2) - 1)) / (2 sqrt(2))."""
     alphas = np.linspace(0.0, TAU, shape[0], endpoint=False).tolist()
     betas = np.linspace(0.0, TAU, shape[1], endpoint=False).tolist()
-    jump = 1.0 - cmath.exp(1j * TAU * step.value)
-    jr, ji = jump.real, jump.imag
+    f = math.fmod(step.value, 1.0)
+    sine, pi_cos = math.sin(math.pi * f), math.pi * math.cos(math.pi * f)
+    sin2, w = sine * sine, 2.0 * pi_cos * pi_cos
     rows = []
     for alpha in alphas:
         for beta in betas:
             a, b = abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))
-            k2 = (TAU - a * jr) * (TAU - a * jr) + (a * ji) * (a * ji)
-            q2 = (TAU - b * jr) * (TAU - b * jr) + (b * ji) * (b * ji)
-            n, d = k2 + q2, (a - b) * ((a + b) * (jr * jr + ji * ji) - 2.0 * TAU * jr)
+            x, y = a - math.pi, b - math.pi
+            n, d = w + sin2 * (x * x + y * y), sin2 * (a - b) * (a + b - TAU)
             if policy == "optimize-per-point":
                 (thetas,), (s,) = optimize_thetas([n], [d])
             else:
@@ -178,15 +178,14 @@ WIDE_ANGLES = st.one_of(ANGLES, st.floats(-20.0, 20.0))
        step_index=STEP_VALUES)
 def test_difference_kernel_equals_overlap_integral(pairs, step_index):
     step = StepIndex(step_index)
-    differences = [wrap_angle(mu) - wrap_angle(nu) for mu, nu in pairs]
     # repr tells -0.0 from 0.0, so the values are equal bit for bit
-    assert repr(difference_overlaps(differences, step)) == repr(
-        [overlap_integral(mu, nu, step) for mu, nu in pairs]) == repr(
+    assert repr([overlap_integral(mu, nu, step) for mu, nu in pairs]) == repr(
         [_reference_overlap(mu, nu, step, -1j) for mu, nu in pairs])
     assert repr([overlap_integral_opposite_phase(mu, nu, step) for mu, nu in pairs]) == repr(
         [_reference_overlap(mu, nu, step, 1j) for mu, nu in pairs])
-    # a signed zero difference is the overlap of equal plates
-    assert repr(difference_overlaps([-0.0], step)) == repr([overlap_integral(1.0, 1.0, step)])
+    # equal plates give one value wherever they sit
+    equal = {repr(overlap_integral(mu, mu, step)) for mu, _ in pairs}
+    assert equal == {repr(overlap_integral(0.0, TAU, step))}
 
 
 def _whole_text_artifacts(config) -> tuple[str, str]:

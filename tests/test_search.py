@@ -1,8 +1,7 @@
-import cmath
 import itertools
 import math
 from collections import defaultdict
-from fractions import Fraction
+from decimal import Decimal, getcontext, localcontext
 
 import numpy as np
 import pytest
@@ -65,13 +64,14 @@ def _optimum(alpha, beta, step):
 
 
 def _moduli(alpha, beta, step):
-    """|k|^2 + |q|^2 and |k|^2 - |q|^2 at one plate pair, in the float operations of a scan's key."""
-    jump = 1.0 - cmath.exp(1j * TAU * step.value)
-    jr, ji = jump.real, jump.imag
+    """n/4 = 2 pi^2 cos^2(pi L) + s ((a - pi)^2 + (b - pi)^2) and d/4 = s (a - b) (a + b - 2 pi),
+    s = sin^2(pi L), at one plate pair, in the float operations of a scan's key."""
+    f = math.fmod(step.value, 1.0)
+    sine, pi_cos = math.sin(math.pi * f), math.pi * math.cos(math.pi * f)
+    s, w = sine * sine, 2.0 * pi_cos * pi_cos
     a, b = abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))
-    k2 = (TAU - a * jr) * (TAU - a * jr) + (a * ji) * (a * ji)
-    q2 = (TAU - b * jr) * (TAU - b * jr) + (b * ji) * (b * ji)
-    return k2 + q2, (a - b) * ((a + b) * (jr * jr + ji * ji) - 2.0 * TAU * jr)
+    x, y = a - math.pi, b - math.pi
+    return w + s * (x * x + y * y), s * (a - b) * (a + b - TAU)
 
 
 def _scan_row(alpha, beta, step, policy):
@@ -161,27 +161,77 @@ def test_optimized_scan_takes_s_in_the_stable_form():
         assert abs(ChLandscape.at(alpha, beta, step).value(*thetas)[0] - s) <= 1e-15
 
 
-def _exact_t(a: float, b: float, jump: complex) -> float:
-    """t = (|k|^2 - |q|^2) / (|k|^2 + |q|^2) from the floats a, b and J, computed exactly and rounded once."""
-    a, b, jr, ji, tau = map(Fraction, (a, b, jump.real, jump.imag, TAU))
-    k2 = (tau - a * jr) ** 2 + (a * ji) ** 2
-    q2 = (tau - b * jr) ** 2 + (b * ji) ** 2
-    return float((k2 - q2) / (k2 + q2))
+def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x from the Taylor series of exp(i x), at the context's precision, for |x| below 7."""
+    parts, term, k = [Decimal(0)] * 4, Decimal(1), 0
+    while abs(term) > Decimal(10) ** -(getcontext().prec + 5):
+        parts[k % 4] += term  # (i x)^k / k! adds to cos, sin, -cos, -sin in turn
+        k += 1
+        term = term * x / k
+    return parts[0] - parts[2], parts[1] - parts[3]
+
+
+def _reference_s(keys, ell: float) -> list[float]:
+    """The optimum's S, (sqrt(1 + t^2) - 1) / 2, at each key (a, b), from its definitions at 60 digits.
+
+    k = 2 pi - a J and q = 2 pi - b J with J = 1 - exp(2 pi i L), on the
+    same float a, b and L as the scan, and t = (|k|^2 - |q|^2) / (|k|^2 + |q|^2).
+    Only the Taylor series of `_cos_sin` enter: pi is a fixed point of
+    x + sin x, which triples its digits in x at each step.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        pi = Decimal(math.pi)
+        for _ in range(3):
+            pi += _cos_sin(pi)[1]
+        cos, sin = _cos_sin(2 * pi * (Decimal(ell) % 1))
+        jr, ji = 1 - cos, -sin
+        s = []
+        for key in keys:
+            k2, q2 = [(2 * pi - x * jr) ** 2 + (x * ji) ** 2 for x in map(Decimal, key)]
+            t = (k2 - q2) / (k2 + q2)
+            s.append(float(((1 + t * t).sqrt() - 1) / 2))
+        return s
+
+
+def _optimized_keys(shape, step) -> dict:
+    """S at each key (|alpha - beta|, |alpha - wrap(beta + pi)|) of an optimized scan."""
+    rows = _rows(scan_alpha_beta(ScanGrid(*shape, theta_policy="optimize-per-point"), step))
+    return {(abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))): s for alpha, beta, *_, s, _ in rows}
 
 
 def test_optimized_scan_is_accurate_where_s_is_near_zero():
-    # at L = 0.9979, J is near 0 and |k|^2 and |q|^2 agree in most digits on every key;
+    # near an integer L, J is near 0 and |k|^2 and |q|^2 agree in most digits on every key;
     # the bound was fixed before the test first ran
-    step = StepIndex(0.9979)
-    jump = 1.0 - cmath.exp(1j * TAU * step.value)
-    rows = _rows(scan_alpha_beta(ScanGrid(93, 91, theta_policy="optimize-per-point"), step))
-    small = {(abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))): s
-             for alpha, beta, *_, s, _ in rows if s < 1e-12}
-    assert len(small) > 500
-    for (a, b), s in small.items():
-        t = _exact_t(a, b, jump)
-        want = t * t / (2.0 * (math.sqrt(1.0 + t * t) + 1.0))
-        assert abs(s - want) <= 1e-10 * want
+    for ell in (0.9979, 40000.9979):
+        small = {key: s for key, s in _optimized_keys((93, 91), StepIndex(ell)).items() if s < 1e-12}
+        assert len(small) > 500
+        for s, want in zip(small.values(), _reference_s(small, ell)):
+            assert abs(s - want) <= 1e-10 * want
+
+
+def test_optimized_scan_is_accurate_at_a_large_step_index():
+    # L mod 1 is exact, so a large L costs no digits; the bound was fixed before the test first ran
+    keys = _optimized_keys((33, 33), StepIndex(50000.25))
+    for s, want in zip(keys.values(), _reference_s(keys, 50000.25)):
+        assert abs(s - want) <= 1e-12 * want
+
+
+def test_scan_is_exactly_zero_where_a_plus_b_is_two_pi():
+    # at (0, pi/2) and (0, 3 pi/2) the float a + b is 2 pi, so d = 0 and S is exactly 0
+    rows = _rows(scan_alpha_beta(ScanGrid(5, 4, theta_policy="optimize-per-point"), StepIndex(1.7321)))
+    first = {beta: s for alpha, beta, *_, s, _ in rows if alpha == 0.0}
+    assert (first[math.pi / 2], first[3 * math.pi / 2]) == (0.0, 0.0)
+
+
+def test_scan_at_an_integer_step_index_has_t_zero():
+    # s = sin^2(pi L) is 0, so t = 0 on every key: S = 0 at the optimum, and the b angles meet
+    step = StepIndex(2.0)
+    for *_, theta_b, theta_b_prime, s, _ in _rows(
+            scan_alpha_beta(ScanGrid(8, 8, theta_policy="optimize-per-point"), step)):
+        assert s == 0.0 and theta_b == theta_b_prime
+    canonical = (0.0 - (math.sqrt(2.0) - 1.0)) / (2.0 * math.sqrt(2.0))
+    assert {row[6] for row in _rows(scan_alpha_beta(ScanGrid(8, 8), step))} == {canonical}
 
 
 def test_optimizer_matches_horodecki_closed_form():
