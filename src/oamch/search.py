@@ -30,30 +30,30 @@ which is (sqrt(2) - 1) / 2 at t = 1.
 A key's n and d need no complex arithmetic.  The overlap at a plate
 difference x is exp(-i L |x|) (2 pi - |x| J), or its conjugate, with
 J = 1 - exp(2 pi i L) (`azimuthal.overlap_integral`), and |J|^2 = 2 Re J = 4 s
-exactly, s = sin^2(pi L).  So with a = |alpha - beta|, b = |alpha - wrap(beta + pi)|
-and a (a - 2 pi) = (a - pi)^2 - pi^2,
+exactly, s = sin^2(pi L).  So |k|^2 = 4 pi^2 c + 4 s (a - pi)^2 with
+c = cos^2(pi L) and a = |alpha - beta|, and |q|^2 is the same in
+b = |alpha - wrap(beta + pi)|.  A scan puts alpha at 2 pi i / A and beta at
+2 pi j / B.  With M = A B, m = i B - j A and h = 1 where beta + pi wraps
+(2 j >= B), else 0, a - pi = pi X / M and b - pi = pi Y / M for the integers
+X = |2 m| - M and Y = |2 m - M + 2 M h| - M.  Scaled by M^2 / (4 pi^2), which
+cancels from t = d / n and psi = atan2(d, n),
 
-    |k|^2 = 4 pi^2 - 4 pi a Re J + a^2 |J|^2 = 4 pi^2 (1 - s) + 4 s (a - pi)^2,
-    n / 4 = 2 pi^2 cos^2(pi L) + s ((a - pi)^2 + (b - pi)^2),
-    d / 4 = s (a (a - 2 pi) - b (b - 2 pi)) = s (a - b) (a + b - 2 pi).
+    n = 2 c M^2 + s (X^2 + Y^2),    d = s (X^2 - Y^2).
 
-The positive factor 4 cancels from t = d / n and psi = atan2(d, n), so the
-scan takes n / 4 and d / 4 for n and d, with sin and cos at pi (L mod 1),
-which is exact in floats.  Nothing cancels in n / 4, a sum of non-negative
-terms.  d / 4 is exactly 0 where a = b, where the float a + b is 2 pi, and
-at an integer L, where s = 0.
-
-A scan row's t depends only on its key, its relative plate orientation: each
-pass over a scan streams the rows and evaluates the keys its own memo lacks (`Scan`).
+|X|, |Y| <= M <= 2^20 make X^2 + Y^2 and X^2 - Y^2 exact, and s and c are
+taken at f = L - round(L), exact and in [-1/2, 1/2], where sin(pi f) loses
+no digits: t is a few roundings from its value at the rational angles, about
+1e-16 relative from the float angles a row prints.  d is 0 wherever
+|X| = |Y| and at an integer L, and keys with equal X^2 and Y^2, such as
+(m, h) and (-m, 1 - h), get equal bits.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
-from .azimuthal import TAU, StepIndex, overlap_integral, wrap_angle
+from .azimuthal import TAU, StepIndex, overlap_integral
 from .coincidence import CANONICAL_THETAS
 
 THETA_POLICIES = ("fixed-canonical", "optimize-per-point")
@@ -64,14 +64,14 @@ FIXED_THETAS = {"fixed-canonical": CANONICAL_THETAS, "optimize-per-point": (*_OP
 # S at the canonical angles is (t - _CANONICAL_OFFSET) / _CANONICAL_SCALE
 _CANONICAL_OFFSET, _CANONICAL_SCALE = math.sqrt(2.0) - 1.0, 2.0 * math.sqrt(2.0)
 
-# A scan row costs about 0.25 us as CSV, 0.55 us as JSON, and a new key 1-3 us; a JSON scan's
-# first pass adds about 0.15 us a row and 0.6-1.2 us a key (README, Domain limits)
+# A scan row costs about 0.2 us as CSV and 0.7-1 us as JSON, and 1 or 5 us more where it is evaluated from
+# its own key; a JSON scan's first pass adds about 0.1 us a row and 0.5-0.8 us such a key (README, Domain limits)
 MAX_SCAN_POINTS = 2**20
 # The most steps along either axis: the other axis has at least 2
 _MAX_STEPS = MAX_SCAN_POINTS // 2
-# The most rows a scan handles at a time, and the most keys a pass's memo holds
+# The most rows a scan handles at a time, and the most keys its table holds
 _CHUNK_ROWS = 4096
-_MEMO_KEYS = 2**16
+_TABLE_KEYS = 2**16
 
 
 class ScanGrid(namedtuple("ScanGrid", "alpha_steps beta_steps theta_policy threshold")):
@@ -160,7 +160,7 @@ def optimize_thetas(n: list, d: list):
     """Maximum of S over the four splitter angles, in closed form, at each plate pair.
 
     Plate pair i has n[i] = |k|^2 + |q|^2 and d[i] = |k|^2 - |q|^2, or one
-    positive multiple of both (a scan passes n / 4 and d / 4).
+    positive multiple of both (a scan's are M^2 / (4 pi^2) times them).
 
     Splitter angle t measures the Bloch direction (-sin 2t, cos 2t) in the
     x-z plane, so S = (CHSH - 2) / 4 peaks at the Horodecki optimum for
@@ -193,74 +193,73 @@ class Scan:
     """S over the alpha x beta lattice covering [0, 2*pi)^2, evaluated as its rows are read.
 
     A pass (iterating) yields the rows in (alpha index, beta index) order as
-    chunks (alphas, betas, tails) of at most `_CHUNK_ROWS` rows alphas x betas.
-    A chunk's new keys get their tails from one call `tail(thetas, s, flags)`
-    on their columns of angle quadruples, S and flags, which returns a list
-    of one tail per key, by default (*thetas, S, flag).  Each full pass
-    computes its rows afresh and sets `result`.  A row's key, the signed
-    differences (m - n, m - wrap(n + pi)) of its plates m and n, fixes its
-    angles and S.  A pass's own memo numbers the keys by first
-    appearance and holds their tails and flags; a chunk's new keys are
-    evaluated together, and a chunk that could take the memo past
-    `_MEMO_KEYS` keys starts from an empty one.
+    chunks (alphas, betas, tails) of at most `_CHUNK_ROWS` rows alphas x betas,
+    and sets `result`.  Keys get the list of tails `tail(thetas, s, flags)`
+    returns for columns of angles, S and flags, by default (*thetas, S, flag)
+    per key.  A row's tails are slices of the table of the grid's keys (m, h)
+    when that is small (`_TABLE_KEYS`); otherwise each chunk's rows are evaluated.
     """
 
     def __init__(self, grid: ScanGrid, step_index: StepIndex, tail=None):
         self.grid, self.step_index, self.result = grid, step_index, None
         self.tail = tail or (lambda thetas, s, flags: [(*t, v, f) for t, v, f in zip(thetas, s, flags)])
 
-    def _evaluate(self, keys: list) -> tuple[list, list, list]:
-        """Each key's angles, S and flag, from its n/4 and d/4 (module docstring)."""
-        f = math.fmod(self.step_index.value, 1.0)
-        sine, pi_cos = math.sin(math.pi * f), math.pi * math.cos(math.pi * f)
-        sin2, w = sine * sine, 2.0 * pi_cos * pi_cos  # sin^2(pi L) and 2 pi^2 cos^2(pi L)
+    def _evaluate(self, ps, qs) -> list:
+        """Four columns, the angles, S, flags and tails of the keys p = 2 m and q = 2 m - M + 2 M h."""
+        size = float(self.grid.alpha_steps * self.grid.beta_steps)
+        f = self.step_index.value - round(self.step_index.value)
+        sine, cosine = math.sin(math.pi * f), math.cos(math.pi * f)
+        sin2, w = sine * sine, 2.0 * cosine * cosine * (size * size)  # s and 2 c M^2
         n, d = [], []
-        for z in keys:
-            a, b = abs(z.real), abs(z.imag)
-            x, y = a - math.pi, b - math.pi
+        for p, q in zip(ps, qs):
+            x, y = abs(p) - size, abs(q) - size
             n.append(w + sin2 * (x * x + y * y))
-            d.append(sin2 * (a - b) * (a + b - TAU))
+            d.append(sin2 * (x * x - y * y))
         if self.grid.theta_policy == "optimize-per-point":
             thetas, s = optimize_thetas(n, d)
         else:
             s = [(diff / norm - _CANONICAL_OFFSET) / _CANONICAL_SCALE for norm, diff in zip(n, d)]
             thetas = [CANONICAL_THETAS] * len(s)
-        return thetas, s, [value > self.grid.threshold for value in s]
+        flags = [value > self.grid.threshold for value in s]
+        return [thetas, s, flags, self.tail(thetas, s, flags)]
 
     def __iter__(self):
         alpha_steps, beta_steps = self.grid.alpha_steps, self.grid.beta_steps
+        size, g = alpha_steps * beta_steps, math.gcd(alpha_steps, beta_steps)
+        da, db = alpha_steps // g, beta_steps // g
         span, width = max(1, _CHUNK_ROWS // beta_steps), min(beta_steps, _CHUNK_ROWS)
         columns = [(j, min(j + width, beta_steps)) for j in range(0, beta_steps, width)]
-        best, exceeding, cached, numbers = None, 0, None, ()
+        half = (beta_steps + 1) // 2  # beta + pi wraps (h = 1) from this beta index on
+        # p = 2 m of each key of the table, where row i and column j read (A - 1 - i) B / g + j A / g
+        ps = range(2 * (alpha_steps - 1) * beta_steps, -2 * (beta_steps - 1) * alpha_steps - 1, -2 * g)
+        tables = None if 2 * len(ps) > min(size, _TABLE_KEYS) else [
+            self._evaluate(ps, [p + shift for p in ps]) for shift in (-size, size)]
+        best, exceeding = None, 0
         for i in range(0, alpha_steps, span):
+            plates = range(i, min(i + span, alpha_steps))
             # plate angles as numpy's linspace(0, 2*pi, steps, endpoint=False) gives them
-            alphas = [a * (TAU / alpha_steps) for a in range(i, min(i + span, alpha_steps))]
+            alphas = [a * (TAU / alpha_steps) for a in plates]
             for j in columns:
-                if j != cached:  # rows of one chunk's width take their betas once
-                    cached, betas = j, [b * (TAU / beta_steps) for b in range(*j)]
-                    # a key as complex(m, m) - complex(n, wrap(n + pi)), equal float pairs as equal keys
-                    opposite = [complex(n, wrap_angle(n + math.pi)) for n in betas]
-                if not numbers or len(numbers) > _MEMO_KEYS - _CHUNK_ROWS:
-                    # an empty memo: a number per key, and by number its tail and flag
-                    numbers, tails, flags, flagged = defaultdict(itertools.count().__next__), [], [], 0
-                known = len(tails)
-                rows = [numbers[plate - z] for plate in map(complex, alphas, alphas) for z in opposite]
-                if len(numbers) > known:
-                    fresh = list(itertools.islice(reversed(numbers), len(numbers) - known))[::-1]
-                    thetas, s, new_flags = self._evaluate(fresh)
-                    tails += self.tail(thetas, s, new_flags)
-                    flags += new_flags
-                    flagged += sum(new_flags)
-                    # the best row is the first row of the first new key whose S beats every S before
-                    top = max(s)
-                    if best is None or top > best[6]:
-                        k = s.index(top)
-                        r = rows.index(known + k)
-                        best = (alphas[r // len(betas)], betas[r % len(betas)], *thetas[k], top, new_flags[k])
-                if flagged:  # rows of unflagged keys add nothing
-                    exceeding += sum([flags[r] for r in rows])
-                yield alphas, betas, [tails[r] for r in rows]
-        self.result = ScanResult(alpha_steps * beta_steps, exceeding, best)
+                betas = [b * (TAU / beta_steps) for b in range(*j)]
+                if tables is None:  # row i's p and q are 2 i B less dp and dq
+                    dp = [2.0 * b * alpha_steps for b in range(*j)]
+                    dq = [p + size if b < half else p - size for b, p in enumerate(dp, j[0])]
+                    thetas, s, flags, tails = self._evaluate([2 * a * beta_steps - p for a in plates for p in dp],
+                                                             [2 * a * beta_steps - q for a in plates for q in dq])
+                else:
+                    chunk = thetas, s, flags, tails = [], [], [], []
+                    for a in plates:
+                        base = (alpha_steps - 1 - a) * db
+                        for table, lo, hi in ((tables[0], j[0], min(j[1], half)), (tables[1], max(j[0], half), j[1])):
+                            for part, column in zip(chunk, table):
+                                part += column[base + lo * da:base + hi * da:da]
+                exceeding += sum(flags)
+                top = max(s)
+                if best is None or top > best[6]:
+                    k = s.index(top)
+                    best = (alphas[k // len(betas)], betas[k % len(betas)], *thetas[k], top, flags[k])
+                yield alphas, betas, tails
+        self.result = ScanResult(size, exceeding, best)
 
 
 scan_alpha_beta = Scan  # the name the library and the `scan` command call it by

@@ -89,20 +89,23 @@ def test_column_cells_equal_per_value_formatting(values):
 
 
 def _reference_rows(shape, policy, step, threshold) -> list[tuple]:
-    """Every row of a scan from its own plates: n/4 = 2 pi^2 cos^2(pi L) + s ((a - pi)^2 + (b - pi)^2)
-    and d/4 = s (a - b) (a + b - 2 pi) with s = sin^2(pi L), then `optimize_thetas` or S at the
-    canonical angles, (t - (sqrt(2) - 1)) / (2 sqrt(2))."""
+    """Every row of a scan from its own plate indices i and j: with M = A B, m = i B - j A and
+    h = 1 where 2 j >= B, X = |2 m| - M and Y = |2 m - M + 2 M h| - M, then n = 2 c M^2 + s (X^2 + Y^2)
+    and d = s (X^2 - Y^2) with s = sin^2(pi L) and c = cos^2(pi L), then `optimize_thetas` or S at
+    the canonical angles, (t - (sqrt(2) - 1)) / (2 sqrt(2))."""
     alphas = np.linspace(0.0, TAU, shape[0], endpoint=False).tolist()
     betas = np.linspace(0.0, TAU, shape[1], endpoint=False).tolist()
-    f = math.fmod(step.value, 1.0)
-    sine, pi_cos = math.sin(math.pi * f), math.pi * math.cos(math.pi * f)
-    sin2, w = sine * sine, 2.0 * pi_cos * pi_cos
+    size = shape[0] * shape[1]
+    f = step.value - round(step.value)
+    sine, cosine = math.sin(math.pi * f), math.cos(math.pi * f)
+    sin2, w = sine * sine, 2.0 * cosine * cosine * float(size * size)
     rows = []
-    for alpha in alphas:
-        for beta in betas:
-            a, b = abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))
-            x, y = a - math.pi, b - math.pi
-            n, d = w + sin2 * (x * x + y * y), sin2 * (a - b) * (a + b - TAU)
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            m = i * shape[1] - j * shape[0]
+            x = float(abs(2 * m) - size)
+            y = float(abs(2 * m - size + 2 * size * (2 * j >= shape[1])) - size)
+            n, d = w + sin2 * (x * x + y * y), sin2 * (x * x - y * y)
             if policy == "optimize-per-point":
                 (thetas,), (s,) = optimize_thetas([n], [d])
             else:
@@ -116,8 +119,8 @@ def _scanned_rows(scan) -> list[tuple]:
             for (a, b), tail in zip(itertools.product(alphas, betas), tails)]
 
 
-# coprime shapes repeat almost no key, very unequal ones few; 93 x 92 and
-# 2 x 5000 have more keys than a scan once allowed
+# coprime shapes repeat no key, and take each row from its own key; so do 93 x 92 and
+# 2 x 5000, whose tables would have more keys than the grids have rows
 SHAPES = st.one_of(
     st.sampled_from(((33, 32), (32, 33), (2, 1024), (1024, 2), (3, 64), (33, 33), (93, 92), (2, 5000))),
     st.tuples(st.integers(2, 24), st.integers(2, 24)),
@@ -126,14 +129,16 @@ SHAPES = st.one_of(
 
 @settings(PROFILE, max_examples=60)
 @given(shape=SHAPES, policy=st.sampled_from(THETA_POLICIES), step_index=STEP_VALUES,
-       threshold=st.floats(-0.1, 0.25), sizes=st.sampled_from(((4096, 2**16), (7, 10), (64, 300))))
+       threshold=st.floats(-0.1, 0.25), sizes=st.sampled_from(((4096, 2**16), (7, 10), (64, 300), (5, 0))))
 @example(shape=(93, 92), policy="optimize-per-point", step_index=0.9979, threshold=0.0, sizes=(4096, 2**16))
 @example(shape=(2, 5000), policy="fixed-canonical", step_index=1.8694, threshold=-0.1, sizes=(64, 300))
+# a table of 360 keys, read by chunks of 64 columns, the first of which crosses from h = 0 to h = 1
+@example(shape=(8, 96), policy="optimize-per-point", step_index=0.9979, threshold=0.0, sizes=(64, 2**16))
 def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, threshold, sizes):
-    # chunks of `sizes[0]` rows and a memo of `sizes[1]` keys, cleared many times over when small
+    # chunks of `sizes[0]` rows and tables of at most `sizes[1]` keys, which a small bound refuses
     step = StepIndex(step_index)
     rows = _reference_rows(shape, policy, step, threshold)
-    with mock.patch.object(search, "_CHUNK_ROWS", sizes[0]), mock.patch.object(search, "_MEMO_KEYS", sizes[1]):
+    with mock.patch.object(search, "_CHUNK_ROWS", sizes[0]), mock.patch.object(search, "_TABLE_KEYS", sizes[1]):
         scan = scan_alpha_beta(ScanGrid(*shape, theta_policy=policy, threshold=threshold), step)
         # repr tells -0.0 from 0.0, so the rows are equal bit for bit
         assert [repr(row) for row in _scanned_rows(scan)] == [repr(row) for row in rows]
@@ -142,23 +147,28 @@ def test_keyed_scan_equals_per_row_evaluation(shape, policy, step_index, thresho
 
 
 @settings(PROFILE, max_examples=40)
-@given(shape=st.one_of(SHAPES, st.sampled_from(((93, 91), (91, 93), (31, 29))),
+@given(shape=st.one_of(SHAPES, st.sampled_from(((93, 91), (91, 93), (31, 29), (64, 48), (48, 64))),
                        st.tuples(st.just(2), st.integers(2, 512))))
 def test_key_numbers_equal_first_appearance_of_float_pairs(shape):
-    # the keys a scan evaluates, batch after batch, are the rows' float pairs
-    # (m - n, m - wrap(n + pi)) in order of first appearance
+    # the keys a scan evaluates, batch after batch: every p = 2 m of the table, once for each h,
+    # or else each row's own (p, q), where q = 2 m - M + 2 M h
     evaluated = []
     evaluate = search.Scan._evaluate
 
-    def recording(self, keys):
-        evaluated.extend((z.real, z.imag) for z in keys)
-        return evaluate(self, keys)
+    def recording(self, ps, qs):
+        evaluated.extend(zip(ps, qs))
+        return evaluate(self, ps, qs)
 
     with mock.patch.object(search.Scan, "_evaluate", recording):
         _scanned_rows(scan_alpha_beta(ScanGrid(*shape), StepIndex(1.5)))
-    alphas = np.linspace(0.0, TAU, shape[0], endpoint=False).tolist()
-    betas = np.linspace(0.0, TAU, shape[1], endpoint=False).tolist()
-    assert evaluated == list(dict.fromkeys((m - n, m - wrap_angle(n + math.pi)) for m in alphas for n in betas))
+    (a, b), size, g = shape, shape[0] * shape[1], math.gcd(*shape)
+    rows = [(2 * m, 2 * m - size + 2 * size * (2 * j >= b)) for i in range(a) for j in range(b) for m in [i * b - j * a]]
+    table = range(2 * (a - 1) * b, -2 * (b - 1) * a - 1, -2 * g)
+    if 2 * len(table) <= min(size, search._TABLE_KEYS):
+        assert evaluated == [(p, p + shift) for shift in (-size, size) for p in table]
+        assert set(rows) <= set(evaluated)
+    else:
+        assert evaluated == rows
 
 
 def _reference_overlap(mu, nu, step, sign):
@@ -255,21 +265,23 @@ def test_json_artifact_equals_json_dumps_of_the_per_row_document(tmp_path, shape
     step_index=STEP_VALUES,
     threshold=st.floats(-1.0, 1.0),
     chunk=st.integers(1, 8),
-    memo=st.sampled_from((2**16, 12)),
+    table=st.sampled_from((2**16, 12)),
 )
-# memos of a few keys, which each pass of the CSV scan and of the JSON scan replaces
-# many times: the diagonal rows of 8 x 8 tie for the largest S, 33 x 32 has a key per row
+# the diagonal rows of 8 x 8 tie for the largest S, read from its table of 30 keys or, with
+# tables of at most 12 keys, from each row's own key; 33 x 32 has a key per row
 @example(alpha_steps=8, beta_steps=8, policy="optimize-per-point", step_index=0.5, threshold=0.1,
-         chunk=5, memo=12)
+         chunk=5, table=2**16)
+@example(alpha_steps=8, beta_steps=8, policy="optimize-per-point", step_index=0.5, threshold=0.1,
+         chunk=5, table=12)
 @example(alpha_steps=33, beta_steps=32, policy="fixed-canonical", step_index=1.8694, threshold=0.1,
-         chunk=16, memo=40)
+         chunk=16, table=40)
 def test_streamed_scan_artifacts_equal_whole_text_writers(
-    tmp_path_factory, alpha_steps, beta_steps, policy, step_index, threshold, chunk, memo
+    tmp_path_factory, alpha_steps, beta_steps, policy, step_index, threshold, chunk, table
 ):
-    # chunks of `chunk` rows and memos of `memo` keys
+    # chunks of `chunk` rows and tables of at most `table` keys
     tmp = tmp_path_factory.mktemp("scan")
     config = _scan_config(tmp / "config.json", alpha_steps, beta_steps, policy, step_index, threshold)
-    with mock.patch.object(search, "_CHUNK_ROWS", chunk), mock.patch.object(search, "_MEMO_KEYS", memo):
+    with mock.patch.object(search, "_CHUNK_ROWS", chunk), mock.patch.object(search, "_TABLE_KEYS", table):
         streamed = _streamed_artifacts(config, tmp)
     assert streamed == _whole_text_artifacts(load_config(config))
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oamch.coincidence
 from oamch import search
-from oamch.azimuthal import TAU, StepIndex, overlap_integral, wrap_angle
+from oamch.azimuthal import TAU, StepIndex, overlap_integral
 from oamch.coincidence import (
     CANONICAL_THETAS,
     MAX_CH_VIOLATION,
@@ -63,20 +63,26 @@ def _optimum(alpha, beta, step):
     return thetas, s
 
 
-def _moduli(alpha, beta, step):
-    """n/4 = 2 pi^2 cos^2(pi L) + s ((a - pi)^2 + (b - pi)^2) and d/4 = s (a - b) (a + b - 2 pi),
-    s = sin^2(pi L), at one plate pair, in the float operations of a scan's key."""
-    f = math.fmod(step.value, 1.0)
-    sine, pi_cos = math.sin(math.pi * f), math.pi * math.cos(math.pi * f)
-    s, w = sine * sine, 2.0 * pi_cos * pi_cos
-    a, b = abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))
-    x, y = a - math.pi, b - math.pi
-    return w + s * (x * x + y * y), s * (a - b) * (a + b - TAU)
+def _lattice(i, j, shape) -> tuple[int, int]:
+    """X = |2 m| - M and Y = |2 m - M + 2 M h| - M of row i and column j of an A x B scan:
+    M = A B, m = i B - j A, and h = 1 where beta + pi wraps past 2 pi (2 j >= B)."""
+    size, m = shape[0] * shape[1], i * shape[1] - j * shape[0]
+    return abs(2 * m) - size, abs(2 * m - size + 2 * size * (2 * j >= shape[1])) - size
 
 
-def _scan_row(alpha, beta, step, policy):
-    """A scan row's four angles and S, from the t of its plate pair alone."""
-    n, d = _moduli(alpha, beta, step)
+def _moduli(i, j, shape, step):
+    """n = 2 c M^2 + s (X^2 + Y^2) and d = s (X^2 - Y^2), s = sin^2(pi L) and c = cos^2(pi L),
+    at row i and column j of an A x B scan, in the float operations of a scan's key."""
+    f = step.value - round(step.value)
+    sine, cosine = math.sin(math.pi * f), math.cos(math.pi * f)
+    s, w = sine * sine, 2.0 * cosine * cosine * float(shape[0] * shape[1]) ** 2
+    x, y = map(float, _lattice(i, j, shape))
+    return w + s * (x * x + y * y), s * (x * x - y * y)
+
+
+def _scan_row(i, j, shape, step, policy):
+    """The four angles and S of row i and column j of a scan, from the t of its key alone."""
+    n, d = _moduli(i, j, shape, step)
     if policy == "optimize-per-point":
         (thetas,), (s,) = optimize_thetas([n], [d])
         return thetas, s
@@ -154,8 +160,8 @@ def test_optimized_scan_takes_s_in_the_stable_form():
     step = StepIndex(0.9979)
     rows = _rows(scan_alpha_beta(ScanGrid(93, 91, theta_policy="optimize-per-point"), step))
     assert len(rows) == 93 * 91
-    for alpha, beta, *thetas, s, _ in rows:
-        n, d = _moduli(alpha, beta, step)
+    for r, (alpha, beta, *thetas, s, _) in enumerate(rows):
+        n, d = _moduli(*divmod(r, 91), (93, 91), step)
         t = d / n
         assert s == t * t / (2.0 * (math.sqrt(1.0 + t * t) + 1.0)) >= 0.0
         assert abs(ChLandscape.at(alpha, beta, step).value(*thetas)[0] - s) <= 1e-15
@@ -171,13 +177,14 @@ def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
     return parts[0] - parts[2], parts[1] - parts[3]
 
 
-def _reference_s(keys, ell: float) -> list[float]:
-    """The optimum's S, (sqrt(1 + t^2) - 1) / 2, at each key (a, b), from its definitions at 60 digits.
+def _reference_t(keys, ell: float) -> list[Decimal]:
+    """t = (|k|^2 - |q|^2) / (|k|^2 + |q|^2) at each key (X, Y, M), from its definitions at 60 digits.
 
-    k = 2 pi - a J and q = 2 pi - b J with J = 1 - exp(2 pi i L), on the
-    same float a, b and L as the scan, and t = (|k|^2 - |q|^2) / (|k|^2 + |q|^2).
-    Only the Taylor series of `_cos_sin` enter: pi is a fixed point of
-    x + sin x, which triples its digits in x at each step.
+    k = 2 pi - a J and q = 2 pi - b J with J = 1 - exp(2 pi i L), at the
+    lattice's rational plate positions, where a = pi (M + X) / M and
+    b = pi (M + Y) / M, and at the same float L as the scan.  Only the
+    Taylor series of `_cos_sin` enter: pi is a fixed point of x + sin x,
+    which triples its digits in x at each step.
     """
     with localcontext() as ctx:
         ctx.prec = 60
@@ -186,35 +193,65 @@ def _reference_s(keys, ell: float) -> list[float]:
             pi += _cos_sin(pi)[1]
         cos, sin = _cos_sin(2 * pi * (Decimal(ell) % 1))
         jr, ji = 1 - cos, -sin
-        s = []
-        for key in keys:
-            k2, q2 = [(2 * pi - x * jr) ** 2 + (x * ji) ** 2 for x in map(Decimal, key)]
-            t = (k2 - q2) / (k2 + q2)
-            s.append(float(((1 + t * t).sqrt() - 1) / 2))
-        return s
+        t = []
+        for *xy, size in keys:
+            k2, q2 = [(2 * pi - x * jr) ** 2 + (x * ji) ** 2 for x in (pi * (size + v) / size for v in xy)]
+            t.append((k2 - q2) / (k2 + q2))
+        return t
 
 
 def _optimized_keys(shape, step) -> dict:
-    """S at each key (|alpha - beta|, |alpha - wrap(beta + pi)|) of an optimized scan."""
+    """S at each key (X, Y, M) of an optimized scan."""
     rows = _rows(scan_alpha_beta(ScanGrid(*shape, theta_policy="optimize-per-point"), step))
-    return {(abs(alpha - beta), abs(alpha - wrap_angle(beta + math.pi))): s for alpha, beta, *_, s, _ in rows}
+    size = shape[0] * shape[1]
+    return {(*_lattice(*divmod(r, shape[1]), shape), size): row[6] for r, row in enumerate(rows)}
+
+
+def _reference_s(keys, ell: float) -> list[float]:
+    """The optimum's S, (sqrt(1 + t^2) - 1) / 2, at each key, from `_reference_t`."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return [float(((1 + t * t).sqrt() - 1) / 2) for t in _reference_t(keys, ell)]
 
 
 def test_optimized_scan_is_accurate_where_s_is_near_zero():
     # near an integer L, J is near 0 and |k|^2 and |q|^2 agree in most digits on every key;
-    # the bound was fixed before the test first ran
+    # the bound was fixed before the test first ran, against a reference at the float angles.
+    # 397 of the grid's 4,323 keys (X, Y) have S below 1e-12.
     for ell in (0.9979, 40000.9979):
         small = {key: s for key, s in _optimized_keys((93, 91), StepIndex(ell)).items() if s < 1e-12}
-        assert len(small) > 500
+        assert len(small) > 350
         for s, want in zip(small.values(), _reference_s(small, ell)):
             assert abs(s - want) <= 1e-10 * want
 
 
 def test_optimized_scan_is_accurate_at_a_large_step_index():
-    # L mod 1 is exact, so a large L costs no digits; the bound was fixed before the test first ran
+    # f = L - round(L) is exact, so a large L costs no digits; the bound was fixed before the
+    # test first ran, against a reference at the float angles
     keys = _optimized_keys((33, 33), StepIndex(50000.25))
     for s, want in zip(keys.values(), _reference_s(keys, 50000.25)):
         assert abs(s - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("shape, ell", [
+    ((93, 91), 0.9979), ((93, 91), 40000.9979), ((33, 33), 1.7321), ((33, 33), 50000.25), ((256, 256), 1.7321),
+])
+def test_scan_takes_t_to_a_few_roundings_at_the_rational_angles(monkeypatch, shape, ell):
+    # t = d / n as the scan passes n and d to `optimize_thetas`, at every key (X, Y) of the grid,
+    # and exactly 0 where |X| = |Y|; the bound was fixed before the test first ran
+    moduli = []
+    monkeypatch.setattr(search, "optimize_thetas", lambda n, d: moduli.append((n, d)) or optimize_thetas(n, d))
+    keys = sorted({(*_lattice(i, j, shape), shape[0] * shape[1]) for i in range(shape[0]) for j in range(shape[1])})
+    scan_alpha_beta(ScanGrid(*shape, theta_policy="optimize-per-point"), StepIndex(ell))._evaluate(
+        [x + size for x, _, size in keys], [y + size for _, y, size in keys])
+    [(n, d)] = moduli
+    worst = 0.0
+    for (x, y, _), norm, diff, want in zip(keys, n, d, _reference_t(keys, ell)):
+        if abs(x) == abs(y):
+            assert diff == 0.0
+        else:
+            worst = max(worst, abs((Decimal(diff / norm) - want) / want))
+    assert worst <= 2e-15
 
 
 def test_scan_is_exactly_zero_where_a_plus_b_is_two_pi():
@@ -225,13 +262,46 @@ def test_scan_is_exactly_zero_where_a_plus_b_is_two_pi():
 
 
 def test_scan_at_an_integer_step_index_has_t_zero():
-    # s = sin^2(pi L) is 0, so t = 0 on every key: S = 0 at the optimum, and the b angles meet
+    # s = sin^2(pi L) is 0, so t = 0 on every key: S = 0 at the optimum, and the b angles meet;
+    # 8 x 8 reads its rows from the table, 8 x 7 evaluates each row
     step = StepIndex(2.0)
-    for *_, theta_b, theta_b_prime, s, _ in _rows(
-            scan_alpha_beta(ScanGrid(8, 8, theta_policy="optimize-per-point"), step)):
-        assert s == 0.0 and theta_b == theta_b_prime
     canonical = (0.0 - (math.sqrt(2.0) - 1.0)) / (2.0 * math.sqrt(2.0))
-    assert {row[6] for row in _rows(scan_alpha_beta(ScanGrid(8, 8), step))} == {canonical}
+    for shape in ((8, 8), (8, 7)):
+        for *_, theta_b, theta_b_prime, s, _ in _rows(
+                scan_alpha_beta(ScanGrid(*shape, theta_policy="optimize-per-point"), step)):
+            assert s == 0.0 and theta_b == theta_b_prime
+        assert {row[6] for row in _rows(scan_alpha_beta(ScanGrid(*shape), step))} == {canonical}
+
+
+def test_optimized_scan_is_exactly_zero_where_x_and_y_have_equal_size():
+    # d = s (X^2 - Y^2) is exactly 0 there: no rounded plate angle leaves S near 1e-32
+    shape = (256, 256)
+    rows = _rows(scan_alpha_beta(ScanGrid(*shape, theta_policy="optimize-per-point"), StepIndex(1.7321)))
+    zeros = [row[6] for r, row in enumerate(rows) if len(set(map(abs, _lattice(*divmod(r, 256), shape)))) == 1]
+    assert len(zeros) > 256 and set(zeros) == {0.0}
+
+
+def _tails_by_key(shape, policy, step) -> dict:
+    """The distinct tails of each key (m, h) of a scan, as repr, which tells -0.0 from 0.0."""
+    tails = defaultdict(set)
+    for r, row in enumerate(_rows(scan_alpha_beta(ScanGrid(*shape, theta_policy=policy), step))):
+        i, j = divmod(r, shape[1])
+        tails[i * shape[1] - j * shape[0], 2 * j >= shape[1]].add(repr(row[2:]))
+    return tails
+
+
+@pytest.mark.parametrize("policy", ["fixed-canonical", "optimize-per-point"])
+@pytest.mark.parametrize("shape, table", [((64, 48), True), ((64, 48), False), ((30, 27), False)])
+def test_rows_of_one_key_get_equal_bits(monkeypatch, policy, shape, table):
+    # 64 x 48 (gcd 16) from the table and from each row's own key, and 30 x 27 (gcd 3),
+    # whose keys repeat but whose table would have more keys than the grid has rows
+    if not table:
+        monkeypatch.setattr(search, "_TABLE_KEYS", 0)
+    tails = _tails_by_key(shape, policy, StepIndex(0.9979))
+    assert len(tails) < shape[0] * shape[1] and {len(t) for t in tails.values()} == {1}
+    # (m, h) and (-m, 1 - h) have the same |X| and |Y|
+    mirrored = [(tails[key], tails[-key[0], not key[1]]) for key in tails if (-key[0], not key[1]) in tails]
+    assert len(mirrored) > 100 and all(a == b for a, b in mirrored)
 
 
 def test_optimizer_matches_horodecki_closed_form():
@@ -327,8 +397,8 @@ def test_scan_columns_match_scalar_reference(policy, step, alpha_steps, beta_ste
     plates = [(a, b) for a in alphas.tolist() for b in betas.tolist()]
     rows = _rows(scan)
     assert [row[:2] for row in rows] == plates
-    for (a, b), row in zip(plates, rows):
-        thetas, s = _scan_row(a, b, step, policy)
+    for r, row in enumerate(rows):
+        thetas, s = _scan_row(*divmod(r, beta_steps), (alpha_steps, beta_steps), step, policy)
         assert row[2:] == (*thetas, s, s > threshold)
     assert scan.result.best == _first_best(rows)
 
@@ -389,13 +459,13 @@ def test_scan_evaluates_each_relative_orientation_once():
 
     scan = scan_alpha_beta(ScanGrid(alpha_steps=33, beta_steps=33), HALF, tail)
     assert len(_rows(scan)) == 33 * 33 and scan.result.rows == 33 * 33
-    # the 1,089 rows fit one chunk, whose 593 keys are evaluated, and their tails made, together
-    assert batches == [593]
-    # the memo lives as long as its pass: a second pass evaluates the 593 keys again
+    # m / 33 runs from -32 to 32: each h's 65 keys are evaluated, and their tails made, together
+    assert batches == [65, 65]
+    # the table lives as long as its pass: a second pass evaluates the 130 keys again
     assert sorted(vars(scan)) == ["grid", "result", "step_index", "tail"]
     first, scan.result = scan.result, None
     assert len(_rows(scan)) == 33 * 33 and scan.result == first
-    assert batches == [593, 593]
+    assert batches == [65, 65, 65, 65]
 
 
 def test_scan_result_requires_rows():
@@ -412,22 +482,30 @@ def test_scan_result_requires_rows():
 
 
 def test_scan_key_count_is_bounded(monkeypatch):
-    # every grid within MAX_SCAN_POINTS scans, whatever its steps share;
-    # no memo holds more than `_MEMO_KEYS` keys, and one is replaced only when full
-    memos = {}
+    # every grid within MAX_SCAN_POINTS scans, whatever its steps share; a table has fewer keys
+    # than the grid has rows and at most `_TABLE_KEYS`, and without one a scan evaluates each
+    # chunk's rows, one key per row
+    evaluated = []
+    evaluate = search.Scan._evaluate
 
-    def recording(factory):
-        memos[steps].append(defaultdict(factory))
-        return memos[steps][-1]
+    def recording(self, ps, qs):
+        evaluated[-1].append(len(qs))
+        return evaluate(self, ps, qs)
 
-    monkeypatch.setattr(search, "defaultdict", recording)
+    monkeypatch.setattr(search.Scan, "_evaluate", recording)
     monkeypatch.setattr(search, "_CHUNK_ROWS", 64)
-    monkeypatch.setattr(search, "_MEMO_KEYS", 200)
-    for steps in ((93, 92), (2, 600), (600, 2), (33, 33)):
-        memos[steps] = []
+    monkeypatch.setattr(search, "_TABLE_KEYS", 800)
+    tables = {}
+    for steps in ((93, 92), (2, 600), (600, 2), (33, 33), (64, 48), (128, 96)):
+        evaluated.append([])
         scan = scan_alpha_beta(ScanGrid(*steps), HALF)
         assert len(_rows(scan)) == scan.result.rows == steps[0] * steps[1]
-        assert max(map(len, memos[steps])) <= 200
-        assert all(len(memo) > 200 - 64 for memo in memos[steps][:-1])
-    # 93 x 92 has a key per row: its 8,556 keys filled many memos
-    assert len(memos[(93, 92)]) > 8556 // 200
+        rows, keys = steps[0] * steps[1], sum(evaluated[-1])
+        assert keys == rows or keys <= min(rows, 800)
+        assert keys == rows or len(evaluated[-1]) == 2
+        assert keys < rows or max(evaluated[-1]) <= 64
+        tables[steps] = keys < rows
+    # 93 x 92 has a key per row, and 2 x 600 and 600 x 2 (gcd 2) tables of 1,800 keys;
+    # 128 x 96 (gcd 32) has a table of 1,524 keys, past the bound
+    assert tables == {(93, 92): False, (2, 600): False, (600, 2): False, (33, 33): True, (64, 48): True,
+                      (128, 96): False}
